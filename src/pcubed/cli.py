@@ -20,19 +20,37 @@ from .lhs_morita import (
     morita_components,
     verify_pages,
 )
+from .modular import is_prime
 from .orbits import DEFAULT_MAX_STATES, enumerate_orbits, expected_orbit_count, orbit_rows
 from .quadforms import congruence_invariant, representatives, select_h
 from .report import Report
 
 
 def _parse_primes(text: str) -> list[int]:
+    """The -p list of every subcommand: comma-separated odd primes."""
     try:
         primes = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
+        raise ValueError(f"bad prime list {text!r}") from None
     if not primes:
-        raise argparse.ArgumentTypeError("empty prime list")
+        raise ValueError("empty prime list")
+    bad = [p for p in primes if p == 2 or not is_prime(p)]
+    if bad:
+        raise ValueError(f"-p takes odd primes only, got {', '.join(map(str, bad))}")
     return primes
+
+
+def _parse_corrupt(spec: str, p: int) -> tuple[Family, int, int]:
+    """The --corrupt 'family:row:col' spec, with row and col inside the model."""
+    try:
+        name, row, col = spec.split(":")
+        fam, row, col = Family.parse(name), int(row), int(col)
+    except ValueError:
+        raise ValueError(f"--corrupt takes family:row:col, got {spec!r}") from None
+    k = len(h4_model(fam, p).basis)
+    if not (0 <= row < k and 0 <= col < k):
+        raise ValueError(f"--corrupt row and col for {fam.value} must be in 0..{k - 1}, got {row}:{col}")
+    return fam, row, col
 
 
 def _families(args) -> tuple[Family, ...]:
@@ -160,6 +178,7 @@ def _corrupt_generators(fam: Family, p: int, row: int, col: int):
 
 
 def cmd_verify(args) -> int:
+    corrupt = _parse_corrupt(args.corrupt, args.primes[0]) if args.corrupt else None
     reports = []
     for p in args.primes:
         rep = Report(f"verification at p = {p}")
@@ -172,9 +191,9 @@ def cmd_verify(args) -> int:
         indices = {}
         for fam in FAMILIES:
             gens = action_generators(fam, p)
-            if args.corrupt and fam is Family.parse(args.corrupt.split(":")[0]):
-                _, row, col = args.corrupt.split(":")
-                gens = _corrupt_generators(fam, p, int(row), int(col))
+            if corrupt and fam is corrupt[0]:
+                _, row, col = corrupt
+                gens = _corrupt_generators(fam, p, row, col)
             indices[fam] = enumerate_orbits(h4_model(fam, p), gens, max_states=args.max_states)
         for fam in FAMILIES:
             n = len(indices[fam].orbits)
@@ -279,7 +298,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, fmt_choices=("md", "csv", "json"), default_fmt="md"):
-        sp.add_argument("-p", "--primes", type=_parse_primes, default=[3], help="comma list of odd primes")
+        sp.add_argument("-p", "--primes", default="3", help="comma list of odd primes")
         sp.add_argument("--format", choices=fmt_choices, default=default_fmt)
         sp.add_argument("-o", "--output", help="write output to a file instead of stdout")
         sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, help="orbit state-space bound")
@@ -317,6 +336,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        args.primes = _parse_primes(args.primes)
         return args.fn(args)
     except ValueError as exc:
         print(f"pcubed: {exc}", file=sys.stderr)

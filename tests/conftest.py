@@ -3,11 +3,17 @@ from functools import lru_cache
 import pytest
 
 from pcubed.lhs_morita import build_orbit_indices, morita_components
+from pcubed.quadforms import count_congruence_classes
 
 
 @lru_cache(maxsize=None)
 def _indices(p):
     return build_orbit_indices(p)
+
+
+@lru_cache(maxsize=None)
+def _class_count(n, p):
+    return count_congruence_classes(n, p)
 
 
 @lru_cache(maxsize=None)
@@ -25,3 +31,9 @@ def indices_for():
 def graph_for():
     """Cached per-prime Morita graphs."""
     return _graph
+
+
+@pytest.fixture(scope="session")
+def class_count_for():
+    """Cached congruence class counts, computed once per (n, p)."""
+    return _class_count

@@ -99,3 +99,22 @@ def test_output_file(tmp_path, capsys):
     code, _ = run(capsys, "morita", "-p", "3", "-o", str(target))
     assert code == 0
     assert "nontrivial Morita classes: 13" in target.read_text()
+
+
+@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
+@pytest.mark.parametrize("prime", ["9", "2", "1"])
+def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):
+    assert main([command, "-p", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: -p takes odd primes only, got {prime}\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2"]
+)
+def test_verify_bad_corrupt_spec_is_a_one_line_usage_error(capsys, spec):
+    assert main(["verify", "-p", "3", "--corrupt", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pcubed: --corrupt ") and captured.err.count("\n") == 1

@@ -1,9 +1,15 @@
+import math
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcubed import orbits
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import h4_model
-from pcubed.orbits import enumerate_orbits, expected_orbit_count, orbit_rows
+from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 
 COUNTS = {
     Family.CYCLIC: lambda p: 7,
@@ -106,3 +112,107 @@ def test_orbit_rows_shape(indices_for):
     assert rows[0]["rep_label"] == "0"
     assert {r["family"] for r in rows} == {"gp"}
     assert sum(r["size"] for r in rows) == 9
+
+
+def test_exactness_guard_refuses_oversized_moduli():
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^53"):
+        enumerate_orbit_ids([2**27, 2**27], [eye])
+    # the first modulus with (m - 1)**2 >= 2**53 is refused before any table is
+    # allocated; the one below it reaches the state bound instead
+    with pytest.raises(ValueError, match="2\\^53"):
+        enumerate_orbit_ids([94906267], [[[1]]], max_states=1)
+    with pytest.raises(ValueError, match="state space"):
+        enumerate_orbit_ids([94906266], [[[1]]], max_states=1)
+
+
+def test_rows_are_reduced_before_the_product():
+    # entries far above 2**53 act as their residues, so they pass the guard
+    moduli = [9, 3, 3]
+    reduced = [[[2, 3, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 2]]]
+    unreduced = [
+        [[v + 10**18 * m for v in row] for row, m in zip(mat, moduli)] for mat in reduced
+    ]
+    negative = [[[v - 5 * m for v in row] for row, m in zip(mat, moduli)] for mat in reduced]
+    ids, seeds, sizes = enumerate_orbit_ids(moduli, reduced)
+    for mats in (unreduced, negative):
+        ids2, seeds2, sizes2 = enumerate_orbit_ids(moduli, mats)
+        assert np.array_equal(ids, ids2)
+        assert (seeds, sizes) == (seeds2, sizes2)
+
+
+# --- property tests against a plain-Python union-find reference -----------
+
+
+def _apply(mat, moduli, weights, state):
+    coords = [state // w % m for w, m in zip(weights, moduli)]
+    image = [sum(a * c for a, c in zip(row, coords)) % m for row, m in zip(mat, moduli)]
+    return sum(c * w for c, w in zip(image, weights))
+
+
+def _union_find_orbits(moduli, mats):
+    """Smallest state of each state's orbit, by union-find over generator edges."""
+    weights = [math.prod(moduli[i + 1 :]) for i in range(len(moduli))]
+    total = math.prod(moduli)
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for state in range(total):
+        for mat in mats:
+            a, b = find(state), find(_apply(mat, moduli, weights, state))
+            parent[max(a, b)] = min(a, b)  # the root is the smallest member
+    return [find(s) for s in range(total)]
+
+
+@st.composite
+def _actions(draw):
+    """Moduli and invertible, well-defined generators, with repeats and identities.
+
+    Each generator is a product of elementary moves: scaling a coordinate by
+    a unit, swapping two coordinates with the same modulus, and a shear
+    x_i += c * x_j with m_i dividing c * m_j (the condition for the move to be
+    well defined on the mixed moduli); each move is invertible.
+    """
+    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9]), min_size=1, max_size=3))
+    k = len(moduli)
+    idx = st.integers(0, k - 1)
+
+    def generator():
+        mat = np.eye(k, dtype=np.int64)
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(idx), draw(idx)
+            move = np.eye(k, dtype=np.int64)
+            kind = draw(st.sampled_from(["scale", "swap", "shear"]))
+            if kind == "scale":
+                move[i, i] = draw(st.sampled_from([u for u in range(1, moduli[i]) if math.gcd(u, moduli[i]) == 1]))
+            elif kind == "swap" and moduli[i] == moduli[j]:
+                move[[i, j]] = move[[j, i]]
+            elif kind == "shear" and i != j:
+                step = moduli[i] // math.gcd(moduli[i], moduli[j])
+                move[i, j] = step * draw(st.integers(1, moduli[i]))
+            mat = move @ mat
+        return mat
+
+    mats = [generator() for _ in range(draw(st.integers(1, 3)))]
+    mats += mats[: draw(st.integers(0, len(mats)))]
+    mats += [np.eye(k, dtype=np.int64)] * draw(st.integers(0, 2))
+    return moduli, draw(st.permutations(mats))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_actions(), st.sampled_from([1, 2, 5, 64, orbits._CHUNK]))
+def test_engine_matches_union_find(action, chunk):
+    moduli, mats = action
+    # small chunks push frontiers and the seed scan across block boundaries
+    with patch.object(orbits, "_CHUNK", chunk):
+        orbit_id, seeds, sizes = enumerate_orbit_ids(moduli, mats)
+    smallest = _union_find_orbits(moduli, [m.tolist() for m in mats])
+    assert [seeds[o] for o in orbit_id] == smallest
+    assert seeds == sorted(set(smallest))
+    assert sizes == [smallest.count(s) for s in seeds]
+    assert sum(sizes) == math.prod(moduli)
