@@ -133,18 +133,19 @@ def cmd_morita(args) -> int:
 
 
 def cmd_quadforms(args) -> int:
-    p = args.primes[0] if args.primes else 3
-    lines = []
-    if args.which_h:
-        lines.append(f"h = {select_h(p)}")
-    else:
-        reps = representatives(args.n, p)
-        lines.append(f"{2 * args.n + 1} congruence classes of rank <= {args.n} over F_{p}:")
-        for q in reps:
+    blocks = []
+    for p in args.primes:
+        if args.which_h:
+            prefix = f"p={p}: " if len(args.primes) > 1 else ""
+            blocks.append(f"{prefix}h = {select_h(p)}")
+            continue
+        lines = [f"{2 * args.n + 1} congruence classes of rank <= {args.n} over F_{p}:"]
+        for q in representatives(args.n, p):
             inv = congruence_invariant(q)
             diag = [q.matrix[i][i] for i in range(q.n)]
             lines.append(f"  diag{tuple(diag)}  rank={inv.rank}  disc={inv.disc_class}")
-    _write(args, "\n".join(lines))
+        blocks.append("\n".join(lines))
+    _write(args, ("\n" if args.which_h else "\n\n").join(blocks))
     return 0
 
 
@@ -248,14 +249,13 @@ def _group_oracles(p: int):
         Family.HEISENBERG: 432,
         Family.GP: 54,
     }
+    auts = {fam: enumerate_automorphisms(build_group(fam, p)) for fam in FAMILIES}
     for fam in FAMILIES:
-        G = build_group(fam, p)
-        auts = enumerate_automorphisms(G)
         checks.append(
             CheckResult(
                 f"groups.aut_order.{fam.value}.p{p}",
-                len(auts) == expected_aut[fam],
-                f"|Aut| = {len(auts)}",
+                len(auts[fam]) == expected_aut[fam],
+                f"|Aut| = {len(auts[fam])}",
             )
         )
     H = build_group(Family.HEISENBERG, p)
@@ -276,8 +276,7 @@ def _group_oracles(p: int):
         Family.GP: 3,
     }
     for fam in FAMILIES:
-        G = build_group(fam, p)
-        classes = normal_abelian_subgroup_classes(G)
+        classes = normal_abelian_subgroup_classes(build_group(fam, p), automorphisms=auts[fam])
         checks.append(
             CheckResult(
                 f"groups.subgroup_classes.{fam.value}.p{p}",

@@ -117,7 +117,7 @@ def h4_model(family: Family, p: int) -> H4Model:
     return H4Model(family, p, _BASIS[family], moduli)
 
 
-def _det_mod(A, m: int) -> int:
+def det_mod(A, m: int) -> int:
     """Determinant mod m by Gaussian elimination (m prime here)."""
     a = [[int(x) % m for x in row] for row in A]
     n = len(a)
@@ -157,7 +157,7 @@ class ActionGenerator:
 
     def is_invertible(self) -> bool:
         # all moduli are p-powers, so invertible iff invertible mod p
-        return _det_mod(self.matrix, self.model.p) != 0
+        return det_mod(self.matrix, self.model.p) != 0
 
     def key(self) -> tuple:
         return self.matrix
@@ -195,7 +195,7 @@ def _quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray
 def _elem_matrix(A: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros((7, 7), dtype=np.int64)
     out[:6, :6] = _quadratic_substitution_matrix(A % p, _QUAD_PAIRS[Family.ELEM_ABELIAN], p)
-    out[6, 6] = _det_mod(A, p)
+    out[6, 6] = det_mod(A, p)
     return out
 
 

@@ -35,19 +35,31 @@ def units(m: int) -> list[int]:
     return [a for a in range(1, m) if gcd(a, m) == 1]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
 @lru_cache(maxsize=None)
 def primitive_root(m: int) -> int:
-    """Smallest positive primitive root mod m (m an odd prime power)."""
-    us = units(m)
-    n = len(us)
+    """Smallest positive primitive root mod m (m an odd prime power).
+
+    g is a primitive root when its order is the whole of phi(m), i.e. when
+    ``g**(phi(m) // r) != 1`` for every prime r dividing phi(m).
+    """
+    phi = m
+    for r in prime_factors(m):
+        phi = phi // r * (r - 1)
+    tests = [phi // r for r in prime_factors(phi)]
     for g in range(2, m):
-        if gcd(g, m) != 1:
-            continue
-        x, k = g, 1
-        while x != 1:
-            x = x * g % m
-            k += 1
-        if k == n:
+        if gcd(g, m) == 1 and all(pow(g, e, m) != 1 for e in tests):
             return g
     raise ValueError(f"no primitive root mod {m}")
 

@@ -20,6 +20,16 @@ representative contract the Morita graph relies on.
   every value stays below 2**53.  Matrix rows are reduced mod their modulus
   first, so dot products stay below ``k * max(m - 1)**2``; inputs for which
   that or the number of states reaches 2**53 are refused with ``ValueError``.
+- Character split: when the last coordinate b has an odd prime modulus q and
+  every matrix permutes the states and acts on b by a scalar chi(s) alone
+  (the det on beta in the elementary-abelian model), the BFS runs on the
+  other coordinates only and labels each state x with L(x) = log chi of a
+  path to it from the seed x0.  Schreier's lemma: the stabiliser of x0 is
+  generated by the t_sx^-1 s t_x over all edges (x, s), so log chi of it is
+  generated mod q - 1 by the edge defects L(x) + log chi(s) - L(s x), and by
+  their gcd d.  The block orbit O of x0 splits into O x {0} and one orbit of
+  size |O| (q - 1) / d per coset (log b - L(x)) mod d; as b is the least
+  significant coordinate, seeds and numbering are those of the full BFS.
 """
 
 import math
@@ -28,10 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FAMILIES, Family
-from .h4_models import ActionGenerator, CohClass, H4Model, action_generators, h4_model
+from .h4_models import ActionGenerator, CohClass, H4Model, action_generators, det_mod, h4_model
+from .modular import is_prime, prime_factors, primitive_root
 
 DEFAULT_MAX_STATES = 10**8
 _CHUNK = 1 << 13  # the (generators * k) x chunk float64 temporaries stay within L2
+_EXPAND_ROWS = 1 << 14  # block states expanded per step of the character split
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,153 @@ def _mod_exact(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
+def _is_automorphism(mat: np.ndarray, moduli) -> bool:
+    """Whether ``mat`` permutes the states mod ``moduli``.
+
+    By Burnside's basis theorem an endomorphism of a finite abelian r-group is
+    onto exactly when it is onto mod r, so ``mat`` is a bijection exactly when,
+    for each prime r, its rows and columns with r dividing the modulus form a
+    matrix that is invertible mod r.
+    """
+    for r in {r for m in moduli for r in prime_factors(int(m))}:
+        idx = [i for i, m in enumerate(moduli) if m % r == 0]
+        if det_mod(mat[np.ix_(idx, idx)], r) == 0:
+            return False
+    return True
+
+
+def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
+    """Whether the last coordinate splits off as a character chi.
+
+    It does when its modulus is an odd prime and every (row-reduced) matrix
+    permutes the states and acts on it by a scalar, ``chi``, alone.
+    """
+    q = int(moduli[-1])
+    if len(moduli) < 2 or q == 2 or not is_prime(q) or mats[:, -1, :-1].any() or mats[:, :-1, -1].any():
+        return False
+    return all(_is_automorphism(mat, moduli) for mat in mats)
+
+
+def _discrete_logs(q: int) -> np.ndarray:
+    """``log[b]`` to the base ``primitive_root(q)`` for b in 1..q-1; ``log[0]`` is 0."""
+    log = np.zeros(q, dtype=np.int32)
+    g, x = primitive_root(q), 1
+    for i in range(q - 1):
+        log[x] = i
+        x = x * g % q
+    return log
+
+
+def _bfs(moduli: np.ndarray, mats: np.ndarray, orbit_id: np.ndarray, character=None):
+    """Seed scan and chunked BFS over ``orbit_id`` (all -1 on entry).
+
+    With ``character = (labels, log_chi, order)`` it also labels each state of
+    an orbit with ``log chi`` of a path from the seed, mod ``order``, and
+    returns per orbit the gcd of ``order`` and every edge's label defect.
+    """
+    k = len(moduli)
+    total = orbit_id.size
+    weights = np.ones(k)
+    for i in range(k - 2, -1, -1):
+        weights[i] = weights[i + 1] * moduli[i + 1]
+    stacked = mats.reshape(-1, k).astype(np.float64)
+    row_moduli = np.tile(moduli, len(mats))[:, None].astype(np.float64)
+    col_moduli = moduli[:, None].astype(np.float64)
+    if character is not None:
+        labels, log_chi, order = character
+        log_chi = log_chi[:, None]
+
+    seeds: list[int] = []
+    sizes: list[int] = []
+    gcds: list[int] = []
+    ptr = 0
+    while ptr < total:
+        free = np.flatnonzero(orbit_id[ptr : ptr + _CHUNK] == -1)
+        if not free.size:
+            ptr += _CHUNK
+            continue
+        ptr += int(free[0])
+        oid = len(seeds)
+        orbit_id[ptr] = oid
+        frontier = np.array([ptr], dtype=np.int64)
+        size = 1
+        d = order if character is not None else 1
+        while frontier.size:
+            new_parts = []
+            for lo in range(0, frontier.size, _CHUNK):
+                states = frontier[lo : lo + _CHUNK]
+                coords = states / weights[:, None]
+                np.floor(coords, out=coords)
+                images = _mod_exact(stacked @ _mod_exact(coords, col_moduli), row_moduli)
+                images = (weights @ images.reshape(len(mats), k, -1)).astype(np.int64).ravel()
+                fresh = orbit_id[images] == -1
+                cand = images[fresh]
+                # in-table dedupe: every candidate writes its own tag, and the
+                # one whose tag reads back stands for its state
+                tags = -2 - np.arange(cand.size, dtype=np.int32)
+                orbit_id[cand] = tags
+                cand = cand[orbit_id[cand] == tags]
+                orbit_id[cand] = oid
+                new_parts.append(cand)
+                if d > 1:
+                    # any edge into a new state gives it a valid label; once
+                    # the gcd is 1 the labels are no longer needed
+                    proposed = ((labels[states] + log_chi) % order).ravel()
+                    labels[images[fresh]] = proposed[fresh]
+                    d = math.gcd(d, int(np.gcd.reduce(proposed - labels[images])))
+            frontier = np.concatenate(new_parts)
+            size += frontier.size
+        seeds.append(ptr)
+        sizes.append(size)
+        gcds.append(d)
+        ptr += 1
+    return seeds, sizes, gcds
+
+
+def _split_character(orbit_id, labels, block_seeds, block_sizes, gcds, log):
+    """Expand block orbits into the orbits of the whole space, in place.
+
+    ``orbit_id[:B]`` holds the block orbit ids on entry, for the B = len(labels)
+    block states; the state (x, b) is ``x * q + b``.  Block orbit O with seed
+    x0 and gcd d becomes the orbit of (x0, 0), then one orbit per coset of
+    the index-d subgroup of F_q^*, numbered by the coset's least member.
+    """
+    q = log.size
+    order = q - 1
+    starts, tables, offset = {}, [], 0
+    for d in sorted(set(gcds)):
+        least = np.full(d, q)
+        np.minimum.at(least, log[1:] % d, np.arange(1, q))
+        rank = np.argsort(np.argsort(least))
+        # entry start + t is the orbit offset of (x, b) with t = log b - L(x)
+        tables.append(1 + rank[np.arange(-d, order) % d])
+        starts[d] = (offset + d, np.sort(least))
+        offset += d + order
+    table = np.concatenate(tables).astype(np.int32)
+
+    seeds, sizes, bases, shifts = [], [], [], []
+    for x0, n, d in zip(block_seeds, block_sizes, gcds):
+        start, least = starts[d]
+        bases.append(len(seeds))
+        shifts.append(start)
+        seeds += [x0 * q] + [x0 * q + int(b) for b in least]
+        sizes += [n] + [n * order // d] * d
+    bases = np.array(bases, dtype=np.int32)
+    shifts = np.array(shifts, dtype=np.int32)
+    gcds = np.array(gcds, dtype=np.int32)
+
+    # top down, so block rows are read before their p-fold expansion covers them
+    for hi in range(labels.size, 0, -_EXPAND_ROWS):
+        lo = max(hi - _EXPAND_ROWS, 0)
+        block = orbit_id[lo:hi]
+        first = bases[block]
+        idx = (shifts[block] - labels[lo:hi] % gcds[block])[:, None] + log
+        out = orbit_id[lo * q : hi * q].reshape(-1, q)
+        np.add(first[:, None], table[idx], out=out)
+        out[:, 0] = first
+    return seeds, sizes
+
+
 def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     """Core BFS: orbit ids, seed states and sizes for matrices acting mod moduli.
 
@@ -91,50 +250,22 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
         raise ValueError(f"moduli {moduli.tolist()} too large for exact float64 arithmetic (bound {bound} >= 2^53)")
     if total > max_states:
         raise ValueError(f"state space {total} above the bound {max_states}")
-    weights = np.ones(k)
-    for i in range(k - 2, -1, -1):
-        weights[i] = weights[i + 1] * moduli[i + 1]
     # row i acts mod moduli[i], so reducing it there changes no image and
     # keeps every entry of mats @ coords below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
-    stacked = mats.reshape(-1, k).astype(np.float64)
-    row_moduli = np.tile(moduli, len(mats))[:, None].astype(np.float64)
-    col_moduli = moduli[:, None].astype(np.float64)
 
-    orbit_id = np.full(total, -1, dtype=np.int32)
-    seeds: list[int] = []
-    sizes: list[int] = []
-    ptr = 0
-    while ptr < total:
-        free = np.flatnonzero(orbit_id[ptr : ptr + _CHUNK] == -1)
-        if not free.size:
-            ptr += _CHUNK
-            continue
-        ptr += int(free[0])
-        oid = len(seeds)
-        orbit_id[ptr] = oid
-        frontier = np.array([ptr], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            new_parts = []
-            for lo in range(0, frontier.size, _CHUNK):
-                coords = frontier[lo : lo + _CHUNK] / weights[:, None]
-                np.floor(coords, out=coords)
-                images = _mod_exact(stacked @ _mod_exact(coords, col_moduli), row_moduli)
-                cand = (weights @ images.reshape(len(mats), k, -1)).astype(np.int64).ravel()
-                cand = cand[orbit_id[cand] == -1]
-                # in-table dedupe: every candidate writes its own tag, and the
-                # one whose tag reads back stands for its state
-                tags = -2 - np.arange(cand.size, dtype=np.int32)
-                orbit_id[cand] = tags
-                cand = cand[orbit_id[cand] == tags]
-                orbit_id[cand] = oid
-                new_parts.append(cand)
-            frontier = np.concatenate(new_parts)
-            size += frontier.size
-        seeds.append(ptr)
-        sizes.append(size)
-        ptr += 1
+    orbit_id = np.empty(total, dtype=np.int32)
+    if not _splits_off(moduli, mats):
+        orbit_id.fill(-1)
+        seeds, sizes, _ = _bfs(moduli, mats, orbit_id)
+        return orbit_id, seeds, sizes
+    q = int(moduli[-1])
+    log = _discrete_logs(q)
+    block = orbit_id[: total // q]
+    block.fill(-1)
+    labels = np.zeros(block.size, dtype=np.min_scalar_type(q - 2))
+    seeds, sizes, gcds = _bfs(moduli[:-1], mats[:, :-1, :-1], block, (labels, log[mats[:, -1, -1]], q - 1))
+    seeds, sizes = _split_character(orbit_id, labels, seeds, sizes, gcds, log)
     return orbit_id, seeds, sizes
 
 

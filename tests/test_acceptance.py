@@ -246,6 +246,8 @@ def test_criterion_9_negative_controls(indices_for):
         (Family.CYCLIC, 0, 0),
         (Family.P2XP, 1, 1),
         (Family.ELEM_ABELIAN, 0, 0),
+        (Family.ELEM_ABELIAN, 0, 1),  # inside the quadratic block: the det split still applies
+        (Family.ELEM_ABELIAN, 6, 0),  # couples beta to the block: the split must not apply
         (Family.HEISENBERG, 1, 3),
         (Family.GP, 0, 0),
     ]

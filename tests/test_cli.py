@@ -61,6 +61,17 @@ def test_quadforms_which_h(capsys):
     assert "h = 2" in out
 
 
+def test_quadforms_prints_every_prime(capsys):
+    code, out = run(capsys, "quadforms", "-n", "1", "-p", "3,5")
+    assert code == 0
+    headers = [l for l in out.splitlines() if "congruence classes" in l]
+    assert headers == ["3 congruence classes of rank <= 1 over F_3:", "3 congruence classes of rank <= 1 over F_5:"]
+    assert out.count("rank=") == 6
+    code, out = run(capsys, "quadforms", "-p", "5,3", "--which-h")
+    assert code == 0
+    assert out == "p=5: h = 2\np=3: h = 1\n"
+
+
 def test_orbits_dump_csv(capsys):
     code, out = run(capsys, "orbits-dump", "-p", "3", "--family", "gp")
     assert code == 0
@@ -77,6 +88,13 @@ def test_verify_passes(capsys):
 
 def test_verify_corruption_is_detected(capsys):
     code, out = run(capsys, "verify", "-p", "3", "--corrupt", "heisenberg:1:2")
+    assert code == 1
+    assert "FAIL" in out
+
+
+@pytest.mark.parametrize("spec", ["elem_abelian:0:1", "elem_abelian:6:0"])
+def test_verify_detects_elementary_abelian_corruption(capsys, spec):
+    code, out = run(capsys, "verify", "-p", "3", "--corrupt", spec)
     assert code == 1
     assert "FAIL" in out
 

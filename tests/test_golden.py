@@ -1,0 +1,25 @@
+"""CLI output pinned byte for byte against files under tests/golden/.
+
+The files were written by the CLI before the orbit engine split the
+elementary-abelian det character off its BFS; regenerate one only for a
+deliberate change of output, with the command in GOLDEN below.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pcubed.cli import main
+
+GOLDEN = {
+    "morita-p3.json": ["morita", "-p", "3", "--format", "json"],
+    "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
+    "orbits-dump-p3-5-7.csv": ["orbits-dump", "-p", "3,5,7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden(capsys, name):
+    assert main(GOLDEN[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (Path(__file__).parent / "golden" / name).read_bytes()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pcubed import orbits
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import h4_model
+from pcubed.modular import primitive_root
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 
 COUNTS = {
@@ -141,6 +142,22 @@ def test_rows_are_reduced_before_the_product():
         assert (seeds, sizes) == (seeds2, sizes2)
 
 
+def test_only_permutations_with_a_scalar_last_coordinate_split():
+    split = orbits._splits_off
+    moduli = np.array([9, 3, 5])
+    ok = np.array([[[1, 3, 0], [1, 1, 0], [0, 0, 2]]])
+    assert split(moduli, ok)
+    for bad in (
+        [[3, 0, 0], [0, 1, 0], [0, 0, 2]],  # x -> 3x is not onto Z/9
+        [[1, 0, 0], [1, 0, 0], [0, 0, 2]],  # singular mod 3
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # the last coordinate is killed
+        [[1, 0, 0], [0, 1, 0], [0, 1, 2]],  # the last coordinate is coupled
+    ):
+        assert not split(moduli, np.array([ok[0], bad])), bad
+    assert not split(np.array([9, 3, 9]), ok)  # the last modulus is not prime
+    assert not split(np.array([5]), np.array([[[2]]]))  # no block left
+
+
 # --- property tests against a plain-Python union-find reference -----------
 
 
@@ -169,50 +186,102 @@ def _union_find_orbits(moduli, mats):
     return [find(s) for s in range(total)]
 
 
-@st.composite
-def _actions(draw):
-    """Moduli and invertible, well-defined generators, with repeats and identities.
+def _generator(draw, moduli):
+    """A product of elementary moves on ``moduli``, so invertible and well defined.
 
-    Each generator is a product of elementary moves: scaling a coordinate by
-    a unit, swapping two coordinates with the same modulus, and a shear
-    x_i += c * x_j with m_i dividing c * m_j (the condition for the move to be
-    well defined on the mixed moduli); each move is invertible.
+    The moves are scaling a coordinate by a unit, swapping two coordinates
+    with the same modulus, and a shear x_i += c * x_j with m_i dividing
+    c * m_j (the condition for the move to be well defined on the mixed
+    moduli); each move is invertible.
     """
-    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9]), min_size=1, max_size=3))
     k = len(moduli)
     idx = st.integers(0, k - 1)
+    mat = np.eye(k, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(idx), draw(idx)
+        move = np.eye(k, dtype=np.int64)
+        kind = draw(st.sampled_from(["scale", "swap", "shear"]))
+        if kind == "scale":
+            move[i, i] = draw(st.sampled_from([u for u in range(1, moduli[i]) if math.gcd(u, moduli[i]) == 1]))
+        elif kind == "swap" and moduli[i] == moduli[j]:
+            move[[i, j]] = move[[j, i]]
+        elif kind == "shear" and i != j:
+            step = moduli[i] // math.gcd(moduli[i], moduli[j])
+            move[i, j] = step * draw(st.integers(1, moduli[i]))
+        mat = move @ mat
+    return mat
 
-    def generator():
-        mat = np.eye(k, dtype=np.int64)
-        for _ in range(draw(st.integers(0, 4))):
-            i, j = draw(idx), draw(idx)
-            move = np.eye(k, dtype=np.int64)
-            kind = draw(st.sampled_from(["scale", "swap", "shear"]))
-            if kind == "scale":
-                move[i, i] = draw(st.sampled_from([u for u in range(1, moduli[i]) if math.gcd(u, moduli[i]) == 1]))
-            elif kind == "swap" and moduli[i] == moduli[j]:
-                move[[i, j]] = move[[j, i]]
-            elif kind == "shear" and i != j:
-                step = moduli[i] // math.gcd(moduli[i], moduli[j])
-                move[i, j] = step * draw(st.integers(1, moduli[i]))
-            mat = move @ mat
-        return mat
 
-    mats = [generator() for _ in range(draw(st.integers(1, 3)))]
+def _with_repeats(draw, mats):
+    k = len(mats[0])
     mats += mats[: draw(st.integers(0, len(mats)))]
     mats += [np.eye(k, dtype=np.int64)] * draw(st.integers(0, 2))
-    return moduli, draw(st.permutations(mats))
+    return draw(st.permutations(mats))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_actions(), st.sampled_from([1, 2, 5, 64, orbits._CHUNK]))
-def test_engine_matches_union_find(action, chunk):
-    moduli, mats = action
-    # small chunks push frontiers and the seed scan across block boundaries
-    with patch.object(orbits, "_CHUNK", chunk):
+@st.composite
+def _actions(draw):
+    """Moduli and invertible, well-defined generators, with repeats and identities."""
+    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9]), min_size=1, max_size=3))
+    mats = [_generator(draw, moduli) for _ in range(draw(st.integers(1, 3)))]
+    return moduli, _with_repeats(draw, mats)
+
+
+@st.composite
+def _split_actions(draw):
+    """Block-diagonal actions: ``_generator`` moves on the leading coordinates
+    and a unit scalar g**e on a trailing prime coordinate q.
+
+    The exponents e cover 0, the proper divisors of q - 1 and the units mod
+    q - 1, so the stabiliser images have index q - 1, a proper divisor and 1.
+    When ``coupled``, one leading coordinate has modulus q and one generator
+    gets a shear between it and the trailing coordinate, so the trailing
+    coordinate no longer splits off.
+    """
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    lead = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9]), min_size=1, max_size=2))
+    coupled = draw(st.booleans())
+    if coupled:
+        lead[draw(st.integers(0, len(lead) - 1))] = q
+    moduli = lead + [q]
+    g = primitive_root(q)
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        mat = np.zeros((len(moduli), len(moduli)), dtype=np.int64)
+        mat[:-1, :-1] = _generator(draw, lead)
+        mat[-1, -1] = pow(g, draw(st.integers(0, q - 2)), q)
+        mats.append(mat)
+    if coupled:
+        pos = lead.index(q)
+        shear = np.eye(len(moduli), dtype=np.int64)
+        i, j = draw(st.sampled_from([(-1, pos), (pos, -1)]))
+        shear[i, j] = draw(st.integers(1, q - 1))
+        mats[0] = shear @ mats[0]
+    return moduli, _with_repeats(draw, mats), coupled
+
+
+def _check_against_union_find(moduli, mats, chunk):
+    # small chunks push frontiers, the seed scan and the character split's
+    # top-down expansion across block boundaries
+    with patch.object(orbits, "_CHUNK", chunk), patch.object(orbits, "_EXPAND_ROWS", chunk):
         orbit_id, seeds, sizes = enumerate_orbit_ids(moduli, mats)
     smallest = _union_find_orbits(moduli, [m.tolist() for m in mats])
     assert [seeds[o] for o in orbit_id] == smallest
     assert seeds == sorted(set(smallest))
     assert sizes == [smallest.count(s) for s in seeds]
     assert sum(sizes) == math.prod(moduli)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_actions(), st.sampled_from([1, 2, 5, 64, orbits._CHUNK]))
+def test_engine_matches_union_find(action, chunk):
+    _check_against_union_find(*action, chunk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_actions(), st.sampled_from([1, 2, 5, 64, orbits._CHUNK]))
+def test_character_split_matches_union_find(action, chunk):
+    moduli, mats, coupled = action
+    reduced = np.stack(mats) % np.array(moduli)[:, None]
+    assert orbits._splits_off(np.array(moduli), reduced) != coupled
+    _check_against_union_find(moduli, mats, chunk)
