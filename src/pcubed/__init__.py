@@ -10,7 +10,7 @@ assembles the Morita-class partition with its merged tables.
 from .groups import FAMILIES, Family, build_group
 from .h4_models import CohClass, H4Model, action_generators, h4_model
 from .lhs_morita import build_cases, emit_table, morita_components, omega
-from .orbits import enumerate_orbits, orbit_counts
+from .orbits import enumerate_orbits
 from .quadforms import QuadForm, are_congruent, congruence_invariant, representatives, select_h
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "morita_components",
     "omega",
     "enumerate_orbits",
-    "orbit_counts",
     "QuadForm",
     "are_congruent",
     "congruence_invariant",

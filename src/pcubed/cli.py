@@ -17,6 +17,7 @@ from .lhs_morita import (
     consistency_checks,
     emit_table,
     expected_component_count,
+    expected_morita_histogram,
     morita_components,
     verify_pages,
 )
@@ -91,7 +92,7 @@ def cmd_classify(args) -> int:
                 failures += 1
             out.append(f"p={p}  {fam.value:<13} {n:>4} orbits{mark}")
         if len(counts) == len(FAMILIES):
-            expected_total = 6 * p + 43
+            expected_total = sum(expected_orbit_count(fam, p) for fam in FAMILIES)
             mark = "" if total == expected_total else "  MISMATCH"
             if total != expected_total:
                 failures += 1
@@ -124,7 +125,12 @@ def cmd_morita(args) -> int:
         if n != expected_component_count(p):
             failures += 1
         nontrivial = graph.nontrivial()
-        if len(nontrivial) != p + 10 or hist.get(3, 0) != 1 or hist.get(2, 0) != p + 9:
+        expected = expected_morita_histogram(p)
+        if (
+            len(nontrivial) != expected[2] + expected[3]
+            or hist.get(3, 0) != expected[3]
+            or hist.get(2, 0) != expected[2]
+        ):
             failures += 1
     _write(args, "\n".join(chunks))
     if args.check and failures:
@@ -210,9 +216,10 @@ def cmd_verify(args) -> int:
             f"{len(graph.components)} components",
         )
         hist = graph.size_histogram()
+        expected = expected_morita_histogram(p)
         rep.add(
             f"counts.morita_histogram.p{p}",
-            hist.get(2, 0) == p + 9 and hist.get(3, 0) == 1,
+            hist.get(2, 0) == expected[2] and hist.get(3, 0) == expected[3],
             f"{hist}",
         )
         rep.extend(consistency_checks(p, graph=graph))
@@ -226,7 +233,7 @@ def cmd_verify(args) -> int:
                 f"{len(reps_n)} representatives",
             )
 
-        if args.deep or p == 3:
+        if p == 3:
             rep.extend(_group_oracles(p))
         reports.append(rep)
 
@@ -236,12 +243,10 @@ def cmd_verify(args) -> int:
 
 
 def _group_oracles(p: int):
-    """Brute-force group checks; full automorphism enumeration only at p=3."""
+    """Brute-force group checks at p = 3, where Aut(G) is enumerated in full."""
     from .report import CheckResult
 
     checks = []
-    if p != 3:
-        return checks
     expected_aut = {
         Family.CYCLIC: 18,
         Family.P2XP: 108,
@@ -315,7 +320,6 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("verify", help="run the full verification report")
     common(sp, fmt_choices=("md",))
-    sp.add_argument("--deep", action="store_true", help="run group oracles for every prime")
     sp.add_argument(
         "--corrupt",
         help="negative control: 'family:row:col' perturbs one action-matrix entry",

@@ -19,6 +19,8 @@ from itertools import product
 from .modular import units
 from .report import CheckResult
 
+MAX_TUPLES = 4000  # parametrized identities above this many tuples are stride-sampled
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -265,12 +267,12 @@ def bockstein(el: GradedElement) -> GradedElement:
 # standard presentations used across the classification
 
 
-def exterior_bockstein_ring(n: int, p: int, x: str = "x", y: str = "y") -> RingPresentation:
+def exterior_bockstein_ring(n: int, p: int) -> RingPresentation:
     """x_1..x_n in degree 1 with beta(x_i) = y_i in degree 2, all of order p."""
     gens = []
     for i in range(1, n + 1):
-        gens.append(Generator(f"{x}{i}", 1, p, bockstein=f"{y}{i}"))
-        gens.append(Generator(f"{y}{i}", 2, p))
+        gens.append(Generator(f"x{i}", 1, p, bockstein=f"y{i}"))
+        gens.append(Generator(f"y{i}", 2, p))
     return RingPresentation(gens, p)
 
 
@@ -322,11 +324,11 @@ def _gl2(p: int):
             yield a, b, c, d
 
 
-def verify_identity_suite(p: int = 3, max_tuples: int = 4000) -> list[CheckResult]:
+def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     """Re-derive every printed pullback/differential identity symbolically.
 
     Parametrized identities run over all parameter tuples when there are at
-    most ``max_tuples`` of them, and over a deterministic stride sample
+    most ``MAX_TUPLES`` of them, and over a deterministic stride sample
     otherwise.  Returns one check per identity.
     """
     checks: list[CheckResult] = []
@@ -336,9 +338,9 @@ def verify_identity_suite(p: int = 3, max_tuples: int = 4000) -> list[CheckResul
 
     def sample(seq):
         seq = list(seq)
-        if len(seq) <= max_tuples:
+        if len(seq) <= MAX_TUPLES:
             return seq
-        stride = len(seq) // max_tuples + 1
+        stride = len(seq) // MAX_TUPLES + 1
         return seq[::stride]
 
     # -- product group Z/p^2 x Z/p: pullbacks on u^2, uv, v^2 ---------------

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .modular import is_prime
+from .modular import is_prime, radix_weights
 
 GROUP_TABLE_MAX_P = 13
 BRUTE_FORCE_MAX_ORDER = 343
@@ -240,21 +240,18 @@ class GroupTable:
 
 
 @lru_cache(maxsize=None)
-def build_group(family: Family, p: int, max_p: int = GROUP_TABLE_MAX_P) -> GroupTable:
+def build_group(family: Family, p: int) -> GroupTable:
     """Construct and validate one of the five groups of order p^3."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if p > max_p:
-        raise ValueError(f"p={p} above the group-table bound {max_p}")
+    if p > GROUP_TABLE_MAX_P:
+        raise ValueError(f"p={p} above the group-table bound {GROUP_TABLE_MAX_P}")
     family = Family(family)
     radices = _radices(family, p)
     order = int(np.prod(radices))
-    k = len(radices)
     grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in radices], indexing="ij")
     exps = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        weights[i] = weights[i + 1] * radices[i + 1]
+    weights = np.array(radix_weights(radices), dtype=np.int64)
 
     mul = np.empty((order, order), dtype=np.int32)
     chunk = max(1, (1 << 22) // order)
@@ -267,11 +264,8 @@ def build_group(family: Family, p: int, max_p: int = GROUP_TABLE_MAX_P) -> Group
     inv = np.argmax(mul == identity, axis=1).astype(np.int64)
 
     labels = _gen_labels(family)
-    gen_names = {}
-    for pos, label in enumerate(labels):
-        e = np.zeros(k, dtype=np.int64)
-        e[pos] = 1
-        gen_names[label] = int(e @ weights)
+    # generator pos has exponent vector e_pos, which encodes to weights[pos]
+    gen_names = {label: int(w) for label, w in zip(labels, weights)}
 
     orders = _element_orders(mul, identity, p)
     G = GroupTable(

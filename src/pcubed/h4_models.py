@@ -6,8 +6,19 @@ on it.  The matrices are built from explicit per-family formulas and then
 cross-checked, column by column, against symbolic pullbacks computed in
 ``graded_ring`` - so the action data is never trusted as hand-copied numbers
 alone.
+
+Each generator of Aut(G) the paper names is one ``AutGenerator`` record,
+written once per family in ``aut_generators``: its name and its parameters
+(the unit, the (i, j, k, l) of rho, or the GL(3, p) / GL(2, p) matrix from
+``modular.gl_generators``).  Three things are derived from the record: the
+model matrix (``_model_matrix``, the one builder behind both
+``action_generators`` and ``push_automorphism``), the symbolic ring pullback
+that ``cross_check_actions`` compares it with (``_ring_images``), and the
+generator images in the group, which ``push_automorphism`` reads back into a
+record (``_params_of``).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,7 +26,7 @@ import numpy as np
 
 from . import graded_ring as gr
 from .groups import Family, GroupMorphism
-from .modular import inverse_mod, is_prime, primitive_root
+from .modular import gl_generators, is_prime, primitive_root, radix_weights, rank_and_det_mod
 from .report import CheckResult
 
 _BASIS = {
@@ -42,17 +53,11 @@ class H4Model:
 
     @property
     def total_order(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return math.prod(self.moduli)
 
     @property
     def weights(self) -> tuple[int, ...]:
-        w = [1] * len(self.moduli)
-        for i in range(len(self.moduli) - 2, -1, -1):
-            w[i] = w[i + 1] * self.moduli[i + 1]
-        return tuple(w)
+        return radix_weights(self.moduli)
 
     def encode(self, coeffs) -> int:
         return sum((int(c) % m) * w for c, m, w in zip(coeffs, self.moduli, self.weights))
@@ -117,28 +122,6 @@ def h4_model(family: Family, p: int) -> H4Model:
     return H4Model(family, p, _BASIS[family], moduli)
 
 
-def det_mod(A, m: int) -> int:
-    """Determinant mod m by Gaussian elimination (m prime here)."""
-    a = [[int(x) % m for x in row] for row in A]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % m), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col] % m
-        inv = inverse_mod(a[col][col], m)
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % m
-            if f:
-                for c in range(col, n):
-                    a[r][c] = (a[r][c] - f * a[col][c]) % m
-    return det % m
-
-
 @dataclass(frozen=True)
 class ActionGenerator:
     """Integer matrix acting on model coefficient vectors, with provenance."""
@@ -157,7 +140,7 @@ class ActionGenerator:
 
     def is_invertible(self) -> bool:
         # all moduli are p-powers, so invertible iff invertible mod p
-        return det_mod(self.matrix, self.model.p) != 0
+        return rank_and_det_mod(self.matrix, self.model.p)[1] != 0
 
     def key(self) -> tuple:
         return self.matrix
@@ -192,82 +175,107 @@ def _quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray
     return m % p
 
 
-def _elem_matrix(A: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros((7, 7), dtype=np.int64)
-    out[:6, :6] = _quadratic_substitution_matrix(A % p, _QUAD_PAIRS[Family.ELEM_ABELIAN], p)
-    out[6, 6] = det_mod(A, p)
+@dataclass(frozen=True)
+class AutGenerator:
+    """One generator of Aut(G), named and given by the paper's parameters.
+
+    ``params`` is, by family:
+    - cyclic: the unit u of x -> x^u;
+    - gp: the unit u of b -> b^u (a fixed);
+    - p2xp: (i, j, k, l) of rho, x -> x^i y^j, y -> x^(pk) y^l;
+    - elem_abelian: the 3x3 matrix whose row r holds the exponents of the
+      image of x_(r+1);
+    - heisenberg: the 2x2 matrix whose rows hold the A, B exponents of the
+      images of A and B.
+    """
+
+    name: str
+    params: int | tuple
+
+
+def aut_generators(family: Family, p: int) -> tuple[AutGenerator, ...]:
+    """The paper's generating set of Aut(G), one record per generator."""
+    family = Family(family)
+    g = primitive_root(p)
+    if family is Family.CYCLIC:
+        g3 = primitive_root(p**3)
+        return (AutGenerator(f"unit {g3}", g3),)
+    if family is Family.GP:
+        return (AutGenerator(f"b -> b^{g}", g),)
+    if family is Family.P2XP:
+        g2 = primitive_root(p**2)
+        params = [(g2, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, g)]
+        return tuple(AutGenerator("rho(i={},j={},k={},l={})".format(*t), t) for t in params)
+    if family is Family.ELEM_ABELIAN:
+        n, names = 3, (f"diag({g},1,1)", "cycle(1->2->3)", "shear(x1->x1+x2)")
+    else:
+        n, names = 2, (f"diag({g},1)", "swap", "shear(A->A*B)")
+    return tuple(AutGenerator(name, m) for name, m in zip(names, gl_generators(n, p)))
+
+
+def _model_matrix(family: Family, params, p: int) -> np.ndarray:
+    """Action on the model of the automorphism with these record parameters.
+
+    Rows are not yet reduced mod their moduli.
+    """
+    if family is Family.CYCLIC:
+        return np.array([[params * params]], dtype=np.int64)
+    if family is Family.GP:
+        return np.array([[params * params, 0], [0, 1]], dtype=np.int64)
+    if family is Family.P2XP:
+        # on [v^2, uv, u^2]
+        i, j, k, l = params
+        return np.array([[i * i, p * i * j, 0], [2 * i * k, i * l, 0], [k * k, k * l, l * l]], dtype=np.int64)
+    A = np.array(params, dtype=np.int64)
+    det = rank_and_det_mod(A, p)[1]
+    out = np.zeros((len(_BASIS[family]),) * 2, dtype=np.int64)
+    if family is Family.ELEM_ABELIAN:
+        out[:6, :6] = _quadratic_substitution_matrix(A, _QUAD_PAIRS[family], p)
+        out[6, 6] = det
+    else:
+        # z1 -> a z1 + c z2, z2 -> b z1 + d z2 for A -> A^a B^b, B -> A^c B^d
+        out[0, 0] = det * det % p
+        out[1:, 1:] = _quadratic_substitution_matrix(A.T, _QUAD_PAIRS[family], p)
     return out
 
 
-def _heis_matrix(M: np.ndarray, p: int) -> np.ndarray:
-    a, b = int(M[0, 0]), int(M[0, 1])
-    c, d = int(M[1, 0]), int(M[1, 1])
-    det = (a * d - b * c) % p
-    sub = np.array([[a, c], [b, d]], dtype=np.int64)  # z1 -> a z1 + c z2, z2 -> b z1 + d z2
-    out = np.zeros((4, 4), dtype=np.int64)
-    out[0, 0] = det * det % p
-    out[1:, 1:] = _quadratic_substitution_matrix(sub, _QUAD_PAIRS[Family.HEISENBERG], p)
-    return out
-
-
-def _p2xp_matrix(i: int, j: int, k: int, l: int, p: int) -> np.ndarray:
-    # action of (1,0) -> (i,j), (0,1) -> (pk,l) on [v^2, uv, u^2]
-    return np.array(
-        [
-            [i * i, p * i * j, 0],
-            [2 * i * k, i * l, 0],
-            [k * k, k * l, l * l],
-        ],
-        dtype=np.int64,
-    )
+def _action(model: H4Model, params, name: str) -> ActionGenerator:
+    mat = _model_matrix(model.family, params, model.p)
+    if not _well_defined(mat, model.moduli):
+        raise AssertionError(f"action matrix for {name} not well defined on mixed moduli")
+    gen = ActionGenerator(model, _reduce_rows(mat, model.moduli), name)
+    if not gen.is_invertible():
+        raise AssertionError(f"action matrix for {name} not invertible")
+    return gen
 
 
 @lru_cache(maxsize=None)
 def action_generators(family: Family, p: int) -> tuple[ActionGenerator, ...]:
     """Generators of the image of Aut(G) inside the automorphisms of the model."""
-    family = Family(family)
     model = h4_model(family, p)
-    g = primitive_root(p)
-    raw: list[tuple[np.ndarray, str]] = []
-    if family is Family.CYCLIC:
-        g3 = primitive_root(p**3)
-        raw.append((np.array([[g3 * g3]], dtype=np.int64), f"unit {g3}"))
-    elif family is Family.GP:
-        raw.append((np.array([[g * g, 0], [0, 1]], dtype=np.int64), f"b -> b^{g}"))
-    elif family is Family.ELEM_ABELIAN:
-        mats = {
-            f"diag({g},1,1)": np.array([[g, 0, 0], [0, 1, 0], [0, 0, 1]]),
-            "cycle(1->2->3)": np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-            "shear(x1->x1+x2)": np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-        }
-        raw += [(_elem_matrix(A, p), name) for name, A in mats.items()]
-    elif family is Family.HEISENBERG:
-        mats = {
-            f"diag({g},1)": np.array([[g, 0], [0, 1]]),
-            "swap": np.array([[0, 1], [1, 0]]),
-            "shear(A->A*B)": np.array([[1, 1], [0, 1]]),
-        }
-        raw += [(_heis_matrix(M, p), name) for name, M in mats.items()]
-    elif family is Family.P2XP:
-        g2 = primitive_root(p**2)
-        params = [(g2, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, g)]
-        raw += [
-            (_p2xp_matrix(i, j, k, l, p), f"rho(i={i},j={j},k={k},l={l})")
-            for (i, j, k, l) in params
-        ]
-    gens = []
-    for mat, name in raw:
-        if not _well_defined(mat, model.moduli):
-            raise AssertionError(f"action matrix for {name} not well defined on mixed moduli")
-        gen = ActionGenerator(model, _reduce_rows(mat, model.moduli), name)
-        if not gen.is_invertible():
-            raise AssertionError(f"action matrix for {name} not invertible")
-        gens.append(gen)
-    return tuple(gens)
+    return tuple(_action(model, gen.params, gen.name) for gen in aut_generators(family, p))
 
 
 # ---------------------------------------------------------------------------
 # pushing brute-force automorphisms into the models (used for cross-checks)
+
+
+def _params_of(sigma: GroupMorphism):
+    """Record parameters of a group automorphism, read off its generator images."""
+    G = sigma.source
+    img = {label: tuple(int(v) for v in G.exps[sigma(G.gen_names[label])]) for label in G.gen_labels}
+    if G.family is Family.CYCLIC:
+        return img["x"][0]
+    if G.family is Family.GP:
+        return img["b"][0]
+    if G.family is Family.P2XP:
+        (i, j), (c, l) = img["x"], img["y"]
+        if c % G.p:
+            raise AssertionError("image of the order-p generator must land in p * Z/p^2")
+        return (i, j, c // G.p, l)
+    if G.family is Family.ELEM_ABELIAN:
+        return (img["x1"], img["x2"], img["x3"])
+    return (img["A"][:2], img["B"][:2])
 
 
 def push_automorphism(sigma: GroupMorphism, model: H4Model) -> ActionGenerator:
@@ -275,34 +283,7 @@ def push_automorphism(sigma: GroupMorphism, model: H4Model) -> ActionGenerator:
     G = sigma.source
     if G.family is not model.family or G.p != model.p:
         raise ValueError("automorphism and model belong to different groups")
-    p = G.p
-    exps = G.exps
-
-    def img_exps(label):
-        return tuple(int(v) for v in exps[sigma(G.gen_names[label])])
-
-    if model.family is Family.CYCLIC:
-        (i,) = img_exps("x")
-        mat = np.array([[i * i]], dtype=np.int64)
-    elif model.family is Family.GP:
-        i, _ = img_exps("b")
-        mat = np.array([[i * i, 0], [0, 1]], dtype=np.int64)
-    elif model.family is Family.P2XP:
-        i, j = img_exps("x")
-        c, l = img_exps("y")
-        if c % p:
-            raise AssertionError("image of the order-p generator must land in p * Z/p^2")
-        mat = _p2xp_matrix(i, j, c // p, l, p)
-    elif model.family is Family.ELEM_ABELIAN:
-        A = np.array([img_exps(f"x{i}") for i in (1, 2, 3)], dtype=np.int64)
-        mat = _elem_matrix(A, p)
-    elif model.family is Family.HEISENBERG:
-        a, b, _ = img_exps("A")
-        c, d, _ = img_exps("B")
-        mat = _heis_matrix(np.array([[a, b], [c, d]], dtype=np.int64), p)
-    else:
-        raise ValueError(model.family)
-    return ActionGenerator(model, _reduce_rows(mat, model.moduli), "pushed automorphism")
+    return _action(model, _params_of(sigma), "pushed automorphism")
 
 
 def matrix_group_closure(gens, moduli) -> set:
@@ -405,55 +386,30 @@ def _coords_in_basis(family: Family, el, p: int) -> list[int]:
     raise ValueError(family)
 
 
-def _ring_images(family: Family, p: int, provenance: str, ring) -> dict:
-    """Generator images of the pullback matching an action generator's provenance."""
-    g = primitive_root(p)
+def _ring_images(family: Family, params, p: int, ring) -> dict:
+    """Generator images of the pullback by the automorphism with these record parameters."""
+    gen = ring.gen
     if family is Family.CYCLIC:
-        g3 = primitive_root(p**3)
-        return {"s": g3 * ring.gen("s")}
+        return {"s": params * gen("s")}
     if family is Family.GP:
-        return {"r": g * ring.gen("r")}
+        return {"r": params * gen("r")}
     if family is Family.P2XP:
-        params = provenance[provenance.index("(") + 1 : -1]
-        vals = dict(kv.split("=") for kv in params.split(","))
-        i, j, k, l = (int(vals[key]) for key in ("i", "j", "k", "l"))
-        u, v = ring.gen("u"), ring.gen("v")
-        return {"u": l * u + (p * j) * v, "v": k * u + i * v}
-    # matrix families: recover the 2x2 / 3x3 parameter matrix from the name
+        i, j, k, l = params
+        return {"u": l * gen("u") + (p * j) * gen("v"), "v": k * gen("u") + i * gen("v")}
     if family is Family.HEISENBERG:
-        mats = {
-            f"diag({g},1)": [[g, 0], [0, 1]],
-            "swap": [[0, 1], [1, 0]],
-            "shear(A->A*B)": [[1, 1], [0, 1]],
-        }
-        a, b = mats[provenance][0]
-        c, d = mats[provenance][1]
-        det = (a * d - b * c) % p
-        w1, w2, z1, z2, t = (ring.gen(x) for x in ("w1", "w2", "z1", "z2", "t"))
+        (a, b), (c, d) = params
         return {
-            "w1": a * w1 + c * w2,
-            "w2": b * w1 + d * w2,
-            "z1": a * z1 + c * z2,
-            "z2": b * z1 + d * z2,
-            "t": det * t,
+            "w1": a * gen("w1") + c * gen("w2"),
+            "w2": b * gen("w1") + d * gen("w2"),
+            "z1": a * gen("z1") + c * gen("z2"),
+            "z2": b * gen("z1") + d * gen("z2"),
+            "t": ((a * d - b * c) % p) * gen("t"),
         }
-    if family is Family.ELEM_ABELIAN:
-        mats = {
-            f"diag({g},1,1)": [[g, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "cycle(1->2->3)": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-            "shear(x1->x1+x2)": [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-        }
-        A = mats[provenance]
-        images = {}
-        for i in (1, 2, 3):
-            images[f"x{i}"] = sum(
-                (A[i - 1][j] * ring.gen(f"x{j + 1}") for j in range(3)), ring.zero()
-            )
-            images[f"y{i}"] = sum(
-                (A[i - 1][j] * ring.gen(f"y{j + 1}") for j in range(3)), ring.zero()
-            )
-        return images
-    raise ValueError(family)
+    images = {}
+    for i, row in enumerate(params, start=1):
+        for x in "xy":
+            images[f"{x}{i}"] = sum((c * gen(f"{x}{j}") for j, c in enumerate(row, start=1)), ring.zero())
+    return images
 
 
 def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
@@ -462,9 +418,8 @@ def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     model = h4_model(family, p)
     ring, basis = _ring_and_basis(family, p)
     checks = []
-    for gen in action_generators(family, p):
-        images = _ring_images(family, p, gen.provenance, ring)
-        pullback = gr.ring_map(ring, images)
+    for rec, gen in zip(aut_generators(family, p), action_generators(family, p)):
+        pullback = gr.ring_map(ring, _ring_images(family, rec.params, p, ring))
         cols = []
         for el in basis:
             cols.append(_coords_in_basis(family, pullback(el), p))
@@ -475,7 +430,7 @@ def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
         ok = symbolic == gen.matrix
         checks.append(
             CheckResult(
-                f"action.{family.value}.p{p}.{gen.provenance}",
+                f"action.{family.value}.p{p}.{rec.name}",
                 ok,
                 "matrix equals symbolic pullback" if ok else f"{symbolic} != {gen.matrix}",
             )

@@ -18,12 +18,10 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
-
 from . import graded_ring as gr
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, h4_model
-from .modular import least_nonsquare, units
+from .modular import least_nonsquare, rank_and_det_mod, units
 from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits
 from .quadforms import select_h
 from .report import CheckResult
@@ -333,37 +331,10 @@ def _mixed_page_data(case_id: str, family: Family, p: int) -> list[PageTable]:
 # -- linear algebra over F_p on monomial coordinates -------------------------
 
 
-def _monomial_matrix(elements, p: int):
-    mons = sorted({m for el in elements for m in el.terms})
-    mat = np.array([[el.terms.get(m, 0) % p for m in mons] for el in elements], dtype=np.int64)
-    return mat
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat.copy() % p
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r, col] % p), None)
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def _rank_of(elements, p: int) -> int:
-    els = [e for e in elements if not e.is_zero()]
-    if not els:
-        return 0
-    return _rank_mod_p(_monomial_matrix(els, p), p)
+    """Rank mod p of the elements' coefficient rows over their monomials."""
+    mons = sorted({m for el in elements for m in el.terms})
+    return rank_and_det_mod([[el.terms.get(m, 0) for m in mons] for el in elements], p)[0]
 
 
 def _cell_check(name, domain, diff, expected_survivors, incoming, p, checks):
@@ -613,7 +584,7 @@ def _verify_mixed_pages(case_id: str, p: int, checks: list[CheckResult]) -> None
             )
 
 
-def verify_pages(p: int, case_id: str | None = None) -> list[CheckResult]:
+def verify_pages(p: int) -> list[CheckResult]:
     """Re-derive the displayed spectral-sequence pages for the six cases.
 
     Cells whose entries are p-torsion spans are recomputed with the graded
@@ -622,24 +593,15 @@ def verify_pages(p: int, case_id: str | None = None) -> list[CheckResult]:
     group, including that split extensions need no differentials at all.
     """
     checks: list[CheckResult] = []
-    wanted = lambda cid: case_id is None or case_id == cid
-    if wanted(CASE_IDS[0]):
-        _verify_mixed_pages(CASE_IDS[0], p, checks)
-    if wanted(CASE_IDS[1]):
-        _verify_mixed_pages(CASE_IDS[1], p, checks)
-    if wanted(CASE_IDS[2]):
-        _verify_mixed_pages(CASE_IDS[2], p, checks)
-    if wanted(CASE_IDS[3]):
-        _verify_rank1_base_pages(p, checks)
-    if wanted(CASE_IDS[4]):
-        _verify_rank2_base_pages(p, checks)
-        _verify_heisenberg_center_pages(p, checks)
-    if wanted(CASE_IDS[5]):
-        _verify_mixed_pages(CASE_IDS[5], p, checks)
+    _verify_mixed_pages(CASE_IDS[0], p, checks)
+    _verify_mixed_pages(CASE_IDS[1], p, checks)
+    _verify_mixed_pages(CASE_IDS[2], p, checks)
+    _verify_rank1_base_pages(p, checks)
+    _verify_rank2_base_pages(p, checks)
+    _verify_heisenberg_center_pages(p, checks)
+    _verify_mixed_pages(CASE_IDS[5], p, checks)
     # Omega orders must factor as |sub| * |quot| through the coordinate spans
     for case in build_cases(p):
-        if case_id is not None and case.case_id != case_id:
-            continue
         for realized in case.realized:
             om = omega(case, realized.family, p)
             checks.append(
@@ -832,8 +794,13 @@ def morita_components(
     return MoritaGraph(p, indices, components)
 
 
+def expected_morita_histogram(p: int) -> dict[int, int]:
+    """Published number of Morita classes holding 1, 2 and 3 orbits."""
+    return {1: 4 * p + 22, 2: p + 9, 3: 1}
+
+
 def expected_component_count(p: int) -> int:
-    return 5 * p + 32
+    return sum(expected_morita_histogram(p).values())
 
 
 # ---------------------------------------------------------------------------
@@ -869,11 +836,8 @@ def nontrivial_rows(graph: MoritaGraph) -> list[dict[Family, CohClass]]:
     return sorted(rows, key=key)
 
 
-def emit_table(p: int, fmt: str = "md", graph: MoritaGraph | None = None,
-               max_states: int = DEFAULT_MAX_STATES) -> str:
+def emit_table(p: int, fmt: str = "md", *, graph: MoritaGraph) -> str:
     """Render the merged nontrivial-component table (md or csv) or the full JSON."""
-    if graph is None:
-        graph = morita_components(p, max_states=max_states)
     if fmt == "json":
         payload = graph.to_json()
         payload["h"] = select_h(p)
@@ -908,12 +872,9 @@ def emit_table(p: int, fmt: str = "md", graph: MoritaGraph | None = None,
 # cross-case consistency checks
 
 
-def consistency_checks(p: int, graph: MoritaGraph | None = None,
-                       max_states: int = DEFAULT_MAX_STATES) -> list[CheckResult]:
+def consistency_checks(p: int, graph: MoritaGraph) -> list[CheckResult]:
     """Checks tying the edge data, orbit indices and Omega spans together."""
     checks: list[CheckResult] = []
-    if graph is None:
-        graph = morita_components(p, max_states=max_states)
     indices = graph.indices
 
     def rep_key(cls):

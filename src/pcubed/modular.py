@@ -1,4 +1,4 @@
-"""Small exact-arithmetic helpers for Z/m with m an odd prime power."""
+"""Small exact-arithmetic helpers: Z/m, elimination mod a prime, mixed radix."""
 
 from functools import lru_cache
 from math import gcd
@@ -71,3 +71,50 @@ def least_nonsquare(m: int) -> int:
         if a not in squares:
             return a
     raise ValueError(f"all units mod {m} are squares")
+
+
+def rank_and_det_mod(mat, p: int) -> tuple[int, int | None]:
+    """Rank of an integer matrix mod a prime p (2 included) and, when the
+    matrix is square, its determinant mod p (``None`` otherwise)."""
+    a = [[int(x) % p for x in row] for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, det = 0, 1
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det = det * a[rank][col] % p
+        inv = pow(a[rank][col], -1, p)
+        for r in range(rank + 1, rows):
+            f = a[r][col] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank, (det % p if rows == cols else None)
+
+
+def radix_weights(moduli) -> tuple[int, ...]:
+    """Place values of big-endian mixed-radix numbers whose digit i runs mod ``moduli[i]``."""
+    weights = [1]
+    for m in moduli[:0:-1]:
+        weights.append(weights[-1] * int(m))
+    return tuple(weights[::-1])
+
+
+def gl_generators(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Generators of GL(n, p): diag(g, 1, ..., 1) for the primitive root g,
+    then, for n > 1, the n-cycle with 1 at (i, i + 1 mod n) and the shear
+    with 1 at (0, 1)."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = [row[:] for row in eye]
+    diag[0][0] = primitive_root(p)
+    mats = [diag]
+    if n > 1:
+        shear = [row[:] for row in eye]
+        shear[0][1] = 1
+        mats += [[eye[(i + 1) % n] for i in range(n)], shear]
+    return tuple(tuple(map(tuple, m)) for m in mats)

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FAMILIES, Family
-from .h4_models import ActionGenerator, CohClass, H4Model, action_generators, det_mod, h4_model
-from .modular import is_prime, prime_factors, primitive_root
+from .groups import Family
+from .h4_models import ActionGenerator, CohClass, H4Model, action_generators
+from .modular import is_prime, prime_factors, primitive_root, radix_weights, rank_and_det_mod
 
 DEFAULT_MAX_STATES = 10**8
 _CHUNK = 1 << 13  # the (generators * k) x chunk float64 temporaries stay within L2
@@ -97,7 +97,7 @@ def _is_automorphism(mat: np.ndarray, moduli) -> bool:
     """
     for r in {r for m in moduli for r in prime_factors(int(m))}:
         idx = [i for i, m in enumerate(moduli) if m % r == 0]
-        if det_mod(mat[np.ix_(idx, idx)], r) == 0:
+        if rank_and_det_mod(mat[np.ix_(idx, idx)], r)[1] == 0:
             return False
     return True
 
@@ -133,9 +133,7 @@ def _bfs(moduli: np.ndarray, mats: np.ndarray, orbit_id: np.ndarray, character=N
     """
     k = len(moduli)
     total = orbit_id.size
-    weights = np.ones(k)
-    for i in range(k - 2, -1, -1):
-        weights[i] = weights[i + 1] * moduli[i + 1]
+    weights = np.array(radix_weights(moduli), dtype=np.float64)
     stacked = mats.reshape(-1, k).astype(np.float64)
     row_moduli = np.tile(moduli, len(mats))[:, None].astype(np.float64)
     col_moduli = moduli[:, None].astype(np.float64)
@@ -296,14 +294,6 @@ def expected_orbit_count(family: Family, p: int) -> int:
         Family.HEISENBERG: 2 * p + 9,
         Family.GP: 3 * p,
     }[Family(family)]
-
-
-def orbit_counts(p: int, families=None, max_states: int = DEFAULT_MAX_STATES) -> dict[Family, int]:
-    families = tuple(families) if families else FAMILIES
-    return {
-        fam: len(enumerate_orbits(h4_model(fam, p), max_states=max_states).orbits)
-        for fam in families
-    }
 
 
 def orbit_rows(index: OrbitIndex) -> list[dict]:

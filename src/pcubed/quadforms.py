@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .modular import inverse_mod, least_nonsquare, legendre, primitive_root
+from .modular import gl_generators, inverse_mod, least_nonsquare, legendre
 
 SQUARE = "square"
 NONSQUARE = "nonsquare"
@@ -160,7 +160,7 @@ def congruence_orbit_ids(n: int, p: int) -> dict[tuple, int]:
     the resulting partition is exactly the congruence relation.  Serves as the
     brute-force oracle in dimensions where per-pair search is too slow.
     """
-    gens = _gl_generators(n, p)
+    gens = [np.array(g, dtype=np.int64) for g in gl_generators(n, p)]
     ids: dict[tuple, int] = {}
     all_forms = [
         tuple(map(tuple, _sym_from_upper(upper, n, p)))
@@ -195,20 +195,6 @@ def _sym_from_upper(upper, n, p):
     return mat
 
 
-def _gl_generators(n: int, p: int) -> list[np.ndarray]:
-    diag = np.eye(n, dtype=np.int64)
-    diag[0, 0] = primitive_root(p)
-    mats = [diag]
-    if n > 1:
-        perm = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            perm[i, (i + 1) % n] = 1
-        shear = np.eye(n, dtype=np.int64)
-        shear[0, 1] = 1
-        mats += [perm, shear]
-    return mats
-
-
 def count_congruence_classes(n: int, p: int) -> int:
     """Exact class count: vectorized orbit closure over all n x n symmetric forms.
 
@@ -219,7 +205,7 @@ def count_congruence_classes(n: int, p: int) -> int:
     from .orbits import enumerate_orbit_ids
 
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    gens = _gl_generators(n, p)
+    gens = [np.array(g, dtype=np.int64) for g in gl_generators(n, p)]
     mats = []
     for g in gens:
         cols = []

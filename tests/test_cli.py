@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from pcubed.cli import main
+
+# written by the CLI before the Aut(G) generators became one record each; they
+# pin the verify check names and details byte for byte
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -84,12 +89,14 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "0 failed" in out
+    assert out.encode() == (GOLDEN / "verify-p3.md").read_bytes()
 
 
 def test_verify_corruption_is_detected(capsys):
     code, out = run(capsys, "verify", "-p", "3", "--corrupt", "heisenberg:1:2")
     assert code == 1
     assert "FAIL" in out
+    assert out.encode() == (GOLDEN / "verify-p3-corrupt-heisenberg-1-2.md").read_bytes()
 
 
 @pytest.mark.parametrize("spec", ["elem_abelian:0:1", "elem_abelian:6:0"])

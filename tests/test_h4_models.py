@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from pcubed import h4_models
 from pcubed.groups import FAMILIES, Family, build_group, enumerate_automorphisms
 from pcubed.h4_models import (
     ActionGenerator,
-    _elem_matrix,
-    _p2xp_matrix,
+    _model_matrix,
     _well_defined,
     action_generators,
+    aut_generators,
     cross_check_actions,
     h4_model,
     matrix_group_closure,
@@ -65,6 +66,63 @@ def test_cross_check_against_symbolic_pullback(fam, p):
     assert not failures, "\n".join(c.line() for c in failures)
 
 
+@pytest.mark.parametrize(
+    "fam, name",
+    [(Family.HEISENBERG, "swap"), (Family.P2XP, "rho(i=1,j=0,k=1,l=1)"), (Family.ELEM_ABELIAN, "cycle(1->2->3)")],
+)
+def test_cross_check_fails_exactly_the_generator_whose_matrix_is_off(monkeypatch, fam, name):
+    # the symbolic side is derived from the record, never from the matrix
+    p = 3
+    target = next(rec for rec in aut_generators(fam, p) if rec.name == name)
+    build = h4_models._model_matrix
+
+    def off_by_one(family, params, p):
+        mat = build(family, params, p)
+        if family is fam and params == target.params:
+            mat[0, 0] += 1
+        return mat
+
+    monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
+    action_generators.cache_clear()
+    try:
+        failed = [c.name for c in cross_check_actions(fam, p) if not c.ok]
+    finally:
+        action_generators.cache_clear()
+    assert failed == [f"action.{fam.value}.p{p}.{name}"]
+
+
+def _group_images(family, params, p):
+    """Exponent vectors of the generator images that a record's parameters name."""
+    if family is Family.CYCLIC:
+        return {"x": (params,)}
+    if family is Family.GP:
+        return {"b": (params, 0), "a": (0, 1)}
+    if family is Family.P2XP:
+        i, j, k, l = params
+        return {"x": (i, j), "y": (p * k, l)}
+    if family is Family.ELEM_ABELIAN:
+        return {f"x{r + 1}": tuple(row) for r, row in enumerate(params)}
+    (a, b), (c, d) = params
+    return {"A": (a, b, 0), "B": (c, d, 0)}
+
+
+# at p = 5, g**2 != 1, so diag(g,1) and diag(1,g) push to different matrices
+@pytest.mark.parametrize(
+    "fam, p", [(fam, 3) for fam in FAMILIES] + [(fam, 5) for fam in FAMILIES if fam is not Family.ELEM_ABELIAN]
+)
+def test_each_record_pushes_to_its_action_generator(fam, p):
+    G = build_group(fam, p)
+    model = h4_model(fam, p)
+    auts = enumerate_automorphisms(G)
+    for rec, gen in zip(aut_generators(fam, p), action_generators(fam, p), strict=True):
+        images = _group_images(fam, rec.params, p)
+        [sigma] = [
+            s for s in auts
+            if all(tuple(int(v) for v in G.exps[s(G.gen_names[label])]) == e for label, e in images.items())
+        ]
+        assert push_automorphism(sigma, model).matrix == gen.matrix, rec.name
+
+
 def test_heisenberg_diag_action_columns():
     # M = diag(g, 1): z1^2 -> g^2 z1^2, z1z2 -> g z1z2, chi -> g^2 chi
     p = 5
@@ -83,7 +141,7 @@ def test_p2xp_rho_on_v_squared():
     # column of v^2 under rho(i,j,k,l) is (i^2, 2ik, k^2)
     p = 3
     for (i, j, k, l) in [(2, 1, 2, 1), (4, 0, 1, 2), (1, 2, 0, 1)]:
-        mat = _p2xp_matrix(i, j, k, l, p)
+        mat = _model_matrix(Family.P2XP, (i, j, k, l), p)
         assert mat[0, 0] % (p * p) == i * i % (p * p)
         assert mat[1, 0] % p == 2 * i * k % p
         assert mat[2, 0] % p == k * k % p
@@ -93,7 +151,7 @@ def test_elem_swap_action():
     # transposition of the first two coordinates: y1y3 <-> y2y3, det twist -1
     p = 3
     A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    mat = _elem_matrix(A, p)
+    mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
     model = h4_model(Family.ELEM_ABELIAN, p)
     gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "swap")
     moved = gen.apply(model.cls((0, 0, 0, 0, 1, 0, 0)))  # y1y3
@@ -107,7 +165,7 @@ def test_elem_diag_scaling_example():
     p = 5
     a = 3
     A = np.array([[1, 0, 0], [0, 1, 0], [0, 0, a]])
-    mat = _elem_matrix(A, p)
+    mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
     model = h4_model(Family.ELEM_ABELIAN, p)
     gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "diag(1,1,a)")
     beta = gen.apply(model.cls((0, 0, 0, 0, 0, 0, 1)))
@@ -129,7 +187,7 @@ def test_quadratic_block_matches_congruence_action():
                 break
         coeffs = [rng.randrange(p) for _ in range(6)]
         cls = model.cls(tuple(coeffs) + (0,))
-        mat = _elem_matrix(A, p)
+        mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
         gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "rand")
         moved = gen.apply(cls)
         q = QuadForm.from_poly(3, p, {pair: c for pair, c in zip(pairs, coeffs)})

@@ -1,9 +1,11 @@
+import random
 import time
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 
-from pcubed.modular import is_prime, primitive_root, units
+from pcubed.modular import is_prime, primitive_root, rank_and_det_mod, units
 
 
 def _brute_force_root(m):
@@ -46,3 +48,33 @@ def test_primitive_root_of_a_large_prime_cube_is_immediate():
     assert g == 13
     phi = 457**2 * 456
     assert all(pow(g, phi // r, 457**3) != 1 for r in (2, 3, 19, 457))
+
+
+def _span_size(rows, p):
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        span = {tuple((x + c * r) % p for x, r in zip(v, row)) for v in span for c in range(p)}
+    return len(span)
+
+
+def _leibniz_det(a, p):
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_and_det_mod_match_brute_force(p):
+    # p = 2 is needed: the orbit engine eliminates mod every prime dividing a modulus
+    rng = random.Random(p)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            a[-1] = [rng.randrange(p) * x for x in a[0]]
+        rank, det = rank_and_det_mod(a, p)
+        assert p**rank == _span_size(a, p), a
+        assert det == (_leibniz_det(a, p) if rows == cols else None), a
