@@ -13,5 +13,5 @@ for p in (3, 5):
     hist = dict(sorted(graph.size_histogram().items()))
     print(f"p={p}: {len(graph.components)} Morita classes (= 5*{p}+32), sizes {hist}")
     print()
-    print(emit_table(p, graph=graph))
+    print(emit_table(graph))
     print()

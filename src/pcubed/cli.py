@@ -111,7 +111,7 @@ def cmd_morita(args) -> int:
     chunks = []
     for p in args.primes:
         graph = morita_components(p, max_states=args.max_states)
-        table = emit_table(p, fmt=args.format, graph=graph)
+        table = emit_table(graph, fmt=args.format)
         n = len(graph.components)
         hist = graph.size_histogram()
         summary = (
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
             hist.get(2, 0) == expected[2] and hist.get(3, 0) == expected[3],
             f"{hist}",
         )
-        rep.extend(consistency_checks(p, graph=graph))
+        rep.extend(consistency_checks(graph))
 
         for n in (1, 2, 3):
             reps_n = representatives(n, p)
@@ -301,25 +301,26 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices=("md", "csv", "json"), default_fmt="md"):
+    def common(sp, *fmt_choices):
+        """-p and -o everywhere; --format, defaulting to its first choice, where there is a choice."""
         sp.add_argument("-p", "--primes", default="3", help="comma list of odd primes")
-        sp.add_argument("--format", choices=fmt_choices, default=default_fmt)
+        if fmt_choices:
+            sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         sp.add_argument("-o", "--output", help="write output to a file instead of stdout")
-        sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, help="orbit state-space bound")
 
     sp = sub.add_parser("classify", help="per-family orbit counts and totals")
-    common(sp, fmt_choices=("md", "json"))
+    common(sp, "md", "json")
     sp.add_argument("--family", help="restrict to one family")
     sp.add_argument("--check", action="store_true", help="exit nonzero on count mismatches")
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("morita", help="merged weak-Morita tables")
-    common(sp)
+    common(sp, "md", "csv", "json")
     sp.add_argument("--check", action="store_true")
     sp.set_defaults(fn=cmd_morita)
 
     sp = sub.add_parser("verify", help="run the full verification report")
-    common(sp, fmt_choices=("md",))
+    common(sp)
     sp.add_argument(
         "--corrupt",
         help="negative control: 'family:row:col' perturbs one action-matrix entry",
@@ -327,15 +328,20 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("quadforms", help="congruence classes of quadratic forms")
-    common(sp, fmt_choices=("md",))
+    common(sp)
     sp.add_argument("-n", type=int, default=3, choices=(1, 2, 3))
     sp.add_argument("--which-h", action="store_true", help="print the h selection")
     sp.set_defaults(fn=cmd_quadforms)
 
     sp = sub.add_parser("orbits-dump", help="one row per orbit, csv or json")
-    common(sp, fmt_choices=("csv", "json"), default_fmt="csv")
+    common(sp, "csv", "json")
     sp.add_argument("--family", help="restrict to one family")
     sp.set_defaults(fn=cmd_orbits_dump)
+
+    for name in ("classify", "morita", "verify", "orbits-dump"):  # the subcommands that enumerate orbits
+        sub.choices[name].add_argument(
+            "--max-states", type=int, default=DEFAULT_MAX_STATES, help="orbit state-space bound"
+        )
 
     args = parser.parse_args(argv)
     try:

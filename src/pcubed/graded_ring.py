@@ -40,14 +40,16 @@ class RingPresentation:
         if len(self.by_label) != len(self.gens):
             raise ValueError("duplicate generator labels")
         self._sort_key = {g.label: (g.degree, g.label) for g in self.gens}
+        self._orders: dict[tuple[str, ...], int] = {}
 
     def degree(self, label: str) -> int:
         return self.by_label[label].degree
 
     def monomial_order(self, mon: tuple[str, ...]) -> int:
-        if not mon:
-            return 0  # untwisted Z coefficient
-        return min(self.by_label[l].order for l in mon)
+        """Least additive order among the labels; 0 (untwisted Z) for the empty monomial."""
+        if mon not in self._orders:
+            self._orders[mon] = min((self.by_label[l].order for l in mon), default=0)
+        return self._orders[mon]
 
     def sort_with_sign(self, labels) -> tuple[tuple[str, ...], int] | None:
         """Sort by (degree, label) with Koszul signs; None if an odd label repeats."""
@@ -84,7 +86,7 @@ class RingPresentation:
     def gen(self, label: str, coeff: int = 1) -> "GradedElement":
         if label not in self.by_label:
             raise KeyError(label)
-        return self.element({(label,): coeff})
+        return GradedElement(self, {(label,): coeff})
 
     def monomial(self, *labels, coeff: int = 1) -> "GradedElement":
         return self.element({tuple(labels): coeff})
@@ -321,16 +323,22 @@ def fiber_extension_ring(p: int) -> RingPresentation:
 def _gl2(p: int):
     for a, b, c, d in product(range(p), repeat=4):
         if (a * d - b * c) % p:
-            yield a, b, c, d
+            yield (a, b), (c, d)
 
 
 def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     """Re-derive every printed pullback/differential identity symbolically.
 
+    Each automorphism pullback compares, column by column, the matrix read
+    off the symbolic pullback (``h4_models._symbolic_matrix``, which
+    ``cross_check_actions`` uses too) with the reduced ``_model_matrix``.
     Parametrized identities run over all parameter tuples when there are at
     most ``MAX_TUPLES`` of them, and over a deterministic stride sample
     otherwise.  Returns one check per identity.
     """
+    from .groups import Family
+    from .h4_models import _model_matrix, _reduce_rows, _ring_images, _symbolic_matrix, h4_model
+
     checks: list[CheckResult] = []
 
     def add(name, ok, detail=""):
@@ -343,54 +351,35 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         stride = len(seq) // MAX_TUPLES + 1
         return seq[::stride]
 
+    def columns_agree(family, params):
+        """Per basis column: does the symbolic pullback match the model matrix?"""
+        model = _reduce_rows(_model_matrix(family, params, p), h4_model(family, p).moduli)
+        return [s == m for s, m in zip(zip(*_symbolic_matrix(family, params, p)), zip(*model))]
+
     # -- product group Z/p^2 x Z/p: pullbacks on u^2, uv, v^2 ---------------
-    R = kunneth_uv_ring(p)
-    u, v = R.gen("u"), R.gen("v")
     tuples = sample(
         [(i, j, k, l) for i in units(p * p) for j in range(p) for k in range(p) for l in units(p)]
     )
-    bad = {"u2": None, "uv": None, "v2": None}
-    for (i, j, k, l) in tuples:
-        rho = ring_map(R, {"u": l * u + (p * j) * v, "v": k * u + i * v})
-        if rho(u * u) != (l * l) * (u * u) and bad["u2"] is None:
-            bad["u2"] = (i, j, k, l)
-        expect_uv = (l * k) * (u * u) + (i * l) * (u * v) + (p * i * j) * (v * v)
-        if rho(u * v) != expect_uv and bad["uv"] is None:
-            bad["uv"] = (i, j, k, l)
-        expect_v2 = (k * k) * (u * u) + (2 * i * k) * (u * v) + (i * i) * (v * v)
-        if rho(v * v) != expect_v2 and bad["v2"] is None:
-            bad["v2"] = (i, j, k, l)
-    for key, label in (("u2", "u^2"), ("uv", "uv"), ("v2", "v^2")):
-        detail = f"{len(tuples)} tuples" if bad[key] is None else f"first failure at (i,j,k,l)={bad[key]}"
-        add(f"product_group.pullback.{label}", bad[key] is None, detail)
+    basis = h4_model(Family.P2XP, p).basis
+    agree = [columns_agree(Family.P2XP, rho) for rho in tuples]
+    for col in reversed(range(len(basis))):
+        bad = next((rho for rho, ok in zip(tuples, agree) if not ok[col]), None)
+        detail = f"{len(tuples)} tuples" if bad is None else f"first failure at (i,j,k,l)={bad}"
+        add(f"product_group.pullback.{basis[col]}", bad is None, detail)
 
     # -- Heisenberg: GL(2,p) pullbacks on chi, z1^2, z2^2, z1z2 --------------
     H = heisenberg_base_ring(p)
     w1, w2, z1, z2, t = (H.gen(l) for l in ("w1", "w2", "z1", "z2", "t"))
-    chi = t * w1 * w2
-    ok_chi = ok_z1 = ok_z2 = ok_z12 = ok_wlin = True
+
+    def commutes_with_bockstein(M):
+        m = ring_map(H, _ring_images(Family.HEISENBERG, M, p, H))
+        return m(bockstein(w1 * w2)) == bockstein(m(w1 * w2))
+
     mats = sample(list(_gl2(p)))
-    for (a, b, c, d) in mats:
-        det = (a * d - b * c) % p
-        m = ring_map(
-            H,
-            {
-                "w1": a * w1 + c * w2,
-                "w2": b * w1 + d * w2,
-                "z1": a * z1 + c * z2,
-                "z2": b * z1 + d * z2,
-                "t": det * t,
-            },
-        )
-        ok_chi &= m(chi) == (det * det) * chi
-        ok_z1 &= m(z1 * z1) == (a * a) * (z1 * z1) + (2 * a * c) * (z1 * z2) + (c * c) * (z2 * z2)
-        ok_z2 &= m(z2 * z2) == (b * b) * (z1 * z1) + (2 * b * d) * (z1 * z2) + (d * d) * (z2 * z2)
-        ok_z12 &= m(z1 * z2) == (a * b) * (z1 * z1) + (a * d + b * c) * (z1 * z2) + (c * d) * (z2 * z2)
-        ok_wlin &= m(bockstein(w1 * w2)) == bockstein(m(w1 * w2))
-    add("heisenberg.pullback.chi", ok_chi, f"{len(mats)} matrices")
-    add("heisenberg.pullback.z1^2", ok_z1, f"{len(mats)} matrices")
-    add("heisenberg.pullback.z2^2", ok_z2, f"{len(mats)} matrices")
-    add("heisenberg.pullback.z1z2", ok_z12, f"{len(mats)} matrices")
+    agree = [columns_agree(Family.HEISENBERG, M) for M in mats]
+    for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, zip(*agree)):
+        add(f"heisenberg.pullback.{label}", all(ok), f"{len(mats)} matrices")
+    ok_wlin = all(commutes_with_bockstein(M) for M in mats)
     add("heisenberg.pullback.commutes_with_bockstein", ok_wlin, f"{len(mats)} matrices")
 
     # -- Heisenberg central extension: d3 generated by t -> beta(w1 w2) ------
@@ -409,10 +398,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     Q = r_gamma_ring(p)
     r, gam = Q.gen("r"), Q.gen("gam")
     delta = p * (r * r)  # order-p class p*r^2
-    ok_delta = True
-    for i in units(p * p):
-        rho = ring_map(Q, {"r": i * r})
-        ok_delta &= rho(delta) == (i * i) * delta and rho(gam * gam) == gam * gam
+    ok_delta = all(all(columns_agree(Family.GP, i)) for i in units(p * p))
     add("order_p2_extension.pullback.unit_action", ok_delta, f"{len(units(p*p))} units")
     tau = ring_map(Q, {"gam": gam + p * r})
     add(
@@ -432,16 +418,15 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     add("elem_abelian.bockstein.squares_to_zero", bockstein(bockstein(x1 * x2 * x3)).is_zero())
     add("elem_abelian.bockstein.on_y1^2", bockstein(y1 * y1).is_zero())
 
-    # determinant twist on the triple product, for a transvection and a cycle
-    shear = ring_map(E, {"x1": x1 + x2, "y1": y1 + y2})
-    cycle = ring_map(
-        E, {"x1": x2, "x2": x3, "x3": x1, "y1": y2, "y2": y3, "y3": y1}
+    # determinant twist on the triple product b(x1x2x3), the last basis column,
+    # for a transvection, a 3-cycle and a transposition of x1, x2
+    twists = (
+        ("shear", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), "det = 1"),
+        ("cycle", ((0, 1, 0), (0, 0, 1), (1, 0, 0)), "det = 1"),
+        ("swap", ((0, 1, 0), (1, 0, 0), (0, 0, 1)), "det = -1"),
     )
-    swap = ring_map(E, {"x1": x2, "x2": x1, "y1": y2, "y2": y1})
-    beta123 = bockstein(x1 * x2 * x3)
-    add("elem_abelian.pullback.det_twist.shear", shear(beta123) == beta123, "det = 1")
-    add("elem_abelian.pullback.det_twist.cycle", cycle(beta123) == beta123, "det = 1")
-    add("elem_abelian.pullback.det_twist.swap", swap(beta123) == -1 * beta123, "det = -1")
+    for name, A, detail in twists:
+        add(f"elem_abelian.pullback.det_twist.{name}", columns_agree(Family.ELEM_ABELIAN, A)[-1], detail)
 
     # -- second differential of the split-off p^2 factor ----------------------
     d2 = derivation(E, {"x2": y1}, shift=1)

@@ -5,7 +5,13 @@ p-power moduli, together with integer matrices generating the image of Aut(G)
 on it.  The matrices are built from explicit per-family formulas and then
 cross-checked, column by column, against symbolic pullbacks computed in
 ``graded_ring`` - so the action data is never trusted as hand-copied numbers
-alone.
+alone.  There is one pullback path: ``_ring_images`` turns an automorphism's
+parameters into a ring map, ``_symbolic_matrix`` applies it to the ring
+elements of the basis (``_ring_and_basis``) and reads the images back with
+``_coords_in_basis``, and the result is compared with
+``_reduce_rows(_model_matrix(...))``.  ``cross_check_actions`` runs it on the
+generator records; ``graded_ring.verify_identity_suite`` runs it over whole
+parameter ranges.
 
 Each generator of Aut(G) the paper names is one ``AutGenerator`` record,
 written once per family in ``aut_generators``: its name and its parameters
@@ -163,15 +169,11 @@ def _well_defined(mat: np.ndarray, moduli) -> bool:
 
 def _quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray:
     """Coefficient action on quadratic monomials under y_i -> sum_j sub[i,j] y_j."""
-    n = sub.shape[0]
-    m = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    k, l = np.array(pairs).T
+    m = np.empty((len(pairs), len(pairs)), dtype=np.int64)
     for col, (i, j) in enumerate(pairs):
-        coeff = np.zeros((n, n), dtype=np.int64)
-        for k in range(n):
-            for l in range(n):
-                coeff[k, l] += sub[i, k] * sub[j, l]
-        for row, (k, l) in enumerate(pairs):
-            m[row, col] = coeff[k, l] + (coeff[l, k] if k != l else 0)
+        coeff = np.outer(sub[i], sub[j])
+        m[:, col] = coeff[k, l] + np.where(k != l, coeff[l, k], 0)
     return m % p
 
 
@@ -311,122 +313,95 @@ def matrix_group_closure(gens, moduli) -> set:
 # symbolic cross-checks against the graded-ring engine
 
 
+@lru_cache(maxsize=None)
 def _ring_and_basis(family: Family, p: int):
-    """Ring presentation plus basis monomials for the families' H^4 classes."""
+    """Ring presentation plus the ring elements of the model basis, in basis order."""
     if family is Family.ELEM_ABELIAN:
         R = gr.exterior_bockstein_ring(3, p)
         y = [R.gen(f"y{i}") for i in (1, 2, 3)]
         beta = gr.bockstein(R.gen("x1") * R.gen("x2") * R.gen("x3"))
-        basis = [y[0] * y[0], y[1] * y[1], y[2] * y[2], y[0] * y[1], y[0] * y[2], y[1] * y[2], beta]
-        return R, basis
+        return R, (y[0] * y[0], y[1] * y[1], y[2] * y[2], y[0] * y[1], y[0] * y[2], y[1] * y[2], beta)
     if family is Family.HEISENBERG:
         R = gr.heisenberg_base_ring(p)
         z1, z2, t = R.gen("z1"), R.gen("z2"), R.gen("t")
         chi = t * R.gen("w1") * R.gen("w2")
-        return R, [chi, z1 * z1, z2 * z2, z1 * z2]
+        return R, (chi, z1 * z1, z2 * z2, z1 * z2)
     if family is Family.P2XP:
         R = gr.kunneth_uv_ring(p)
         u, v = R.gen("u"), R.gen("v")
-        return R, [v * v, u * v, u * u]
+        return R, (v * v, u * v, u * u)
     if family is Family.CYCLIC:
         R = gr.cyclic_s_ring(p)
         s = R.gen("s")
-        return R, [s * s]
+        return R, (s * s,)
     if family is Family.GP:
         R = gr.r_gamma_ring(p)
         r, gam = R.gen("r"), R.gen("gam")
-        return R, [p * (r * r), gam * gam]
+        return R, (p * (r * r), gam * gam)
     raise ValueError(family)
 
 
-def _coords_in_basis(family: Family, el, p: int) -> list[int]:
-    """Express a degree-4 ring element in the model basis; error if outside it."""
-    if family is Family.ELEM_ABELIAN:
-        c_beta = el.coefficient("x2", "x3", "y1")
-        ring = el.ring
-        beta = gr.bockstein(ring.gen("x1") * ring.gen("x2") * ring.gen("x3"))
-        rest = el - c_beta * beta
-        pairs = [("y1", "y1"), ("y2", "y2"), ("y3", "y3"), ("y1", "y2"), ("y1", "y3"), ("y2", "y3")]
-        coords = [rest.coefficient(a, b) for a, b in pairs] + [c_beta]
-        check = ring.zero()
-        for c, mon in zip(coords[:6], pairs):
-            check = check + c * ring.monomial(*mon)
-        if rest != check:
-            raise AssertionError(f"element {el!r} not in the model span")
-        return [c % p for c in coords]
-    if family is Family.HEISENBERG:
-        coords = [
-            el.coefficient("w1", "w2", "t"),
-            el.coefficient("z1", "z1"),
-            el.coefficient("z2", "z2"),
-            el.coefficient("z1", "z2"),
-        ]
-        ring = el.ring
-        chk = (
-            coords[0] * (ring.gen("t") * ring.gen("w1") * ring.gen("w2"))
-            + coords[1] * ring.monomial("z1", "z1")
-            + coords[2] * ring.monomial("z2", "z2")
-            + coords[3] * ring.monomial("z1", "z2")
-        )
-        if chk != el:
-            raise AssertionError(f"element {el!r} not in the model span")
-        return [c % p for c in coords]
-    if family is Family.P2XP:
-        coords = [el.coefficient("v", "v"), el.coefficient("u", "v"), el.coefficient("u", "u")]
-        return [coords[0] % (p * p), coords[1] % p, coords[2] % p]
-    if family is Family.CYCLIC:
-        return [el.coefficient("s", "s") % p**3]
-    if family is Family.GP:
-        c_rr = el.coefficient("r", "r") % (p * p)
-        if c_rr % p:
-            raise AssertionError("r^2 coefficient not a multiple of p")
-        if el.coefficient("r", "gam"):
-            raise AssertionError("stray r*gam term")
-        return [c_rr // p, el.coefficient("gam", "gam") % p]
-    raise ValueError(family)
+def _coords_in_basis(el, basis) -> list[int]:
+    """Coordinates of a ring element in the model basis; error if outside its span.
+
+    The basis classes have pairwise disjoint monomial supports, so coordinate
+    k is read off one monomial of class k: its coefficient in ``el`` divided by
+    its coefficient in the class, modulo the monomial's additive order (the
+    quotient is the coordinate's modulus).  Rebuilding ``el`` from the
+    coordinates then checks every other monomial.
+    """
+    coords = []
+    for cls in basis:
+        mon, c = next(iter(cls.terms.items()))
+        order = el.ring.monomial_order(mon)
+        g = math.gcd(c, order)
+        coords.append(el.terms.get(mon, 0) // g * pow(c // g, -1, order // g) % (order // g))
+    rebuilt = {mon: x * c for x, cls in zip(coords, basis) for mon, c in cls.terms.items()}
+    if gr.GradedElement(el.ring, rebuilt) != el:
+        raise AssertionError(f"element {el!r} not in the model span")
+    return coords
 
 
 def _ring_images(family: Family, params, p: int, ring) -> dict:
     """Generator images of the pullback by the automorphism with these record parameters."""
     gen = ring.gen
     if family is Family.CYCLIC:
-        return {"s": params * gen("s")}
+        return {"s": gen("s", params)}
     if family is Family.GP:
-        return {"r": params * gen("r")}
+        return {"r": gen("r", params)}
     if family is Family.P2XP:
         i, j, k, l = params
-        return {"u": l * gen("u") + (p * j) * gen("v"), "v": k * gen("u") + i * gen("v")}
+        return {"u": ring.element({("u",): l, ("v",): p * j}), "v": ring.element({("u",): k, ("v",): i})}
+    # x_i, y_i substitute by the rows of the 3x3 matrix, the Heisenberg base
+    # classes w_i, z_i by the columns of the 2x2 one
+    if family is Family.ELEM_ABELIAN:
+        names, rows = "xy", params
+    else:
+        names, rows = "wz", tuple(zip(*params))
+    images = {
+        f"{x}{i}": ring.element({(f"{x}{j}",): c for j, c in enumerate(row, start=1)})
+        for x in names
+        for i, row in enumerate(rows, start=1)
+    }
     if family is Family.HEISENBERG:
-        (a, b), (c, d) = params
-        return {
-            "w1": a * gen("w1") + c * gen("w2"),
-            "w2": b * gen("w1") + d * gen("w2"),
-            "z1": a * gen("z1") + c * gen("z2"),
-            "z2": b * gen("z1") + d * gen("z2"),
-            "t": ((a * d - b * c) % p) * gen("t"),
-        }
-    images = {}
-    for i, row in enumerate(params, start=1):
-        for x in "xy":
-            images[f"{x}{i}"] = sum((c * gen(f"{x}{j}") for j, c in enumerate(row, start=1)), ring.zero())
+        images["t"] = gen("t", rank_and_det_mod(params, p)[1])
     return images
+
+
+def _symbolic_matrix(family: Family, params, p: int) -> tuple[tuple[int, ...], ...]:
+    """Model matrix of the automorphism with these record parameters, read off
+    the symbolic pullback: column j holds the coordinates of basis class j's image."""
+    ring, basis = _ring_and_basis(family, p)
+    pullback = gr.ring_map(ring, _ring_images(family, params, p, ring))
+    return tuple(zip(*(_coords_in_basis(pullback(el), basis) for el in basis)))
 
 
 def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     """Compare every action-generator matrix against the symbolic pullback."""
     family = Family(family)
-    model = h4_model(family, p)
-    ring, basis = _ring_and_basis(family, p)
     checks = []
     for rec, gen in zip(aut_generators(family, p), action_generators(family, p)):
-        pullback = gr.ring_map(ring, _ring_images(family, rec.params, p, ring))
-        cols = []
-        for el in basis:
-            cols.append(_coords_in_basis(family, pullback(el), p))
-        symbolic = tuple(
-            tuple(cols[j][i] % model.moduli[i] for j in range(len(basis)))
-            for i in range(len(basis))
-        )
+        symbolic = _symbolic_matrix(family, rec.params, p)
         ok = symbolic == gen.matrix
         checks.append(
             CheckResult(

@@ -836,8 +836,9 @@ def nontrivial_rows(graph: MoritaGraph) -> list[dict[Family, CohClass]]:
     return sorted(rows, key=key)
 
 
-def emit_table(p: int, fmt: str = "md", *, graph: MoritaGraph) -> str:
+def emit_table(graph: MoritaGraph, fmt: str = "md") -> str:
     """Render the merged nontrivial-component table (md or csv) or the full JSON."""
+    p = graph.p
     if fmt == "json":
         payload = graph.to_json()
         payload["h"] = select_h(p)
@@ -872,8 +873,9 @@ def emit_table(p: int, fmt: str = "md", *, graph: MoritaGraph) -> str:
 # cross-case consistency checks
 
 
-def consistency_checks(p: int, graph: MoritaGraph) -> list[CheckResult]:
+def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     """Checks tying the edge data, orbit indices and Omega spans together."""
+    p = graph.p
     checks: list[CheckResult] = []
     indices = graph.indices
 

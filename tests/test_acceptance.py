@@ -271,5 +271,5 @@ def test_criterion_9_negative_controls(indices_for):
 
 def test_consistency_checks_pass(graph_for):
     for p in (3, 5):
-        bad = [c for c in consistency_checks(p, graph=graph_for(p)) if not c.ok]
+        bad = [c for c in consistency_checks(graph_for(p)) if not c.ok]
         assert not bad, "\n".join(c.line() for c in bad)

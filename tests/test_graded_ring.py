@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pcubed import h4_models
 from pcubed.graded_ring import (
     Generator,
     RingPresentation,
@@ -15,6 +16,7 @@ from pcubed.graded_ring import (
     ring_map,
     verify_identity_suite,
 )
+from pcubed.groups import Family
 
 
 @pytest.fixture
@@ -209,6 +211,21 @@ def test_identity_suite_all_pass(p):
     assert len(checks) >= 12
     failures = [c for c in checks if not c.ok]
     assert not failures, "\n".join(c.line() for c in failures)
+
+
+def test_identity_suite_flags_a_model_matrix_off_at_one_rho(monkeypatch):
+    # rho(1,1,1,1) is no Aut(G) generator, so only the parameter sweep reaches it
+    build = h4_models._model_matrix
+
+    def off_by_one(family, params, p):
+        mat = build(family, params, p)
+        if family is Family.P2XP and params == (1, 1, 1, 1):
+            mat[1, 1] += 1  # the uv column
+        return mat
+
+    monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
+    failed = [(c.name, c.detail) for c in verify_identity_suite(3) if not c.ok]
+    assert failed == [("product_group.pullback.uv", "first failure at (i,j,k,l)=(1, 1, 1, 1)")]
 
 
 def test_identity_suite_names_are_unique():

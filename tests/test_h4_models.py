@@ -7,7 +7,9 @@ from pcubed import h4_models
 from pcubed.groups import FAMILIES, Family, build_group, enumerate_automorphisms
 from pcubed.h4_models import (
     ActionGenerator,
+    _coords_in_basis,
     _model_matrix,
+    _ring_and_basis,
     _well_defined,
     action_generators,
     aut_generators,
@@ -89,6 +91,41 @@ def test_cross_check_fails_exactly_the_generator_whose_matrix_is_off(monkeypatch
     finally:
         action_generators.cache_clear()
     assert failed == [f"action.{fam.value}.p{p}.{name}"]
+
+
+def _random_combination(fam, p, rng):
+    ring, basis = _ring_and_basis(fam, p)
+    coords = [rng.randrange(m) for m in h4_model(fam, p).moduli]
+    return coords, sum((c * el for c, el in zip(coords, basis)), ring.zero())
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("p", [3, 5])
+def test_basis_reader_round_trips(fam, p):
+    rng = random.Random(p)
+    basis = _ring_and_basis(fam, p)[1]
+    for _ in range(50):
+        coords, el = _random_combination(fam, p, rng)
+        assert _coords_in_basis(el, basis) == coords
+
+
+@pytest.mark.parametrize(
+    "fam, stray",
+    [
+        (Family.GP, ("r", "r")),
+        (Family.GP, ("r", "gam")),
+        (Family.ELEM_ABELIAN, ("x1", "x2", "y3")),
+        (Family.HEISENBERG, ("t", "t")),
+    ],
+)
+@pytest.mark.parametrize("p", [3, 5])
+def test_basis_reader_rejects_elements_outside_the_span(fam, stray, p):
+    # r^2 alone is not p*r^2, and x1x2y3 is one of the three terms of b(x1x2x3)
+    ring, basis = _ring_and_basis(fam, p)
+    _, el = _random_combination(fam, p, random.Random(p))
+    for candidate in (ring.monomial(*stray), el + ring.monomial(*stray)):
+        with pytest.raises(AssertionError, match="not in the model span"):
+            _coords_in_basis(candidate, basis)
 
 
 def _group_images(family, params, p):

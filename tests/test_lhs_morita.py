@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -154,7 +155,7 @@ def test_triple_component_contents(p, graph_for):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_consistency_checks(p, graph_for):
-    checks = consistency_checks(p, graph=graph_for(p))
+    checks = consistency_checks(graph_for(p))
     failures = [c for c in checks if not c.ok]
     assert not failures, "\n".join(c.line() for c in failures)
 
@@ -168,7 +169,7 @@ def test_duplicate_edges_are_harmless(graph_for):
 
 
 def test_emit_markdown(graph_for):
-    text = emit_table(3, fmt="md", graph=graph_for(3))
+    text = emit_table(graph_for(3), fmt="md")
     lines = [l for l in text.splitlines() if l.startswith("|")]
     assert len(lines) == 2 + 13  # header, separator, p+10 rows
     assert "nontrivial Morita classes: 13" in text
@@ -176,14 +177,14 @@ def test_emit_markdown(graph_for):
 
 
 def test_emit_csv(graph_for):
-    text = emit_table(5, fmt="csv", graph=graph_for(5))
+    text = emit_table(graph_for(5), fmt="csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert len(rows) == 1 + 15
     assert rows[0][0] == "Z/125"
 
 
 def test_emit_json_round_trip(graph_for):
-    blob = json.loads(emit_table(3, fmt="json", graph=graph_for(3)))
+    blob = json.loads(emit_table(graph_for(3), fmt="json"))
     assert blob["p"] == 3
     assert blob["h"] == 1
     assert len(blob["components"]) == 47
@@ -200,3 +201,13 @@ def test_nontrivial_rows_block_structure(graph_for):
     assert blocks[6:10] == [("elem_abelian", "heisenberg")] * 4
     assert blocks[10] == ("elem_abelian", "gp", "heisenberg")
     assert blocks[11:] == [("elem_abelian", "gp")] * 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_components_do_not_depend_on_edge_order(p, indices_for, graph_for):
+    edges = all_edges(p)
+    for seed in range(5):
+        shuffled = edges[:]
+        random.Random(seed).shuffle(shuffled)
+        graph = morita_components(p, indices=indices_for(p), edges=shuffled)
+        assert graph.components == graph_for(p).components, seed
