@@ -9,7 +9,7 @@ assembles the Morita-class partition with its merged tables.
 
 from .groups import FAMILIES, Family, build_group
 from .h4_models import CohClass, H4Model, action_generators, h4_model
-from .lhs_morita import build_cases, emit_table, morita_components, omega
+from .lhs_morita import CASES, emit_table, morita_components, omega
 from .orbits import enumerate_orbits
 from .quadforms import QuadForm, are_congruent, congruence_invariant, representatives, select_h
 
@@ -23,7 +23,7 @@ __all__ = [
     "H4Model",
     "action_generators",
     "h4_model",
-    "build_cases",
+    "CASES",
     "emit_table",
     "morita_components",
     "omega",

@@ -1,7 +1,8 @@
 """Command-line front end: classification tables, orbit dumps, verification.
 
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
-2 on usage errors (argparse's convention).
+2 on usage errors (argparse's convention) and on an -o path that cannot be
+written.
 """
 
 import argparse
@@ -61,11 +62,16 @@ def _families(args) -> tuple[Family, ...]:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "output", None):
+    """Print to stdout, or with -o write the same bytes to the file."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def cmd_classify(args) -> int:

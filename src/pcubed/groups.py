@@ -416,6 +416,8 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
         return False
     if sorted(G.element_orders.tolist()) != sorted(H.element_orders.tolist()):
         return False
+    if len(center(G)) != len(center(H)):
+        return False
     return bool(_search_images(G, H, find_all=False))
 
 

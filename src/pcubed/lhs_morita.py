@@ -1,14 +1,15 @@
 """Derived weak-Morita equivalences between the five families at dimension p^3.
 
 Six extension shapes (an abelian normal subgroup A with quotient K, possibly
-with a nontrivial action) each realize some of the five groups.  For every
-shape this module encodes: the realized groups with their k-invariants, the
-relevant cells of the associated spectral-sequence pages, the subgroup
-Omega(G; A) of degree-4 classes carrying module-category data, and the
-explicit class-level equivalences the analysis derives.  The page data is
-re-verified mechanically (symbolically where the cells are p-torsion spans,
-by order bookkeeping where the torsion is mixed); the equivalences themselves
-are data, instantiated over their parameter ranges and canonicalized through
+with a nontrivial action) each realize some of the five groups.  One table,
+CASES, holds every shape once: per realized group its k-invariant, the
+subgroup Omega(G; A) of degree-4 classes carrying module-category data, and
+for the mixed-torsion shapes the first and last displayed spectral-sequence
+pages, all with orders written as p-exponents so the table is
+prime-independent.  The page data is re-verified mechanically (symbolically
+where the cells are p-torsion spans, by order bookkeeping where the torsion
+is mixed); the explicit class-level equivalences the analysis derives are
+data too, instantiated over their parameter ranges and canonicalized through
 the orbit indices into a union-find whose components are the Morita classes.
 """
 
@@ -26,90 +27,131 @@ from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits
 from .quadforms import select_h
 from .report import CheckResult
 
-CASE_IDS = (
-    "A=Zp2.K=Zp.trivial",
-    "A=Zp2.K=Zp.twisted",
-    "A=Zp.K=Zp2.trivial",
-    "A=ZpZp.K=Zp.trivial",
-    "A=Zp.K=ZpZp.trivial",
-    "A=ZpZp.K=Zp.twisted",
-)
-
 
 @dataclass(frozen=True)
 class RealizedExtension:
     family: Family
-    subgroup: str  # generators of A inside the group, in generator words
     k_invariant: str  # class label in H^2(K, A), "0" for the split extension
+    # Omega(G; A) as (sub, quot) spans: ((model basis label, p-exponent of its scale), ...)
+    omega: tuple
+    # mixed-torsion cases only: first and last displayed page,
+    # (a, b) -> ((generator, p-exponent of its order), ...)
+    pages: tuple = field(default=(), hash=False)
 
 
 @dataclass(frozen=True)
 class ExtensionCase:
     case_id: str
-    fiber: str  # isomorphism type of A
-    base: str  # isomorphism type of K
-    action: str  # "trivial" or a description of the twist
     realized: tuple[RealizedExtension, ...]
 
-    def realizes(self, family: Family) -> bool:
-        return any(r.family is family for r in self.realized)
 
+# E_2 pages shared by the split and the nonsplit member of one case
+_E2_ZP2_BY_ZP = {
+    (0, 4): (("v^2", 2),),
+    (0, 2): (("v", 2),),
+    (1, 2): (("x*v", 1),),
+    (2, 2): (("uv", 1),),
+    (2, 0): (("u", 1),),
+    (4, 0): (("u^2", 1),),
+}
+_E2_ZP_BY_ZP2 = {
+    (0, 4): (("u^2", 1),),
+    (0, 2): (("u", 1),),
+    (1, 2): (("x*u", 1),),
+    (2, 2): (("uv", 1),),
+    (2, 0): (("v", 2),),
+    (4, 0): (("v^2", 2),),
+}
+# the pages of split members without a partner, where E_2 = E_inf
+_E2_GP_TWISTED = {
+    (0, 4): (("p*r^2", 1),),
+    (0, 2): (("p*r", 1),),
+    (1, 2): (),
+    (2, 2): (),
+    (3, 1): (),
+    (2, 0): (("gamma", 1),),
+    (4, 0): (("gamma^2", 1),),
+}
+_E2_H_TWISTED = {
+    (0, 4): (("t2", 1),),
+    (1, 3): (("u13", 1),),
+    (2, 2): (("z1z2", 1),),
+    (3, 1): (),
+    (0, 2): (("u02", 1),),
+    (1, 2): (("u12", 1),),
+    (0, 3): (("u03", 1),),
+    (2, 0): (("z1", 1),),
+    (4, 0): (("z1^2", 1),),
+}
 
-def build_cases(p: int) -> list[ExtensionCase]:
-    """The six extension shapes with their realized families and k-invariants."""
-    C, P2, E, H, G = FAMILIES
-    return [
-        ExtensionCase(
-            CASE_IDS[0], "Z/p^2", "Z/p", "trivial",
-            (
-                RealizedExtension(P2, "<x>", "0"),
-                RealizedExtension(C, "<x^p>", "uv"),
-            ),
+CASES = (
+    # A = Z/p^2, K = Z/p, trivial action; A = <x> in the product, <x^p> in the cyclic group
+    ExtensionCase("A=Zp2.K=Zp.trivial", (
+        RealizedExtension(Family.P2XP, "0", ((("u^2", 0),), (("uv", 0),)), (_E2_ZP2_BY_ZP, _E2_ZP2_BY_ZP)),
+        RealizedExtension(Family.CYCLIC, "uv", ((), (("s^2", 2),)), (_E2_ZP2_BY_ZP, {
+            (0, 4): (("s^2", 2),),
+            (0, 2): (("s", 2),),
+            (1, 2): (),
+            (2, 2): (("p^2*s^2", 1),),
+            (2, 0): (("p*s", 1),),
+            (4, 0): (),
+        })),
+    )),
+    # A = Z/p^2, K = Z/p acting by b -> b^(p+1); A = <b>
+    ExtensionCase("A=Zp2.K=Zp.twisted", (
+        RealizedExtension(Family.GP, "0", ((("gamma^2", 0),), ()), (_E2_GP_TWISTED, _E2_GP_TWISTED)),
+    )),
+    # A = Z/p, K = Z/p^2, trivial action; A = <y> in the product, <x^(p^2)> in the cyclic group
+    ExtensionCase("A=Zp.K=Zp2.trivial", (
+        RealizedExtension(Family.P2XP, "0", ((("v^2", 0),), (("uv", 0),)), (_E2_ZP_BY_ZP2, _E2_ZP_BY_ZP2)),
+        RealizedExtension(Family.CYCLIC, "uv", ((("s^2", 2),), (("s^2", 1),)), (_E2_ZP_BY_ZP2, {
+            (0, 4): (("s^2", 1),),
+            (0, 2): (("s", 1),),
+            (1, 2): (),
+            (2, 2): (("p*s^2", 1),),
+            (2, 0): (("v", 2),),
+            (4, 0): (("p^2*s^2", 1),),
+        })),
+    )),
+    # A = Z/p x Z/p, K = Z/p, trivial action; A = <x2, x3> in (Z/p)^3, <x^p, y> in the product
+    ExtensionCase("A=ZpZp.K=Zp.trivial", (
+        RealizedExtension(Family.ELEM_ABELIAN, "0", ((("y1^2", 0),), (("y1y2", 0), ("y1y3", 0)))),
+        RealizedExtension(Family.P2XP, "y1", ((), (("v^2", 1),))),
+    )),
+    # A = Z/p, K = Z/p x Z/p, trivial action; A = <x3>, <x^p>, <C> and <b^p> in the four groups
+    ExtensionCase("A=Zp.K=ZpZp.trivial", (
+        RealizedExtension(
+            Family.ELEM_ABELIAN, "0",
+            ((("y1^2", 0), ("y2^2", 0), ("y1y2", 0)), (("y1y3", 0), ("y2y3", 0), ("b(x1x2x3)", 0))),
         ),
-        ExtensionCase(
-            CASE_IDS[1], "Z/p^2", "Z/p", "b -> b^(p+1)",
-            (RealizedExtension(G, "<b>", "0"),),
-        ),
-        ExtensionCase(
-            CASE_IDS[2], "Z/p", "Z/p^2", "trivial",
-            (
-                RealizedExtension(P2, "<y>", "0"),
-                RealizedExtension(C, "<x^(p^2)>", "uv"),
-            ),
-        ),
-        ExtensionCase(
-            CASE_IDS[3], "Z/p x Z/p", "Z/p", "trivial",
-            (
-                RealizedExtension(E, "<x2, x3>", "0"),
-                RealizedExtension(P2, "<x^p, y>", "y1"),
-            ),
-        ),
-        ExtensionCase(
-            CASE_IDS[4], "Z/p", "Z/p x Z/p", "trivial",
-            (
-                RealizedExtension(E, "<x3>", "0"),
-                RealizedExtension(P2, "<x^p>", "y1"),
-                RealizedExtension(H, "<C>", "x1x2"),
-                RealizedExtension(G, "<b^p>", "y2+x1x2"),
-            ),
-        ),
-        ExtensionCase(
-            CASE_IDS[5], "Z/p x Z/p", "Z/p", "B -> B*C",
-            (
-                RealizedExtension(H, "<B, C>", "0"),
-                RealizedExtension(G, "<a, b^p>", "nonzero"),
-            ),
-        ),
-    ]
-
-
-def _case_by_id(case, p: int) -> ExtensionCase:
-    if isinstance(case, ExtensionCase):
-        return case
-    for c in build_cases(p):
-        if c.case_id == case:
-            return c
-    raise KeyError(case)
+        RealizedExtension(Family.P2XP, "y1", ((("u^2", 0),), (("uv", 0), ("v^2", 1)))),
+        RealizedExtension(Family.HEISENBERG, "x1x2", ((("z1^2", 0), ("z2^2", 0), ("z1z2", 0)), (("chi", 0),))),
+        RealizedExtension(Family.GP, "y2+x1x2", ((("gamma^2", 0),), (("delta", 0),))),
+    )),
+    # A = Z/p x Z/p, K = Z/p acting by B -> B*C; A = <B, C> in H_p, <a, b^p> in G_p
+    ExtensionCase("A=ZpZp.K=Zp.twisted", (
+        RealizedExtension(Family.HEISENBERG, "0", ((("z1^2", 0),), (("z1z2", 0),)), (_E2_H_TWISTED, _E2_H_TWISTED)),
+        RealizedExtension(Family.GP, "nonzero", ((), ()), ({
+            (0, 4): (("gamma^2", 1),),
+            (1, 3): (("delta", 1),),
+            (2, 2): (),
+            (3, 1): (),
+            (0, 2): (("u02", 1),),
+            (1, 2): (("u12", 1),),
+            (2, 0): (("u20", 1),),
+            (4, 0): (("u40", 1),),
+        }, {
+            (0, 4): (("gamma^2", 1),),
+            (1, 3): (("delta", 1),),
+            (2, 2): (),
+            (3, 1): (),
+            (0, 2): (("u02", 1),),
+            (1, 2): (),
+            (2, 0): (("u20", 1),),
+            (4, 0): (),
+        })),
+    )),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -173,159 +215,24 @@ class OmegaGroup:
         return all(c % d == 0 for c, d in zip(cls.coeffs, self.divisors))
 
 
-_OMEGA_DATA = {
-    # case_id -> family -> (sub_basis, quot_basis); scales are powers of p,
-    # written as exponents so the table stays prime-independent
-    CASE_IDS[0]: {
-        Family.P2XP: ((("u^2", 0),), (("uv", 0),)),
-        Family.CYCLIC: ((), (("s^2", 2),)),
-    },
-    CASE_IDS[1]: {
-        Family.GP: ((("gamma^2", 0),), ()),
-    },
-    CASE_IDS[2]: {
-        Family.P2XP: ((("v^2", 0),), (("uv", 0),)),
-        Family.CYCLIC: ((("s^2", 2),), (("s^2", 1),)),
-    },
-    CASE_IDS[3]: {
-        Family.ELEM_ABELIAN: ((("y1^2", 0),), (("y1y2", 0), ("y1y3", 0))),
-        Family.P2XP: ((), (("v^2", 1),)),
-    },
-    CASE_IDS[4]: {
-        Family.ELEM_ABELIAN: (
-            (("y1^2", 0), ("y2^2", 0), ("y1y2", 0)),
-            (("y1y3", 0), ("y2y3", 0), ("b(x1x2x3)", 0)),
-        ),
-        Family.P2XP: ((("u^2", 0),), (("uv", 0), ("v^2", 1))),
-        Family.HEISENBERG: (
-            (("z1^2", 0), ("z2^2", 0), ("z1z2", 0)),
-            (("chi", 0),),
-        ),
-        Family.GP: ((("gamma^2", 0),), (("delta", 0),)),
-    },
-    CASE_IDS[5]: {
-        Family.HEISENBERG: ((("z1^2", 0),), (("z1z2", 0),)),
-        Family.GP: ((), ()),
-    },
-}
-
-
-def omega(case, family: Family, p: int) -> OmegaGroup:
+def omega(case_id: str, family: Family, p: int) -> OmegaGroup:
     """The Omega span for a family realized in the given extension case."""
-    c = _case_by_id(case, p)
     family = Family(family)
-    if not c.realizes(family):
-        raise ValueError(f"{family.value} is not realized in case {c.case_id}")
-    sub, quot = _OMEGA_DATA[c.case_id][family]
+    realized = {r.family: r for c in CASES if c.case_id == case_id for r in c.realized}
+    if family not in realized:
+        raise ValueError(f"{family.value} is not realized in case {case_id}")
+    sub, quot = realized[family].omega
     scale = lambda pairs: tuple((label, p**e) for label, e in pairs)
-    return OmegaGroup(c.case_id, family, p, scale(sub), scale(quot))
+    return OmegaGroup(case_id, family, p, scale(sub), scale(quot))
 
 
 # ---------------------------------------------------------------------------
 # spectral-sequence page data and its mechanical verification
 
 
-@dataclass(frozen=True)
-class PageTable:
-    """Relevant cells of one displayed page: (a, b) -> ((generator, order), ...)."""
-
-    case_id: str
-    family: Family
-    page: int
-    cells: dict = field(hash=False)
-
-    def diagonal_order(self, total_degree: int = 4) -> int:
-        n = 1
-        for (a, b), gens in self.cells.items():
-            if a + b == total_degree:
-                for _, order in gens:
-                    n *= order
-        return n
-
-
-def _mixed_page_data(case_id: str, family: Family, p: int) -> list[PageTable]:
-    """Displayed pages for the mixed-torsion cases, encoded as order data."""
-    P = p
-    if case_id == CASE_IDS[0]:
-        e2 = {
-            (0, 4): (("v^2", P * P),),
-            (0, 2): (("v", P * P),),
-            (1, 2): (("x*v", P),),
-            (2, 2): (("uv", P),),
-            (2, 0): (("u", P),),
-            (4, 0): (("u^2", P),),
-        }
-        if family is Family.P2XP:
-            return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e2)]
-        e4 = {
-            (0, 4): (("s^2", P * P),),
-            (0, 2): (("s", P * P),),
-            (1, 2): (),
-            (2, 2): (("p^2*s^2", P),),
-            (2, 0): (("p*s", P),),
-            (4, 0): (),
-        }
-        return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e4)]
-    if case_id == CASE_IDS[1]:
-        e2 = {
-            (0, 4): (("p*r^2", P),),
-            (0, 2): (("p*r", P),),
-            (1, 2): (),
-            (2, 2): (),
-            (3, 1): (),
-            (2, 0): (("gamma", P),),
-            (4, 0): (("gamma^2", P),),
-        }
-        return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e2)]
-    if case_id == CASE_IDS[2]:
-        e2 = {
-            (0, 4): (("u^2", P),),
-            (0, 2): (("u", P),),
-            (1, 2): (("x*u", P),),
-            (2, 2): (("uv", P),),
-            (2, 0): (("v", P * P),),
-            (4, 0): (("v^2", P * P),),
-        }
-        if family is Family.P2XP:
-            return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e2)]
-        e4 = {
-            (0, 4): (("s^2", P),),
-            (0, 2): (("s", P),),
-            (1, 2): (),
-            (2, 2): (("p*s^2", P),),
-            (2, 0): (("v", P * P),),
-            (4, 0): (("p^2*s^2", P),),
-        }
-        return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e4)]
-    if case_id == CASE_IDS[5]:
-        if family is Family.HEISENBERG:
-            e2 = {
-                (0, 4): (("t2", P),),
-                (1, 3): (("u13", P),),
-                (2, 2): (("z1z2", P),),
-                (3, 1): (),
-                (0, 2): (("u02", P),),
-                (1, 2): (("u12", P),),
-                (0, 3): (("u03", P),),
-                (2, 0): (("z1", P),),
-                (4, 0): (("z1^2", P),),
-            }
-            return [PageTable(case_id, family, 2, e2), PageTable(case_id, family, 4, e2)]
-        e3 = {
-            (0, 4): (("gamma^2", P),),
-            (1, 3): (("delta", P),),
-            (2, 2): (),
-            (3, 1): (),
-            (0, 2): (("u02", P),),
-            (1, 2): (("u12", P),),
-            (2, 0): (("u20", P),),
-            (4, 0): (("u40", P),),
-        }
-        e4 = dict(e3)
-        e4[(1, 2)] = ()
-        e4[(4, 0)] = ()
-        return [PageTable(case_id, family, 3, e3), PageTable(case_id, family, 4, e4)]
-    raise KeyError(case_id)
+def diagonal_order(cells: dict, p: int) -> int:
+    """Order of the total-degree-4 diagonal of one displayed page."""
+    return p ** sum(e for (a, b), gens in cells.items() if a + b == 4 for _, e in gens)
 
 
 # -- linear algebra over F_p on monomial coordinates -------------------------
@@ -418,24 +325,24 @@ def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
         want = expected[family]
         for cell, domain in row2.items():
             _cell_check(
-                f"pages.{CASE_IDS[4]}.{family.value}.cell{cell}",
+                f"pages.{CASES[4].case_id}.{family.value}.cell{cell}",
                 domain, d3, want[cell], [], p, checks,
             )
         # fiber square: d3(y3^2 * P) = 2 y3 beta(kappa P), nonzero iff beta(kappa) is
         survives04 = beta(kappa).is_zero()
         checks.append(
             CheckResult(
-                f"pages.{CASE_IDS[4]}.{family.value}.cell(0, 4)",
+                f"pages.{CASES[4].case_id}.{family.value}.cell(0, 4)",
                 survives04 == bool(want[(0, 4)]),
                 "fiber square survives iff beta(kappa) = 0",
             )
         )
         _cell_check(
-            f"pages.{CASE_IDS[4]}.{family.value}.cell(3, 0)",
+            f"pages.{CASES[4].case_id}.{family.value}.cell(3, 0)",
             [beta(x1 * x2)], zero_map, want[(3, 0)], [beta(kappa)], p, checks,
         )
         _cell_check(
-            f"pages.{CASE_IDS[4]}.{family.value}.cell(4, 0)",
+            f"pages.{CASES[4].case_id}.{family.value}.cell(4, 0)",
             [y1 * y1, y1 * y2, y2 * y2], zero_map, want[(4, 0)],
             [beta(kappa * x1), beta(kappa * x2)], p, checks,
         )
@@ -461,7 +368,7 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     zero_map = lambda el: R.zero()
     for cell, domain in page2.items():
         _cell_check(
-            f"pages.{CASE_IDS[3]}.{Family.ELEM_ABELIAN.value}.cell{cell}",
+            f"pages.{CASES[3].case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
             domain, zero_map, domain, [], p, checks,
         )
     # product member: d2 is the derivation x2 -> y1, then d3(x1 y2) = y1^2
@@ -482,18 +389,18 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     }
     for cell, want in page3_expected.items():
         _cell_check(
-            f"pages.{CASE_IDS[3]}.{fam}.page3.cell{cell}",
+            f"pages.{CASES[3].case_id}.{fam}.page3.cell{cell}",
             page2[cell], d2, want, incoming3.get(cell, []), p, checks,
         )
     # the only nonzero third differential: x1 y2 -> y1^2, x1 y3 -> 0
     d3_images = {repr(x1 * y2): y1 * y1, repr(x1 * y3): R.zero()}
     d3 = lambda el: d3_images[repr(el)]
     _cell_check(
-        f"pages.{CASE_IDS[3]}.{fam}.page4.cell(1, 2)",
+        f"pages.{CASES[3].case_id}.{fam}.page4.cell(1, 2)",
         page3_expected[(1, 2)], d3, [x1 * y3], [], p, checks,
     )
     _cell_check(
-        f"pages.{CASE_IDS[3]}.{fam}.page4.cell(4, 0)",
+        f"pages.{CASES[3].case_id}.{fam}.page4.cell(4, 0)",
         [y1 * y1], zero_map, [], [y1 * y1], p, checks,
     )
     # order bookkeeping: with the stated d3 the degree-4 orders multiply to
@@ -501,7 +408,7 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     degree4 = p ** (len(page3_expected[(0, 4)]) + len(page3_expected[(2, 2)]))
     checks.append(
         CheckResult(
-            f"pages.{CASE_IDS[3]}.{fam}.order_bookkeeping",
+            f"pages.{CASES[3].case_id}.{fam}.order_bookkeeping",
             degree4 == h4_model(Family.P2XP, p).total_order
             and degree4 * p != h4_model(Family.P2XP, p).total_order,
             f"E_infinity degree-4 order {degree4}",
@@ -544,40 +451,35 @@ def _verify_heisenberg_center_pages(p: int, checks: list[CheckResult]) -> None:
     )
 
 
-def _verify_mixed_pages(case_id: str, p: int, checks: list[CheckResult]) -> None:
-    case = _case_by_id(case_id, p)
+def _verify_mixed_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
     for realized in case.realized:
-        tables = _mixed_page_data(case_id, realized.family, p)
-        e_first, e_last = tables[0], tables[-1]
+        e_first, e_last = realized.pages
+        name = f"pages.{case.case_id}.{realized.family.value}"
         model_order = h4_model(realized.family, p).total_order
-        ok_final = e_last.diagonal_order() == model_order
+        final = diagonal_order(e_last, p)
         checks.append(
             CheckResult(
-                f"pages.{case_id}.{realized.family.value}.final_order",
-                ok_final,
-                f"E_inf degree-4 order {e_last.diagonal_order()} vs |H^4| {model_order}",
+                f"{name}.final_order",
+                final == model_order,
+                f"E_inf degree-4 order {final} vs |H^4| {model_order}",
             )
         )
-        start = e_first.diagonal_order(4)
-        killed = start // e_last.diagonal_order(4)
+        killed = diagonal_order(e_first, p) // final
         # a rank-r d3 out of (1,2) removes p^r from the degree-3 and degree-4
         # diagonals simultaneously; split members must need no differential
         if realized.k_invariant == "0":
             checks.append(
                 CheckResult(
-                    f"pages.{case_id}.{realized.family.value}.split_no_differentials",
-                    killed == 1 and e_first.cells == e_last.cells,
+                    f"{name}.split_no_differentials",
+                    killed == 1 and e_first == e_last,
                     "k-invariant 0: E_2 = E_inf",
                 )
             )
         else:
-            cell12 = e_first.cells.get((1, 2), ())
-            avail = 1
-            for _, order in cell12:
-                avail *= order
+            avail = p ** sum(e for _, e in e_first.get((1, 2), ()))
             checks.append(
                 CheckResult(
-                    f"pages.{case_id}.{realized.family.value}.d3_rank",
+                    f"{name}.d3_rank",
                     killed == avail and killed > 1,
                     f"d3 must kill a factor of {killed}, cell (1,2) holds {avail}",
                 )
@@ -593,17 +495,18 @@ def verify_pages(p: int) -> list[CheckResult]:
     group, including that split extensions need no differentials at all.
     """
     checks: list[CheckResult] = []
-    _verify_mixed_pages(CASE_IDS[0], p, checks)
-    _verify_mixed_pages(CASE_IDS[1], p, checks)
-    _verify_mixed_pages(CASE_IDS[2], p, checks)
-    _verify_rank1_base_pages(p, checks)
-    _verify_rank2_base_pages(p, checks)
-    _verify_heisenberg_center_pages(p, checks)
-    _verify_mixed_pages(CASE_IDS[5], p, checks)
+    for case in CASES:
+        if case is CASES[3]:
+            _verify_rank1_base_pages(p, checks)
+        elif case is CASES[4]:
+            _verify_rank2_base_pages(p, checks)
+            _verify_heisenberg_center_pages(p, checks)
+        else:
+            _verify_mixed_pages(case, p, checks)
     # Omega orders must factor as |sub| * |quot| through the coordinate spans
-    for case in build_cases(p):
+    for case in CASES:
         for realized in case.realized:
-            om = omega(case, realized.family, p)
+            om = omega(case.case_id, realized.family, p)
             checks.append(
                 CheckResult(
                     f"omega.{case.case_id}.{realized.family.value}.order",
@@ -626,9 +529,8 @@ class MoritaEdge:
     provenance: str
 
 
-def morita_edges(case, p: int) -> list[MoritaEdge]:
+def morita_edges(case_id: str, p: int) -> list[MoritaEdge]:
     """All parametrized equivalences of one extension case, as class pairs."""
-    c = _case_by_id(case, p)
     C = h4_model(Family.CYCLIC, p)
     P2 = h4_model(Family.P2XP, p)
     E = h4_model(Family.ELEM_ABELIAN, p)
@@ -637,17 +539,17 @@ def morita_edges(case, p: int) -> list[MoritaEdge]:
     edges: list[MoritaEdge] = []
 
     def add(left, right, provenance):
-        edges.append(MoritaEdge(c.case_id, left, right, provenance))
+        edges.append(MoritaEdge(case_id, left, right, provenance))
 
-    if c.case_id == CASE_IDS[0]:
+    if case_id == CASES[0].case_id:
         add(C.cls((0,)), P2.cls((0, 1, 0)), "0 <-> uv")
-    elif c.case_id == CASE_IDS[2]:
+    elif case_id == CASES[2].case_id:
         add(C.cls((0,)), P2.cls((0, 1, 0)), "0 <-> uv")
         for k in range(1, p):
             add(C.cls((k * p * p,)), P2.cls((k, 1, 0)), f"k={k}: k*p^2*s^2 <-> uv + k*v^2")
-    elif c.case_id == CASE_IDS[3]:
+    elif case_id == CASES[3].case_id:
         add(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 1, 0, 0, 0)), "0 <-> y1y2")
-    elif c.case_id == CASE_IDS[4]:
+    elif case_id == CASES[4].case_id:
         add(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 0, 1, 0, 0)), "0 <-> y1y3")
         for k in range(1, p):
             add(
@@ -668,7 +570,7 @@ def morita_edges(case, p: int) -> list[MoritaEdge]:
                 E.cls((k, 0, 0, 0, 0, 1, p - 1)),
                 f"k={k}: k*gamma^2 <-> y2y3 - b(x1x2x3) + k*y1^2",
             )
-    elif c.case_id == CASE_IDS[5]:
+    elif case_id == CASES[5].case_id:
         for l in range(p):
             add(G.cls((0, 0)), H.cls((0, l, 0, 1)), f"l={l}: 0 <-> z1z2 + {l}*z1^2")
     return edges
@@ -676,8 +578,8 @@ def morita_edges(case, p: int) -> list[MoritaEdge]:
 
 def all_edges(p: int) -> list[MoritaEdge]:
     out = []
-    for case in build_cases(p):
-        out.extend(morita_edges(case, p))
+    for case in CASES:
+        out.extend(morita_edges(case.case_id, p))
     return out
 
 
@@ -884,10 +786,10 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
 
     # every edge endpoint lies inside the Omega span of its case and family
     ok = True
-    for case in build_cases(p):
-        for edge in morita_edges(case, p):
+    for case in CASES:
+        for edge in morita_edges(case.case_id, p):
             for cls in (edge.left, edge.right):
-                om = omega(case, cls.model.family, p)
+                om = omega(case.case_id, cls.model.family, p)
                 ok &= om.contains(cls)
     checks.append(CheckResult("consistency.edges_in_omega", ok))
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 
 from pcubed.lhs_morita import build_orbit_indices, morita_components
-from pcubed.quadforms import count_congruence_classes
+from pcubed.quadforms import congruence_orbit_ids, count_congruence_classes
 
 
 @lru_cache(maxsize=None)
@@ -14,6 +14,11 @@ def _indices(p):
 @lru_cache(maxsize=None)
 def _class_count(n, p):
     return count_congruence_classes(n, p)
+
+
+@lru_cache(maxsize=None)
+def _congruence_ids(n, p):
+    return congruence_orbit_ids(n, p)
 
 
 @lru_cache(maxsize=None)
@@ -37,3 +42,9 @@ def graph_for():
 def class_count_for():
     """Cached congruence class counts, computed once per (n, p)."""
     return _class_count
+
+
+@pytest.fixture(scope="session")
+def congruence_ids_for():
+    """Cached brute-force congruence partitions of all n x n forms, one per (n, p)."""
+    return _congruence_ids

@@ -38,7 +38,6 @@ from pcubed.orbits import enumerate_orbits
 from pcubed.quadforms import (
     QuadForm,
     are_congruent,
-    congruence_orbit_ids,
     select_h,
 )
 
@@ -139,18 +138,18 @@ def test_criterion_4_p2xp_orbit_size_multiset(indices_for):
     print("PASS criterion 4: product-group orbit-size multisets for p in (3,5,7)")
 
 
-def test_criterion_5_quadratic_forms(class_count_for):
+def test_criterion_5_quadratic_forms(class_count_for, congruence_ids_for):
     for n in (1, 2, 3):
         for p in (3, 5, 7, 11, 13):
             assert class_count_for(n, p) == 2 * n + 1
     for p in (3, 5):
-        ids = congruence_orbit_ids(2, p)
+        ids = congruence_ids_for(2, p)
         forms = list(ids)
         for m1, m2 in product(forms, forms):
             assert are_congruent(QuadForm(p, m1), QuadForm(p, m2)) == (ids[m1] == ids[m2])
     rng = random.Random(20240818)
     for p in (3, 5, 7):
-        ids = congruence_orbit_ids(3, p)
+        ids = congruence_ids_for(3, p)
         forms = list(ids)
         for _ in range(1000):
             m1, m2 = rng.choice(forms), rng.choice(forms)

@@ -123,9 +123,21 @@ def test_invalid_prime_exit_code(capsys):
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.md"
-    code, _ = run(capsys, "morita", "-p", "3", "-o", str(target))
+    code, out = run(capsys, "morita", "-p", "3", "-o", str(target))
     assert code == 0
+    assert out == ""
     assert "nontrivial Morita classes: 13" in target.read_text()
+    code, stdout = run(capsys, "morita", "-p", "3")
+    assert code == 0
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["quadforms", "-n", "1", "-p", "3", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])

@@ -1,8 +1,10 @@
 """CLI output pinned byte for byte against files under tests/golden/.
 
-The files were written by the CLI before the orbit engine split the
-elementary-abelian det character off its BFS; regenerate one only for a
-deliberate change of output, with the command in GOLDEN below.
+The json and orbits-dump files were written by the CLI before the orbit
+engine split the elementary-abelian det character off its BFS, the verify and
+morita tables before the extension cases became the one CASES table;
+regenerate one only for a deliberate change of output, with the command in
+GOLDEN below.
 """
 
 from pathlib import Path
@@ -15,6 +17,9 @@ GOLDEN = {
     "morita-p3.json": ["morita", "-p", "3", "--format", "json"],
     "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
     "orbits-dump-p3-5-7.csv": ["orbits-dump", "-p", "3,5,7"],
+    "verify-p5.md": ["verify", "-p", "5"],
+    "morita-p3.md": ["morita", "-p", "3"],
+    "morita-p3.csv": ["morita", "-p", "3", "--format", "csv"],
 }
 
 

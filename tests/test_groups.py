@@ -9,6 +9,7 @@ from pcubed.groups import (
     Family,
     are_isomorphic,
     build_group,
+    _search_images,
     center,
     enumerate_automorphisms,
     normal_abelian_subgroup_classes,
@@ -147,6 +148,16 @@ def test_families_pairwise_nonisomorphic(p):
         assert not are_isomorphic(groups[f1], groups[f2])
     for fam in FAMILIES:
         assert are_isomorphic(groups[fam], groups[fam])
+
+
+def test_search_alone_rejects_same_element_orders():
+    # (Z/3)^3 and H_3 agree in order and element orders; only the centre check
+    # in are_isomorphic or the backtracking search can tell them apart
+    E, H = build_group(Family.ELEM_ABELIAN, 3), build_group(Family.HEISENBERG, 3)
+    assert sorted(E.element_orders.tolist()) == sorted(H.element_orders.tolist())
+    assert _search_images(E, H, find_all=False) == []
+    assert _search_images(H, E, find_all=False) == []
+    assert len(_search_images(H, H, find_all=False)) == 1
 
 
 def test_subgroup_classes_cyclic():
