@@ -6,6 +6,7 @@ written.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -18,8 +19,8 @@ from .lhs_morita import (
     consistency_checks,
     emit_table,
     expected_component_count,
-    expected_morita_histogram,
     morita_components,
+    morita_count_checks,
     verify_pages,
 )
 from .modular import is_prime
@@ -61,17 +62,20 @@ def _families(args) -> tuple[Family, ...]:
     return FAMILIES
 
 
-def _write(args, text: str) -> None:
-    """Print to stdout, or with -o write the same bytes to the file."""
-    text = text if text.endswith("\n") else text + "\n"
-    if not args.output:
-        sys.stdout.write(text)
-        return
+def _open_output(path: str | None):
+    """The -o file, opened before any computation so a bad path fails at once;
+    stdout without -o."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        return open(path, "w")
     except OSError as exc:
-        raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(args, text: str) -> None:
+    """Write the text, newline-terminated, to stdout or the -o file."""
+    args.out.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -128,16 +132,7 @@ def cmd_morita(args) -> int:
             chunks.append(f"## p = {p}\n\n{table}\n{summary}\n")
         else:
             chunks.append(table)
-        if n != expected_component_count(p):
-            failures += 1
-        nontrivial = graph.nontrivial()
-        expected = expected_morita_histogram(p)
-        if (
-            len(nontrivial) != expected[2] + expected[3]
-            or hist.get(3, 0) != expected[3]
-            or hist.get(2, 0) != expected[2]
-        ):
-            failures += 1
+        failures += sum(not check.ok for check in morita_count_checks(graph))
     _write(args, "\n".join(chunks))
     if args.check and failures:
         return 1
@@ -216,18 +211,7 @@ def cmd_verify(args) -> int:
                 f"{n} orbits",
             )
         graph = morita_components(p, indices=indices)
-        rep.add(
-            f"counts.morita.p{p}",
-            len(graph.components) == expected_component_count(p),
-            f"{len(graph.components)} components",
-        )
-        hist = graph.size_histogram()
-        expected = expected_morita_histogram(p)
-        rep.add(
-            f"counts.morita_histogram.p{p}",
-            hist.get(2, 0) == expected[2] and hist.get(3, 0) == expected[3],
-            f"{hist}",
-        )
+        rep.extend(morita_count_checks(graph))
         rep.extend(consistency_checks(graph))
 
         for n in (1, 2, 3):
@@ -352,7 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.primes = _parse_primes(args.primes)
-        return args.fn(args)
+        with _open_output(args.output) as args.out:
+            return args.fn(args)
     except ValueError as exc:
         print(f"pcubed: {exc}", file=sys.stderr)
         return 2

@@ -118,16 +118,6 @@ def _relations(family: Family, p: int) -> list[list[tuple[str, int]]]:
     raise ValueError(family)
 
 
-# generators searched by brute force; remaining ones derived from them
-_SEARCH_LABELS = {
-    Family.CYCLIC: ("x",),
-    Family.P2XP: ("x", "y"),
-    Family.ELEM_ABELIAN: ("x1", "x2", "x3"),
-    Family.HEISENBERG: ("A", "B"),  # C = [A, B]
-    Family.GP: ("b", "a"),
-}
-
-
 @dataclass(eq=False)
 class GroupTable:
     """A group of order p^3 with precomputed product/inverse tables."""
@@ -346,11 +336,10 @@ class GroupMorphism:
 
 def _search_images(G: GroupTable, H: GroupTable, find_all: bool):
     """Backtracking search for relation-preserving bijective generator images."""
-    labels = _SEARCH_LABELS[G.family]
+    # the commutator C = [A, B] is derived, the other generators are searched
+    derived = {"C": ("A", "B")} if G.family is Family.HEISENBERG else {}
+    labels = tuple(label for label in G.gen_labels if label not in derived)
     relations = _relations(G.family, G.p)
-    derived = {}
-    if G.family is Family.HEISENBERG:
-        derived = {"C": ("A", "B")}
 
     def available(assigned):
         have = set(assigned) | {d for d, (u, v) in derived.items() if u in assigned and v in assigned}

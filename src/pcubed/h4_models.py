@@ -32,7 +32,9 @@ import numpy as np
 
 from . import graded_ring as gr
 from .groups import Family, GroupMorphism
-from .modular import gl_generators, is_prime, primitive_root, radix_weights, rank_and_det_mod
+from .modular import (
+    gl_generators, is_prime, primitive_root, quadratic_substitution_matrix, radix_weights, rank_and_det_mod
+)
 from .report import CheckResult
 
 _BASIS = {
@@ -167,16 +169,6 @@ def _well_defined(mat: np.ndarray, moduli) -> bool:
     return True
 
 
-def _quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray:
-    """Coefficient action on quadratic monomials under y_i -> sum_j sub[i,j] y_j."""
-    k, l = np.array(pairs).T
-    m = np.empty((len(pairs), len(pairs)), dtype=np.int64)
-    for col, (i, j) in enumerate(pairs):
-        coeff = np.outer(sub[i], sub[j])
-        m[:, col] = coeff[k, l] + np.where(k != l, coeff[l, k], 0)
-    return m % p
-
-
 @dataclass(frozen=True)
 class AutGenerator:
     """One generator of Aut(G), named and given by the paper's parameters.
@@ -232,12 +224,12 @@ def _model_matrix(family: Family, params, p: int) -> np.ndarray:
     det = rank_and_det_mod(A, p)[1]
     out = np.zeros((len(_BASIS[family]),) * 2, dtype=np.int64)
     if family is Family.ELEM_ABELIAN:
-        out[:6, :6] = _quadratic_substitution_matrix(A, _QUAD_PAIRS[family], p)
+        out[:6, :6] = quadratic_substitution_matrix(A, _QUAD_PAIRS[family], p)
         out[6, 6] = det
     else:
         # z1 -> a z1 + c z2, z2 -> b z1 + d z2 for A -> A^a B^b, B -> A^c B^d
         out[0, 0] = det * det % p
-        out[1:, 1:] = _quadratic_substitution_matrix(A.T, _QUAD_PAIRS[family], p)
+        out[1:, 1:] = quadratic_substitution_matrix(A.T, _QUAD_PAIRS[family], p)
     return out
 
 

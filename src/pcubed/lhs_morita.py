@@ -663,30 +663,25 @@ def morita_components(
         indices = build_orbit_indices(p, max_states=max_states)
     if edges is None:
         edges = all_edges(p)
-    node_of = {}
-    nodes = []
+    offset, nodes = {}, []
     for fam in FAMILIES:
-        for oid in range(len(indices[fam].orbits)):
-            node_of[(fam, oid)] = len(nodes)
-            nodes.append((fam, oid))
+        offset[fam] = len(nodes)
+        nodes += [(fam, orbit.rep) for orbit in indices[fam].orbits]
+
+    def node(cls: CohClass) -> int:
+        fam = cls.model.family
+        return offset[fam] + indices[fam].id_of(cls)
+
     uf = _UnionFind(len(nodes))
     for edge in edges:
-        lfam, rfam = edge.left.model.family, edge.right.model.family
-        lid = int(indices[lfam].orbit_id[indices[lfam].model.encode(edge.left.coeffs)])
-        rid = int(indices[rfam].orbit_id[indices[rfam].model.encode(edge.right.coeffs)])
-        uf.union(node_of[(lfam, lid)], node_of[(rfam, rid)])
+        uf.union(node(edge.left), node(edge.right))
     groups: dict[int, list[int]] = {}
     for i in range(len(nodes)):
         groups.setdefault(uf.find(i), []).append(i)
+    # members come in node order, which is (family, representative) order
+    # because orbit ids follow the order of their seeds
+    components = [tuple(nodes[i] for i in members) for members in groups.values()]
     fam_pos = {fam: i for i, fam in enumerate(FAMILIES)}
-    components = []
-    for members in groups.values():
-        comp = []
-        for i in members:
-            fam, oid = nodes[i]
-            comp.append((fam, indices[fam].orbits[oid].rep))
-        comp.sort(key=lambda fr: (fam_pos[fr[0]], fr[1].model.encode(fr[1].coeffs)))
-        components.append(tuple(comp))
     components.sort(
         key=lambda comp: (
             tuple(fam_pos[f] for f, _ in comp),
@@ -703,6 +698,15 @@ def expected_morita_histogram(p: int) -> dict[int, int]:
 
 def expected_component_count(p: int) -> int:
     return sum(expected_morita_histogram(p).values())
+
+
+def morita_count_checks(graph: MoritaGraph) -> list[CheckResult]:
+    """The number of Morita classes and their size histogram against the published ones."""
+    p, n, hist = graph.p, len(graph.components), graph.size_histogram()
+    return [
+        CheckResult(f"counts.morita.p{p}", n == expected_component_count(p), f"{n} components"),
+        CheckResult(f"counts.morita_histogram.p{p}", hist == expected_morita_histogram(p), f"{hist}"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -726,16 +730,9 @@ def _entry(graph: MoritaGraph, family: Family, rep: CohClass) -> str:
 
 
 def nontrivial_rows(graph: MoritaGraph) -> list[dict[Family, CohClass]]:
-    """Nontrivial components as family -> representative rows, in table order."""
-    fam_pos = {fam: i for i, fam in enumerate(FAMILIES)}
-    rows = [{fam: rep for fam, rep in comp} for comp in graph.nontrivial()]
-
-    def key(row):
-        cols = sorted(fam_pos[f] for f in row)
-        leftmost = min(row, key=fam_pos.get)
-        return (tuple(cols), row[leftmost].model.encode(row[leftmost].coeffs))
-
-    return sorted(rows, key=key)
+    """Nontrivial components as family -> representative rows, in table order
+    (the component order: by families present, then by representatives)."""
+    return [dict(comp) for comp in graph.nontrivial()]
 
 
 def emit_table(graph: MoritaGraph, fmt: str = "md") -> str:
@@ -840,7 +837,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
         (p, 0, 1), (p, 0, a), (b * p, 0, 1), (b * p, 0, a),
         (0, 1, 0), (0, 0, 0),
     ]
-    ids = {int(indices[Family.P2XP].orbit_id[P2.encode(v)]) for v in listed}
+    ids = {indices[Family.P2XP].id_of(P2.cls(v)) for v in listed}
     checks.append(
         CheckResult(
             "consistency.p2xp_sixteen_representatives",
@@ -851,7 +848,6 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
 
     # the p+11 listed representatives of the elementary abelian family are
     # pairwise disjoint orbits and exhaust the classification
-    E = h4_model(Family.ELEM_ABELIAN, p)
     g = least_nonsquare(p)
     listed_e = [
         (lead, rank2, 0, 0, 0, 0, beta)
@@ -862,7 +858,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     for lead in (1, g):
         for a in range((p - 1) // 2 + 1):
             listed_e.append((lead, 1, 1, 0, 0, 0, a))
-    ids_e = {int(indices[Family.ELEM_ABELIAN].orbit_id[E.encode(v)]) for v in listed_e}
+    ids_e = {indices[Family.ELEM_ABELIAN].id_of(E.cls(v)) for v in listed_e}
     checks.append(
         CheckResult(
             "consistency.elem_abelian_listed_representatives",

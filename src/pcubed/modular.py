@@ -1,7 +1,10 @@
-"""Small exact-arithmetic helpers: Z/m, elimination mod a prime, mixed radix."""
+"""Small exact-arithmetic helpers: Z/m, elimination mod a prime, quadratic
+substitutions, mixed radix."""
 
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -95,6 +98,18 @@ def rank_and_det_mod(mat, p: int) -> tuple[int, int | None]:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank, (det % p if rows == cols else None)
+
+
+def quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray:
+    """Action mod p on the coefficients of the quadratic monomials y_i y_j,
+    (i, j) in ``pairs``, under the substitution y_i -> sum_j sub[i, j] y_j:
+    column c holds the coefficients of the image of monomial ``pairs[c]``."""
+    k, l = np.array(pairs).T
+    m = np.empty((len(pairs), len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        coeff = np.outer(sub[i], sub[j])
+        m[:, col] = coeff[k, l] + np.where(k != l, coeff[l, k], 0)
+    return m % p
 
 
 def radix_weights(moduli) -> tuple[int, ...]:

@@ -61,10 +61,14 @@ class OrbitIndex:
     orbit_id: np.ndarray  # int32, len == model.total_order
     orbits: list[Orbit]
 
-    def orbit_of(self, cls: CohClass) -> Orbit:
+    def id_of(self, cls: CohClass) -> int:
+        """Number of the orbit holding ``cls``: its position in ``orbits``."""
         if cls.model != self.model:
             raise ValueError("class belongs to a different model")
-        return self.orbits[int(self.orbit_id[self.model.encode(cls.coeffs)])]
+        return int(self.orbit_id[self.model.encode(cls.coeffs)])
+
+    def orbit_of(self, cls: CohClass) -> Orbit:
+        return self.orbits[self.id_of(cls)]
 
     def rep_of(self, cls: CohClass) -> CohClass:
         return self.orbit_of(cls).rep

@@ -1,18 +1,23 @@
 """Quadratic / symmetric bilinear forms over F_p, p odd, up to congruence.
 
 Over an odd prime field a symmetric form is determined up to congruence
-Q -> A^T Q A by its rank and the square class of the discriminant (product of
-the nonzero diagonal entries after symmetric diagonalization).  This module
-computes that invariant, the 2n+1 diagonal representatives in dimension n,
-and the unit h for which h*z1^2 + z2^2 is *not* congruent to z1*z2.
+Q -> A^T Q A by its rank and the square class of the discriminant (the
+determinant of a nonsingular principal rank x rank minor).  This module
+computes that invariant with ``modular.rank_and_det_mod``, the 2n+1 diagonal
+representatives in dimension n, and the unit h for which h*z1^2 + z2^2 is
+*not* congruent to z1*z2.  The exact class count closes all symmetric forms
+under GL(n, p) acting through ``modular.quadratic_substitution_matrix``, the
+same action that gives the quadratic part of the H^4 models.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from .modular import gl_generators, inverse_mod, least_nonsquare, legendre
+from .modular import (
+    gl_generators, inverse_mod, least_nonsquare, legendre, quadratic_substitution_matrix, rank_and_det_mod
+)
 
 SQUARE = "square"
 NONSQUARE = "nonsquare"
@@ -75,53 +80,20 @@ class CongruenceInvariant:
 
 
 def congruence_invariant(q: QuadForm) -> CongruenceInvariant:
-    """Rank and discriminant square-class by symmetric Gaussian elimination."""
-    p = q.p
-    m = [list(row) for row in q.matrix]
-    n = q.n
-    diag = []
-    rows = list(range(n))
-    start = 0
-    while start < n:
-        # find a nonzero pivot on the diagonal, fixing one up if necessary
-        piv = next((i for i in range(start, n) if m[i][i] % p), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(start, n) for j in range(i + 1, n) if m[i][j] % p),
-                None,
-            )
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # add row/col j into i: new diagonal entry 2*m[i][j] != 0 (p odd)
-            for k in range(n):
-                m[i][k] = (m[i][k] + m[j][k]) % p
-            for k in range(n):
-                m[k][i] = (m[k][i] + m[k][j]) % p
-            piv = i
-        if piv != start:
-            m[piv], m[start] = m[start], m[piv]
-            for row in m:
-                row[piv], row[start] = row[start], row[piv]
-        d = m[start][start] % p
-        diag.append(d)
-        dinv = inverse_mod(d, p)
-        for i in range(start + 1, n):
-            f = m[i][start] * dinv % p
-            if f:
-                for k in range(n):
-                    m[i][k] = (m[i][k] - f * m[start][k]) % p
-                for k in range(n):
-                    m[k][i] = (m[k][i] - f * m[k][start]) % p
-        start += 1
-    rank = len(diag)
+    """Rank and discriminant square-class.
+
+    A nonsingular principal rank x rank minor spans a complement of the
+    radical, so its determinant is the discriminant of the nondegenerate part.
+    """
+    p, n = q.p, q.n
+    rank, det = rank_and_det_mod(q.matrix, p)
     if rank == 0:
         return CongruenceInvariant(0, None)
-    disc = 1
-    for d in diag:
-        disc = disc * d % p
-    cls = SQUARE if legendre(disc, p) == 1 else NONSQUARE
-    return CongruenceInvariant(rank, cls)
+    if rank < n:
+        minors = (rank_and_det_mod([[q.matrix[i][j] for j in idx] for i in idx], p)[1]
+                  for idx in combinations(range(n), rank))
+        det = next(d for d in minors if d)
+    return CongruenceInvariant(rank, SQUARE if legendre(det, p) == 1 else NONSQUARE)
 
 
 def are_congruent(q1: QuadForm, q2: QuadForm) -> bool:
@@ -199,24 +171,13 @@ def count_congruence_classes(n: int, p: int) -> int:
     """Exact class count: vectorized orbit closure over all n x n symmetric forms.
 
     The congruence action of GL(n, p) is linearized on the n(n+1)/2 polynomial
-    coefficients and closed with the shared BFS engine, so this stays feasible
+    coefficients by the quadratic substitution z -> g z and closed with the shared BFS engine, so this stays feasible
     through p = 13 in dimension 3.
     """
     from .orbits import enumerate_orbit_ids
 
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    gens = [np.array(g, dtype=np.int64) for g in gl_generators(n, p)]
-    mats = []
-    for g in gens:
-        cols = []
-        for (i, j) in pairs:
-            base = QuadForm.from_poly(n, p, {(i, j): 1})
-            img = (g.T @ np.array(base.matrix, dtype=np.int64) @ g) % p
-            col = []
-            for (k, l) in pairs:
-                col.append(int(img[k, l]) if k == l else int(2 * img[k, l]) % p)
-            cols.append(col)
-        mats.append(np.array(cols, dtype=np.int64).T)
+    mats = [quadratic_substitution_matrix(np.array(g), pairs, p) for g in gl_generators(n, p)]
     _, seeds, _ = enumerate_orbit_ids([p] * len(pairs), mats)
     return len(seeds)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pcubed import cli
 from pcubed.cli import main
 
 # written by the CLI before the Aut(G) generators became one record each; they
@@ -132,7 +133,12 @@ def test_output_file(tmp_path, capsys):
     assert target.read_bytes() == stdout.encode()
 
 
-def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys):
+def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("the computation ran before the -o path was opened")
+
+    # the -o path is opened first, so the bad path ends the command before any computing
+    monkeypatch.setattr(cli, "representatives", computed)
     target = tmp_path / "missing" / "out.txt"
     assert main(["quadforms", "-n", "1", "-p", "3", "-o", str(target)]) == 2
     captured = capsys.readouterr()

@@ -2,9 +2,10 @@
 
 The json and orbits-dump files were written by the CLI before the orbit
 engine split the elementary-abelian det character off its BFS, the verify and
-morita tables before the extension cases became the one CASES table;
-regenerate one only for a deliberate change of output, with the command in
-GOLDEN below.
+morita tables before the extension cases became the one CASES table, and the
+quadforms files before the congruence invariant moved onto the shared mod-p
+elimination; regenerate one only for a deliberate change of output, with the
+command in GOLDEN below.
 """
 
 from pathlib import Path
@@ -20,6 +21,8 @@ GOLDEN = {
     "verify-p5.md": ["verify", "-p", "5"],
     "morita-p3.md": ["morita", "-p", "3"],
     "morita-p3.csv": ["morita", "-p", "3", "--format", "csv"],
+    "quadforms-n3-p3-5-7-11-13.md": ["quadforms", "-n", "3", "-p", "3,5,7,11,13"],
+    "quadforms-n2-p3-5-7-which-h.md": ["quadforms", "-n", "2", "-p", "3,5,7", "--which-h"],
 }
 
 

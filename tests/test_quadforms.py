@@ -44,7 +44,7 @@ def test_congruence_examples_p5():
 
 
 def test_zero_diagonal_needs_pivot_fix():
-    # all-zero diagonal exercises the rank-preserving pivot repair
+    # no nonzero diagonal entry, yet rank 2 from the off-diagonal terms
     q = QuadForm.from_poly(3, 7, {(0, 1): 1, (1, 2): 3})
     inv = congruence_invariant(q)
     assert inv.rank == 2
@@ -117,6 +117,21 @@ def test_invariants_agree_with_closure_oracle_sampled_n3(congruence_ids_for):
             m1, m2 = rng.choice(forms), rng.choice(forms)
             q1, q2 = QuadForm(p, m1), QuadForm(p, m2)
             assert are_congruent(q1, q2) == (ids[m1] == ids[m2])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_invariant_partition_equals_closure_oracle_partition(congruence_ids_for, n, p):
+    # every symmetric form, grouped once by its invariant and once by its
+    # closure orbit: the two partitions of the whole space must coincide
+    ids = congruence_ids_for(n, p)
+    by_invariant, by_orbit = {}, {}
+    for m, oid in ids.items():
+        by_invariant.setdefault(congruence_invariant(QuadForm(p, m)), set()).add(m)
+        by_orbit.setdefault(oid, set()).add(m)
+    assert len(ids) == p ** (n * (n + 1) // 2)
+    assert len(by_orbit) == 2 * n + 1
+    assert set(map(frozenset, by_invariant.values())) == set(map(frozenset, by_orbit.values()))
 
 
 def test_even_characteristic_rejected():
