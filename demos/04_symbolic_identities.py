@@ -19,13 +19,13 @@ R = exterior_bockstein_ring(3, p)
 x1, x2, x3 = (R.gen(f"x{i}") for i in (1, 2, 3))
 print("beta(x1*x2*x3) =", bockstein(x1 * x2 * x3))
 
-d2 = derivation(R, {"x2": R.gen("y1")}, shift=1)
+d2 = derivation(R, {"x2": R.gen("y1")})
 print("d2(beta(x2*x3)) =", d2(bockstein(x2 * x3)))
 
 H = heisenberg_base_ring(p)
 w1, w2, t = H.gen("w1"), H.gen("w2"), H.gen("t")
 kappa = w1 * w2
-d3 = derivation(H, {"t": bockstein(kappa)}, shift=1)
+d3 = derivation(H, {"t": bockstein(kappa)})
 print("d3(t)   =", d3(t))
 print("d3(t^2) =", d3(t * t))
 print("d3(t*w1) = beta(w1*w2*w1) =", bockstein(kappa * w1))

@@ -26,7 +26,7 @@ from .lhs_morita import (
 from .modular import is_prime
 from .orbits import DEFAULT_MAX_STATES, enumerate_orbits, expected_orbit_count, orbit_rows
 from .quadforms import congruence_invariant, representatives, select_h
-from .report import Report
+from .report import CheckResult, Report
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -234,8 +234,6 @@ def cmd_verify(args) -> int:
 
 def _group_oracles(p: int):
     """Brute-force group checks at p = 3, where Aut(G) is enumerated in full."""
-    from .report import CheckResult
-
     checks = []
     expected_aut = {
         Family.CYCLIC: 18,

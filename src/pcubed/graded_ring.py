@@ -9,10 +9,12 @@ expansions, automorphism pullbacks on degree-4 classes, and the
 transgression-style third differentials of the relevant central extensions.
 
 Sign conventions, fixed project-wide: sorting two odd generators past each
-other flips the sign, and a degree-shift-1 derivation D satisfies
-D(ab) = D(a) b + (-1)^|a| a D(b).
+other flips the sign, and derivations raise degree by one and satisfy
+D(ab) = D(a) b + (-1)^|a| a D(b).  Ring maps and derivations are plain
+functions on elements, built from their images of the generators.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,6 +43,8 @@ class RingPresentation:
             raise ValueError("duplicate generator labels")
         self._sort_key = {g.label: (g.degree, g.label) for g in self.gens}
         self._orders: dict[tuple[str, ...], int] = {}
+        # the Leibniz extension of the declared Bocksteins, built once per presentation
+        self.bockstein = derivation(self, {g.label: self.gen(g.bockstein) for g in self.gens if g.bockstein})
 
     def degree(self, label: str) -> int:
         return self.by_label[label].degree
@@ -90,12 +94,6 @@ class RingPresentation:
 
     def monomial(self, *labels, coeff: int = 1) -> "GradedElement":
         return self.element({tuple(labels): coeff})
-
-    def bockstein_map(self) -> "GeneratorMap":
-        images = {}
-        for g in self.gens:
-            images[g.label] = self.gen(g.bockstein) if g.bockstein else self.zero()
-        return derivation(self, images, shift=1, validate=False)
 
 
 class GradedElement:
@@ -190,54 +188,10 @@ class GradedElement:
         return " + ".join(parts)
 
 
-class GeneratorMap:
-    """A ring map (multiplicative) or graded derivation, given on generators."""
-
-    def __init__(self, ring: RingPresentation, images: dict, kind: str, shift: int = 0):
-        if kind not in ("ring", "derivation"):
-            raise ValueError(kind)
-        self.ring = ring
-        self.images = images
-        self.kind = kind
-        self.shift = shift
-
-    def __call__(self, el: GradedElement) -> GradedElement:
-        if self.kind == "ring":
-            return self._apply_ring(el)
-        return self._apply_derivation(el)
-
-    def _image_of(self, label: str) -> GradedElement:
-        if label in self.images:
-            return self.images[label]
-        if self.kind == "ring":
-            return self.ring.gen(label)
-        return self.ring.zero()
-
-    def _apply_ring(self, el: GradedElement) -> GradedElement:
-        out = self.ring.zero()
-        for mon, coeff in el.terms.items():
-            part = self.ring.element({(): 1}) if not mon else None
-            for label in mon:
-                img = self._image_of(label)
-                part = img if part is None else part * img
-            out = out + coeff * part
-        return out
-
-    def _apply_derivation(self, el: GradedElement) -> GradedElement:
-        out = self.ring.zero()
-        for mon, coeff in el.terms.items():
-            prefix_degree = 0
-            for idx, label in enumerate(mon):
-                img = self._image_of(label)
-                if not img.is_zero():
-                    sign = -1 if (self.shift % 2 and prefix_degree % 2) else 1
-                    piece = self.ring.element({mon[:idx]: 1}) * img * self.ring.element({mon[idx + 1:]: 1})
-                    out = out + (sign * coeff) * piece
-                prefix_degree += self.ring.degree(label)
-        return out
+GradedMap = Callable[[GradedElement], GradedElement]
 
 
-def ring_map(ring: RingPresentation, images: dict[str, GradedElement]) -> GeneratorMap:
+def ring_map(ring: RingPresentation, images: dict[str, GradedElement]) -> GradedMap:
     """Degree- and torsion-preserving map of presentations, extended multiplicatively."""
     for label, img in images.items():
         gen = ring.by_label[label]
@@ -245,24 +199,45 @@ def ring_map(ring: RingPresentation, images: dict[str, GradedElement]) -> Genera
             raise ValueError(f"image of {label} has wrong degree")
         if not (gen.order * img).is_zero():
             raise ValueError(f"image of {label} has additive order above {gen.order}")
-    return GeneratorMap(ring, images, "ring")
+    images = {g.label: images.get(g.label, ring.gen(g.label)) for g in ring.gens}
+
+    def apply(el: GradedElement) -> GradedElement:
+        out = ring.zero()
+        for mon, coeff in el.terms.items():
+            part = images[mon[0]] if mon else ring.element({(): 1})
+            for label in mon[1:]:
+                part = part * images[label]
+            out = out + coeff * part
+        return out
+
+    return apply
 
 
-def derivation(
-    ring: RingPresentation, images: dict[str, GradedElement], shift: int = 1, validate: bool = True
-) -> GeneratorMap:
-    """Graded derivation raising degree by ``shift``, extended by Leibniz."""
-    if validate:
-        for label, img in images.items():
-            gen = ring.by_label[label]
-            if not img.is_zero() and img.degree() != gen.degree + shift:
-                raise ValueError(f"derivation image of {label} has wrong degree")
-    return GeneratorMap(ring, images, "derivation", shift)
+def derivation(ring: RingPresentation, images: dict[str, GradedElement]) -> GradedMap:
+    """Graded derivation raising degree by one, extended by Leibniz; unlisted generators map to 0."""
+    for label, img in images.items():
+        if not img.is_zero() and img.degree() != ring.degree(label) + 1:
+            raise ValueError(f"derivation image of {label} has wrong degree")
+    images = {label: img for label, img in images.items() if not img.is_zero()}
+
+    def apply(el: GradedElement) -> GradedElement:
+        out = ring.zero()
+        for mon, coeff in el.terms.items():
+            prefix_degree = 0
+            for idx, label in enumerate(mon):
+                if label in images:
+                    sign = -1 if prefix_degree % 2 else 1
+                    piece = ring.element({mon[:idx]: 1}) * images[label] * ring.element({mon[idx + 1:]: 1})
+                    out = out + (sign * coeff) * piece
+                prefix_degree += ring.degree(label)
+        return out
+
+    return apply
 
 
 def bockstein(el: GradedElement) -> GradedElement:
     """Leibniz extension of the declared generator Bocksteins."""
-    return el.ring.bockstein_map()(el)
+    return el.ring.bockstein(el)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +289,13 @@ def fiber_extension_ring(p: int) -> RingPresentation:
         Generator("y3", 2, p),
     ]
     return RingPresentation(gens, p)
+
+
+def k_invariants(x1, x2, y1, y2) -> dict[str, GradedElement]:
+    """The k-invariants of the central extensions by Z/p, keyed by their label in
+    ``lhs_morita.CASES``, written in the base's degree-1 classes x1, x2 and their
+    Bocksteins y1, y2; "0" is the split extension."""
+    return {"0": x1.ring.zero(), "y1": y1, "x1x2": x1 * x2, "y2+x1x2": y2 + x1 * x2}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +366,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
 
     # -- Heisenberg central extension: d3 generated by t -> beta(w1 w2) ------
     kappa = w1 * w2
-    d3 = derivation(H, {"t": bockstein(kappa)}, shift=1)
+    d3 = derivation(H, {"t": bockstein(kappa)})
     add("heisenberg.d3.t^2", d3(t * t) == 2 * (t * bockstein(kappa)), "Leibniz on t^2")
     add("heisenberg.d3.t*w1", bockstein(kappa * w1).is_zero(), "beta(w1*w2*w1) = 0")
     add("heisenberg.d3.t*w2", bockstein(kappa * w2).is_zero(), "beta(w1*w2*w2) = 0")
@@ -429,18 +411,14 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         add(f"elem_abelian.pullback.det_twist.{name}", columns_agree(Family.ELEM_ABELIAN, A)[-1], detail)
 
     # -- second differential of the split-off p^2 factor ----------------------
-    d2 = derivation(E, {"x2": y1}, shift=1)
+    d2 = derivation(E, {"x2": y1})
     add("product_group_fiber.d2.beta_x2x3", d2(bockstein(x2 * x3)) == -1 * (y1 * y3))
     add("product_group_fiber.d2.x1_beta_x2x3", d2(x1 * bockstein(x2 * x3)) == x1 * y1 * y3)
 
     # -- rank-2 base with order-p fiber: d3(y3 * P) = beta(kappa * P) --------
     F = fiber_extension_ring(p)
     fx1, fx2, fy1, fy2, fy3 = (F.gen(l) for l in ("x1", "x2", "y1", "y2", "y3"))
-    kappas = {
-        "y1": fy1,
-        "x1x2": fx1 * fx2,
-        "y2+x1x2": fy2 + fx1 * fx2,
-    }
+    kappas = k_invariants(fx1, fx2, fy1, fy2)
     # kappa = x1x2 spares exactly 1, x1, x2 and x1x2 in the checked spans
     kap = kappas["x1x2"]
     add("rank2_base.d3.x1x2.kills_y3", not bockstein(kap).is_zero())
@@ -461,9 +439,11 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         bockstein(kap * (fy2 - fx1 * fx2)).is_zero(),
     )
     add("rank2_base.d3.y2+x1x2.kills_y3y1", not bockstein(kap * fy1).is_zero())
-    # d3 on the fiber square: Leibniz with d3(y3) = beta(kappa)
+    # d3 on the fiber square: Leibniz with d3(y3) = beta(kappa); the split extension has no d3
     for name, kap in kappas.items():
-        dd = derivation(F, {"y3": bockstein(kap)}, shift=1)
+        if kap.is_zero():
+            continue
+        dd = derivation(F, {"y3": bockstein(kap)})
         add(
             f"rank2_base.d3.y3^2.{name}",
             dd(fy3 * fy3) == 2 * (fy3 * bockstein(kap)),

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .modular import is_prime, radix_weights
+from .modular import radix_weights, require_odd_prime
 
 GROUP_TABLE_MAX_P = 13
 BRUTE_FORCE_MAX_ORDER = 343
@@ -155,11 +155,10 @@ class GroupTable:
     def conjugate(self, g: int, s: int) -> int:
         return int(self.mul[self.mul[g, s], self.inv[g]])
 
-    def evaluate_word(self, word, images: dict[str, int], target: "GroupTable | None" = None) -> int:
-        tgt = target or self
-        r = tgt.identity
+    def evaluate_word(self, word, images: dict[str, int]) -> int:
+        r = self.identity
         for label, e in word:
-            r = tgt.multiply(r, tgt.power(images[label], e))
+            r = self.multiply(r, self.power(images[label], e))
         return r
 
     def extend_by_images(self, images: dict[str, int], target: "GroupTable | None" = None) -> np.ndarray:
@@ -232,8 +231,7 @@ class GroupTable:
 @lru_cache(maxsize=None)
 def build_group(family: Family, p: int) -> GroupTable:
     """Construct and validate one of the five groups of order p^3."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if p > GROUP_TABLE_MAX_P:
         raise ValueError(f"p={p} above the group-table bound {GROUP_TABLE_MAX_P}")
     family = Family(family)
@@ -379,7 +377,7 @@ def _search_images(G: GroupTable, H: GroupTable, find_all: bool):
                 if u in trial and v in trial:
                     trial[d] = H.commutator(trial[u], trial[v])
             ok = all(
-                G.evaluate_word(w, trial, target=H) == H.identity for w in rel_by_depth[depth]
+                H.evaluate_word(w, trial) == H.identity for w in rel_by_depth[depth]
             )
             if ok and extend(depth + 1, images):
                 return True

@@ -33,7 +33,8 @@ import numpy as np
 from . import graded_ring as gr
 from .groups import Family, GroupMorphism
 from .modular import (
-    gl_generators, is_prime, primitive_root, quadratic_substitution_matrix, radix_weights, rank_and_det_mod
+    gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_weights, rank_and_det_mod,
+    require_odd_prime,
 )
 from .report import CheckResult
 
@@ -117,8 +118,7 @@ class CohClass:
 @lru_cache(maxsize=None)
 def h4_model(family: Family, p: int) -> H4Model:
     """The degree-4 integral cohomology model for one family at an odd prime."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     family = Family(family)
     moduli = {
         Family.CYCLIC: (p**3,),
@@ -145,10 +145,6 @@ class ActionGenerator:
     def apply(self, cls: CohClass) -> CohClass:
         out = self.array @ np.array(cls.coeffs, dtype=np.int64)
         return self.model.cls(tuple(int(v) for v in out))
-
-    def is_invertible(self) -> bool:
-        # all moduli are p-powers, so invertible iff invertible mod p
-        return rank_and_det_mod(self.matrix, self.model.p)[1] != 0
 
     def key(self) -> tuple:
         return self.matrix
@@ -237,10 +233,9 @@ def _action(model: H4Model, params, name: str) -> ActionGenerator:
     mat = _model_matrix(model.family, params, model.p)
     if not _well_defined(mat, model.moduli):
         raise AssertionError(f"action matrix for {name} not well defined on mixed moduli")
-    gen = ActionGenerator(model, _reduce_rows(mat, model.moduli), name)
-    if not gen.is_invertible():
+    if not is_automorphism(mat, model.moduli):
         raise AssertionError(f"action matrix for {name} not invertible")
-    return gen
+    return ActionGenerator(model, _reduce_rows(mat, model.moduli), name)
 
 
 @lru_cache(maxsize=None)

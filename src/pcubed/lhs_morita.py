@@ -31,7 +31,9 @@ from .report import CheckResult
 @dataclass(frozen=True)
 class RealizedExtension:
     family: Family
-    k_invariant: str  # class label in H^2(K, A), "0" for the split extension
+    # class label in H^2(K, A), "0" for the split extension; over the rank-1 and rank-2
+    # bases graded_ring.k_invariants turns it into the class the page checks use
+    k_invariant: str
     # Omega(G; A) as (sub, quot) spans: ((model basis label, p-exponent of its scale), ...)
     omega: tuple
     # mixed-torsion cases only: first and last displayed page,
@@ -245,8 +247,8 @@ def _rank_of(elements, p: int) -> int:
 
 
 def _cell_check(name, domain, diff, expected_survivors, incoming, p, checks):
-    """ker(diff)/im(incoming) on a span must equal the listed surviving generators."""
-    images = [diff(el) for el in domain]
+    """ker(diff)/im(incoming) on a span must equal the listed surviving generators; diff None is 0."""
+    images = [diff(el) for el in domain] if diff else []
     rank_out = _rank_of(images, p)
     rank_in = _rank_of(incoming, p)
     survivors = len(domain) - rank_out - rank_in
@@ -255,8 +257,8 @@ def _cell_check(name, domain, diff, expected_survivors, incoming, p, checks):
         # the incoming image must land inside this cell's span
         ok &= _rank_of(domain + incoming, p) == _rank_of(domain, p)
     # the listed survivors must actually survive: killed by diff, independent mod image
-    for el in expected_survivors:
-        ok &= diff(el).is_zero()
+    if diff:
+        ok &= all(diff(el).is_zero() for el in expected_survivors)
     if expected_survivors:
         ok &= (
             _rank_of(incoming + expected_survivors, p)
@@ -271,26 +273,19 @@ def _cell_check(name, domain, diff, expected_survivors, incoming, p, checks):
     )
 
 
-def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
-    """Symbolic page-4 verification for the extensions over a rank-2 base."""
-    R = gr.fiber_extension_ring(p)
-    x1, x2, y1, y2 = (R.gen(l) for l in ("x1", "x2", "y1", "y2"))
-    one = R.element({(): 1})
-    beta = gr.bockstein
-    kappas = {
-        Family.ELEM_ABELIAN: R.zero(),
-        Family.P2XP: y1,
-        Family.HEISENBERG: x1 * x2,
-        Family.GP: y2 + x1 * x2,
-    }
-    # expected surviving generators of the displayed fourth pages
-    expected = {
+def _rank2_fourth_pages(x1, x2, y1, y2) -> dict[Family, dict]:
+    """Surviving generators of the displayed fourth pages over a rank-2 base,
+    per family of ``CASES[4]``, in the base's degree-1 classes x1, x2 and their
+    Bocksteins y1, y2."""
+    one = x1.ring.element({(): 1})
+    b12 = gr.bockstein(x1 * x2)
+    return {
         Family.ELEM_ABELIAN: {
             (0, 2): [one],
             (1, 2): [x1, x2],
             (2, 2): [y1, y2, x1 * x2],
             (0, 4): [one],
-            (3, 0): [beta(x1 * x2)],
+            (3, 0): [b12],
             (4, 0): [y1 * y1, y1 * y2, y2 * y2],
         },
         Family.P2XP: {
@@ -298,7 +293,7 @@ def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
             (1, 2): [],
             (2, 2): [y1, y2],
             (0, 4): [one],
-            (3, 0): [beta(x1 * x2)],
+            (3, 0): [b12],
             (4, 0): [y2 * y2],
         },
         Family.HEISENBERG: {
@@ -318,34 +313,41 @@ def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
             (4, 0): [y1 * y1],
         },
     }
-    row2 = {(0, 2): [one], (1, 2): [x1, x2], (2, 2): [y1, y2, x1 * x2]}
-    zero_map = lambda el: R.zero()
-    for family, kappa in kappas.items():
-        d3 = lambda el: beta(kappa * el)
-        want = expected[family]
-        for cell, domain in row2.items():
-            _cell_check(
-                f"pages.{CASES[4].case_id}.{family.value}.cell{cell}",
-                domain, d3, want[cell], [], p, checks,
-            )
-        # fiber square: d3(y3^2 * P) = 2 y3 beta(kappa P), nonzero iff beta(kappa) is
-        survives04 = beta(kappa).is_zero()
-        checks.append(
-            CheckResult(
-                f"pages.{CASES[4].case_id}.{family.value}.cell(0, 4)",
-                survives04 == bool(want[(0, 4)]),
-                "fiber square survives iff beta(kappa) = 0",
-            )
-        )
-        _cell_check(
-            f"pages.{CASES[4].case_id}.{family.value}.cell(3, 0)",
-            [beta(x1 * x2)], zero_map, want[(3, 0)], [beta(kappa)], p, checks,
-        )
-        _cell_check(
-            f"pages.{CASES[4].case_id}.{family.value}.cell(4, 0)",
-            [y1 * y1, y1 * y2, y2 * y2], zero_map, want[(4, 0)],
-            [beta(kappa * x1), beta(kappa * x2)], p, checks,
-        )
+
+
+def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives iff beta(kappa) = 0"):
+    """Fourth page of a central extension by Z/p of a rank-2 base: d3(y3 * P) = beta(kappa * P),
+    with kappa read from the realized member's k-invariant label."""
+    x1, x2, y1, y2 = base
+    beta = gr.bockstein
+    kappa = gr.k_invariants(*base)[realized.k_invariant]
+    want = _rank2_fourth_pages(*base)[realized.family]
+    d3 = lambda el: beta(kappa * el)
+    row2 = {(0, 2): [x1.ring.element({(): 1})], (1, 2): [x1, x2], (2, 2): [y1, y2, x1 * x2]}
+    for cell, domain in row2.items():
+        _cell_check(f"{name}.cell{cell}", domain, d3, want[cell], [], p, checks)
+    # fiber square: d3(y3^2 * P) = 2 y3 beta(kappa P), nonzero iff beta(kappa) is
+    checks.append(CheckResult(f"{name}.cell(0, 4)", beta(kappa).is_zero() == bool(want[(0, 4)]), detail04))
+    _cell_check(f"{name}.cell(3, 0)", [beta(x1 * x2)], None, want[(3, 0)], [beta(kappa)], p, checks)
+    _cell_check(
+        f"{name}.cell(4, 0)", [y1 * y1, y1 * y2, y2 * y2], None, want[(4, 0)], [d3(x1), d3(x2)], p, checks
+    )
+
+
+def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
+    """Symbolic page-4 verification for the extensions over a rank-2 base, then
+    for the Heisenberg member again as the centre of H_p in w/z names."""
+    case = CASES[4]
+    R = gr.fiber_extension_ring(p)
+    base = tuple(R.gen(l) for l in ("x1", "x2", "y1", "y2"))
+    for realized in case.realized:
+        _walk_rank2(f"pages.{case.case_id}.{realized.family.value}", base, realized, p, checks)
+    H = gr.heisenberg_base_ring(p)
+    heisenberg = next(r for r in case.realized if r.family is Family.HEISENBERG)
+    _walk_rank2(
+        "pages.heisenberg_center", tuple(H.gen(l) for l in ("w1", "w2", "z1", "z2")), heisenberg, p, checks,
+        "t^2 dies: d3(t^2) = 2 t beta(w1 w2) != 0",
+    )
 
 
 def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
@@ -365,14 +367,14 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
         (4, 0): [y1 * y1],
     }
     # split member: both differentials vanish, so every cell survives
-    zero_map = lambda el: R.zero()
     for cell, domain in page2.items():
         _cell_check(
             f"pages.{CASES[3].case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
-            domain, zero_map, domain, [], p, checks,
+            domain, None, domain, [], p, checks,
         )
-    # product member: d2 is the derivation x2 -> y1, then d3(x1 y2) = y1^2
-    d2 = gr.derivation(R, {"x2": y1}, shift=1)
+    # product member: d2 is the derivation x2 -> kappa, then d3(x1 y2) = y1^2
+    product_member = next(r for r in CASES[3].realized if r.family is Family.P2XP)
+    d2 = gr.derivation(R, {"x2": gr.k_invariants(x1, x2, y1, y2)[product_member.k_invariant]})
     fam = Family.P2XP.value
     page3_expected = {
         (0, 2): [y2, y3],
@@ -393,15 +395,14 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
             page2[cell], d2, want, incoming3.get(cell, []), p, checks,
         )
     # the only nonzero third differential: x1 y2 -> y1^2, x1 y3 -> 0
-    d3_images = {repr(x1 * y2): y1 * y1, repr(x1 * y3): R.zero()}
-    d3 = lambda el: d3_images[repr(el)]
+    d3 = {x1 * y2: y1 * y1, x1 * y3: R.zero()}.__getitem__
     _cell_check(
         f"pages.{CASES[3].case_id}.{fam}.page4.cell(1, 2)",
         page3_expected[(1, 2)], d3, [x1 * y3], [], p, checks,
     )
     _cell_check(
         f"pages.{CASES[3].case_id}.{fam}.page4.cell(4, 0)",
-        [y1 * y1], zero_map, [], [y1 * y1], p, checks,
+        [y1 * y1], None, [], [y1 * y1], p, checks,
     )
     # order bookkeeping: with the stated d3 the degree-4 orders multiply to
     # |H^4| = p^4; a vanishing d3 would leave p^5
@@ -413,41 +414,6 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
             and degree4 * p != h4_model(Family.P2XP, p).total_order,
             f"E_infinity degree-4 order {degree4}",
         )
-    )
-
-
-def _verify_heisenberg_center_pages(p: int, checks: list[CheckResult]) -> None:
-    """The central extension of the extraspecial exponent-p group, in w/z names."""
-    R = gr.heisenberg_base_ring(p)
-    w1, w2, z1, z2 = (R.gen(l) for l in ("w1", "w2", "z1", "z2"))
-    one = R.element({(): 1})
-    beta = gr.bockstein
-    kappa = w1 * w2
-    d3 = lambda el: beta(kappa * el)
-    cells = {
-        (0, 2): ([one], []),
-        (1, 2): ([w1, w2], [w1, w2]),
-        (2, 2): ([z1, z2, w1 * w2], [w1 * w2]),
-    }
-    for cell, (domain, want) in cells.items():
-        _cell_check(f"pages.heisenberg_center.cell{cell}", domain, d3, want, [], p, checks)
-    checks.append(
-        CheckResult(
-            "pages.heisenberg_center.cell(0, 4)",
-            not beta(kappa).is_zero(),
-            "t^2 dies: d3(t^2) = 2 t beta(w1 w2) != 0",
-        )
-    )
-    zero_map = lambda el: R.zero()
-    _cell_check(
-        "pages.heisenberg_center.cell(3, 0)",
-        [beta(kappa)], zero_map, [], [beta(kappa)], p, checks,
-    )
-    _cell_check(
-        "pages.heisenberg_center.cell(4, 0)",
-        [z1 * z1, z1 * z2, z2 * z2], zero_map,
-        [z1 * z1, z1 * z2, z2 * z2],
-        [d3(w1), d3(w2)], p, checks,
     )
 
 
@@ -500,7 +466,6 @@ def verify_pages(p: int) -> list[CheckResult]:
             _verify_rank1_base_pages(p, checks)
         elif case is CASES[4]:
             _verify_rank2_base_pages(p, checks)
-            _verify_heisenberg_center_pages(p, checks)
         else:
             _verify_mixed_pages(case, p, checks)
     # Omega orders must factor as |sub| * |quot| through the coordinate spans

@@ -1,5 +1,6 @@
-"""Small exact-arithmetic helpers: Z/m, elimination mod a prime, quadratic
-substitutions, mixed radix."""
+"""Small exact-arithmetic helpers: Z/m, elimination mod a prime, the
+permutation test for matrices on mixed moduli, quadratic substitutions,
+mixed radix."""
 
 from functools import lru_cache
 from math import gcd
@@ -16,6 +17,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def inverse_mod(a: int, m: int) -> int:
@@ -98,6 +104,21 @@ def rank_and_det_mod(mat, p: int) -> tuple[int, int | None]:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank, (det % p if rows == cols else None)
+
+
+def is_automorphism(mat, moduli) -> bool:
+    """Whether ``mat`` permutes the states mod ``moduli``.
+
+    By Burnside's basis theorem an endomorphism of a finite abelian r-group is
+    onto exactly when it is onto mod r, so ``mat`` is a bijection exactly when,
+    for each prime r, its rows and columns with r dividing the modulus form a
+    matrix that is invertible mod r.
+    """
+    for r in {r for m in moduli for r in prime_factors(int(m))}:
+        idx = [i for i, m in enumerate(moduli) if m % r == 0]
+        if rank_and_det_mod(np.asarray(mat)[np.ix_(idx, idx)], r)[1] == 0:
+            return False
+    return True
 
 
 def quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray:

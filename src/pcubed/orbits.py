@@ -39,7 +39,7 @@ import numpy as np
 
 from .groups import Family
 from .h4_models import ActionGenerator, CohClass, H4Model, action_generators
-from .modular import is_prime, prime_factors, primitive_root, radix_weights, rank_and_det_mod
+from .modular import is_automorphism, is_prime, primitive_root, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
 _CHUNK = 1 << 13  # the (generators * k) x chunk float64 temporaries stay within L2
@@ -91,21 +91,6 @@ def _mod_exact(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
-def _is_automorphism(mat: np.ndarray, moduli) -> bool:
-    """Whether ``mat`` permutes the states mod ``moduli``.
-
-    By Burnside's basis theorem an endomorphism of a finite abelian r-group is
-    onto exactly when it is onto mod r, so ``mat`` is a bijection exactly when,
-    for each prime r, its rows and columns with r dividing the modulus form a
-    matrix that is invertible mod r.
-    """
-    for r in {r for m in moduli for r in prime_factors(int(m))}:
-        idx = [i for i, m in enumerate(moduli) if m % r == 0]
-        if rank_and_det_mod(mat[np.ix_(idx, idx)], r)[1] == 0:
-            return False
-    return True
-
-
 def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
     """Whether the last coordinate splits off as a character chi.
 
@@ -115,7 +100,7 @@ def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
     q = int(moduli[-1])
     if len(moduli) < 2 or q == 2 or not is_prime(q) or mats[:, -1, :-1].any() or mats[:, :-1, -1].any():
         return False
-    return all(_is_automorphism(mat, moduli) for mat in mats)
+    return all(is_automorphism(mat, moduli) for mat in mats)
 
 
 def _discrete_logs(q: int) -> np.ndarray:

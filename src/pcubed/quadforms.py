@@ -16,8 +16,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .modular import (
-    gl_generators, inverse_mod, least_nonsquare, legendre, quadratic_substitution_matrix, rank_and_det_mod
+    gl_generators, inverse_mod, least_nonsquare, legendre, quadratic_substitution_matrix, rank_and_det_mod,
+    require_odd_prime,
 )
+from .orbits import enumerate_orbit_ids
 
 SQUARE = "square"
 NONSQUARE = "nonsquare"
@@ -31,8 +33,7 @@ class QuadForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.p == 2 or self.p < 2:
-            raise ValueError("odd prime field required")
+        require_odd_prime(self.p)
         m = self.matrix
         n = len(m)
         if any(len(row) != n for row in m):
@@ -174,8 +175,7 @@ def count_congruence_classes(n: int, p: int) -> int:
     coefficients by the quadratic substitution z -> g z and closed with the shared BFS engine, so this stays feasible
     through p = 13 in dimension 3.
     """
-    from .orbits import enumerate_orbit_ids
-
+    require_odd_prime(p)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     mats = [quadratic_substitution_matrix(np.array(g), pairs, p) for g in gl_generators(n, p)]
     _, seeds, _ = enumerate_orbit_ids([p] * len(pairs), mats)

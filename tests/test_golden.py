@@ -2,9 +2,10 @@
 
 The json and orbits-dump files were written by the CLI before the orbit
 engine split the elementary-abelian det character off its BFS, the verify and
-morita tables before the extension cases became the one CASES table, and the
+morita tables before the extension cases became the one CASES table, the
 quadforms files before the congruence invariant moved onto the shared mod-p
-elimination; regenerate one only for a deliberate change of output, with the
+elimination, and verify-p7 before the page checks moved onto one rank-2
+walker that reads each k-invariant from CASES; regenerate one only for a deliberate change of output, with the
 command in GOLDEN below.
 """
 
@@ -19,6 +20,7 @@ GOLDEN = {
     "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
     "orbits-dump-p3-5-7.csv": ["orbits-dump", "-p", "3,5,7"],
     "verify-p5.md": ["verify", "-p", "5"],
+    "verify-p7.md": ["verify", "-p", "7"],
     "morita-p3.md": ["morita", "-p", "3"],
     "morita-p3.csv": ["morita", "-p", "3", "--format", "csv"],
     "quadforms-n3-p3-5-7-11-13.md": ["quadforms", "-n", "3", "-p", "3,5,7,11,13"],

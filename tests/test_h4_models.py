@@ -18,6 +18,7 @@ from pcubed.h4_models import (
     matrix_group_closure,
     push_automorphism,
 )
+from pcubed.modular import is_automorphism
 from pcubed.quadforms import QuadForm, congruence_invariant
 
 TOTALS = {
@@ -56,7 +57,7 @@ def test_p2xp_moduli_and_heisenberg_basis():
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_generators_invertible_and_well_defined(fam, p):
     for gen in action_generators(fam, p):
-        assert gen.is_invertible()
+        assert is_automorphism(gen.matrix, gen.model.moduli)
         assert _well_defined(gen.array, gen.model.moduli)
 
 

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from pcubed import lhs_morita
 from pcubed.groups import Family
 from pcubed.h4_models import h4_model
 from pcubed.lhs_morita import (
@@ -99,6 +101,21 @@ def test_verify_pages(p):
     checks = verify_pages(p)
     failures = [c for c in checks if not c.ok]
     assert not failures, "\n".join(c.line() for c in failures)
+
+
+def test_swapped_k_invariants_fail_their_own_pages(monkeypatch):
+    # the rank-2 page walker reads each member's kappa from its k_invariant label
+    kinv = {Family.P2XP: "y2+x1x2", Family.GP: "y1"}
+    case = CASES[4]
+    swapped = replace(case, realized=tuple(
+        replace(r, k_invariant=kinv.get(r.family, r.k_invariant)) for r in case.realized
+    ))
+    monkeypatch.setattr(lhs_morita, "CASES", CASES[:4] + (swapped,) + CASES[5:])
+    failed = {c.name for c in verify_pages(3) if not c.ok}
+    prefix = f"pages.{case.case_id}."
+    assert any(n.startswith(prefix + "p2xp.") for n in failed)
+    assert any(n.startswith(prefix + "gp.") for n in failed)
+    assert all(n.startswith((prefix + "p2xp.", prefix + "gp.")) for n in failed), sorted(failed)
 
 
 def test_edge_examples():

@@ -11,6 +11,7 @@ from pcubed.quadforms import (
     are_congruent,
     congruence_invariant,
     congruent_by_search,
+    count_congruence_classes,
     representatives,
     select_h,
 )
@@ -137,3 +138,16 @@ def test_invariant_partition_equals_closure_oracle_partition(congruence_ids_for,
 def test_even_characteristic_rejected():
     with pytest.raises(ValueError):
         QuadForm.diagonal([1], 2)
+
+
+@pytest.mark.parametrize("p", [1, 9, 15])
+def test_non_prime_modulus_rejected(p):
+    # at p = 9 the closure used to count 13 classes instead of failing
+    with pytest.raises(ValueError, match="odd prime"):
+        count_congruence_classes(2, p)
+    with pytest.raises(ValueError):
+        QuadForm.diagonal([1, 1], p)
+    with pytest.raises(ValueError):
+        representatives(2, p)
+    with pytest.raises(ValueError):
+        select_h(p)
