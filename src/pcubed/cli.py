@@ -14,7 +14,7 @@ import sys
 
 from .graded_ring import verify_identity_suite
 from .groups import FAMILIES, Family, build_group, center, enumerate_automorphisms, normal_abelian_subgroup_classes
-from .h4_models import ActionGenerator, action_generators, cross_check_actions, h4_model
+from .h4_models import action_generators, cross_check_actions, h4_model
 from .lhs_morita import (
     consistency_checks,
     emit_table,
@@ -64,17 +64,21 @@ def _families(args) -> tuple[Family, ...]:
 
 def _open_output(path: str | None):
     """The -o file, opened before any computation so a bad path fails at once;
-    stdout without -o."""
+    stdout without -o.  It is opened for appending, so a usage error found later
+    leaves an existing file as it was."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w")
+        return open(path, "a")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write(args, text: str) -> None:
-    """Write the text, newline-terminated, to stdout or the -o file."""
+    """Write the text, newline-terminated, to stdout or in place of the -o file's
+    contents.  Each command writes once, after its input has been validated."""
+    if args.output:
+        args.out.truncate(0)
     args.out.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -177,12 +181,23 @@ def cmd_orbits_dump(args) -> int:
 
 
 def _corrupt_generators(fam: Family, p: int, row: int, col: int):
-    gens = list(action_generators(fam, p))
-    mat = [list(r) for r in gens[0].matrix]
-    modulus = gens[0].model.moduli[row]
-    mat[row][col] = (mat[row][col] + 1) % modulus
-    gens[0] = ActionGenerator(gens[0].model, tuple(tuple(r) for r in mat), gens[0].provenance + " CORRUPTED")
-    return tuple(gens)
+    """The action generators with entry (row, col) of the first one raised by 1."""
+    gens = action_generators(fam, p)
+    mat = [list(r) for r in gens[0]]
+    mat[row][col] = (mat[row][col] + 1) % h4_model(fam, p).moduli[row]
+    return (tuple(map(tuple, mat)),) + gens[1:]
+
+
+def _orbit_checks(p: int, indices) -> list[CheckResult]:
+    """What verify checks on the orbit indices: the per-family orbit counts, then
+    the Morita class counts and the consistency checks of their graph."""
+    checks = [
+        CheckResult(f"counts.{fam.value}.p{p}", len(index.orbits) == expected_orbit_count(fam, p),
+                    f"{len(index.orbits)} orbits")
+        for fam, index in indices.items()
+    ]
+    graph = morita_components(p, indices=indices)
+    return checks + morita_count_checks(graph) + consistency_checks(graph)
 
 
 def cmd_verify(args) -> int:
@@ -198,21 +213,9 @@ def cmd_verify(args) -> int:
 
         indices = {}
         for fam in FAMILIES:
-            gens = action_generators(fam, p)
-            if corrupt and fam is corrupt[0]:
-                _, row, col = corrupt
-                gens = _corrupt_generators(fam, p, row, col)
+            gens = _corrupt_generators(fam, p, *corrupt[1:]) if corrupt and fam is corrupt[0] else None
             indices[fam] = enumerate_orbits(h4_model(fam, p), gens, max_states=args.max_states)
-        for fam in FAMILIES:
-            n = len(indices[fam].orbits)
-            rep.add(
-                f"counts.{fam.value}.p{p}",
-                n == expected_orbit_count(fam, p),
-                f"{n} orbits",
-            )
-        graph = morita_components(p, indices=indices)
-        rep.extend(morita_count_checks(graph))
-        rep.extend(consistency_checks(graph))
+        rep.extend(_orbit_checks(p, indices))
 
         for n in (1, 2, 3):
             reps_n = representatives(n, p)

@@ -161,13 +161,12 @@ class GroupTable:
             r = self.multiply(r, self.power(images[label], e))
         return r
 
-    def extend_by_images(self, images: dict[str, int], target: "GroupTable | None" = None) -> np.ndarray:
-        """Image array of the normal-form extension g1^e1...gk^ek -> im1^e1...imk^ek."""
-        tgt = target or self
-        acc = np.full(self.order, tgt.identity, dtype=np.int64)
+    def extend_by_images(self, images: dict[str, int], target: "GroupTable") -> np.ndarray:
+        """Image array in ``target`` of the normal-form extension g1^e1...gk^ek -> im1^e1...imk^ek."""
+        acc = np.full(self.order, target.identity, dtype=np.int64)
         for pos, label in enumerate(self.gen_labels):
-            tab = tgt._power_table(images[label], int(self.exps[:, pos].max()) + 1)
-            acc = tgt.mul[acc, tab[self.exps[:, pos]]]
+            tab = target._power_table(images[label], int(self.exps[:, pos].max()) + 1)
+            acc = target.mul[acc, tab[self.exps[:, pos]]]
         return acc
 
     def _power_table(self, a: int, n: int) -> np.ndarray:
@@ -301,7 +300,6 @@ class GroupMorphism:
 
     source: GroupTable
     target: GroupTable
-    gen_images: tuple[int, ...]  # aligned with source.gen_labels
     image: np.ndarray
 
     def __call__(self, a: int) -> int:
@@ -312,15 +310,12 @@ class GroupMorphism:
 
     def compose(self, other: "GroupMorphism") -> "GroupMorphism":
         """self after other."""
-        img = self.image[other.image]
-        gi = tuple(int(img[other.source.gen_names[l]]) for l in other.source.gen_labels)
-        return GroupMorphism(other.source, self.target, gi, img)
+        return GroupMorphism(other.source, self.target, self.image[other.image])
 
     def inverse(self) -> "GroupMorphism":
         inv_img = np.empty_like(self.image)
         inv_img[self.image] = np.arange(self.image.size)
-        gi = tuple(int(inv_img[self.target.gen_names[l]]) for l in self.target.gen_labels)
-        return GroupMorphism(self.target, self.source, gi, inv_img)
+        return GroupMorphism(self.target, self.source, inv_img)
 
     def key(self) -> bytes:
         return self.image.astype(np.int32).tobytes()
@@ -363,11 +358,10 @@ def _search_images(G: GroupTable, H: GroupTable, find_all: bool):
             full = dict(images)
             for d, (u, v) in derived.items():
                 full[d] = H.commutator(full[u], full[v])
-            img = G.extend_by_images(full, target=H)
+            img = G.extend_by_images(full, H)
             if np.unique(img).size != G.order:
                 return False
-            gi = tuple(full[l] for l in G.gen_labels)
-            found.append(GroupMorphism(G, H, gi, img))
+            found.append(GroupMorphism(G, H, img))
             return not find_all
         label = labels[depth]
         for cand in candidates[label]:

@@ -16,12 +16,16 @@ parameter ranges.
 Each generator of Aut(G) the paper names is one ``AutGenerator`` record,
 written once per family in ``aut_generators``: its name and its parameters
 (the unit, the (i, j, k, l) of rho, or the GL(3, p) / GL(2, p) matrix from
-``modular.gl_generators``).  Three things are derived from the record: the
-model matrix (``_model_matrix``, the one builder behind both
-``action_generators`` and ``push_automorphism``), the symbolic ring pullback
-that ``cross_check_actions`` compares it with (``_ring_images``), and the
+``modular.gl_generators``); the record's name is the generator's only name.
+Three things are derived from the record: the model matrix
+(``_model_matrix``, the one builder behind both ``action_generators`` and
+``push_automorphism``), the symbolic ring pullback that
+``cross_check_actions`` compares it with (``_ring_images``), and the
 generator images in the group, which ``push_automorphism`` reads back into a
-record (``_params_of``).
+record (``_params_of``).  An action generator is the model matrix with each
+row reduced mod its modulus, held as a tuple of row tuples:
+``action_generators`` returns one per record, in ``aut_generators`` order,
+and ``push_automorphism`` returns the same kind of matrix.
 """
 
 import math
@@ -130,26 +134,6 @@ def h4_model(family: Family, p: int) -> H4Model:
     return H4Model(family, p, _BASIS[family], moduli)
 
 
-@dataclass(frozen=True)
-class ActionGenerator:
-    """Integer matrix acting on model coefficient vectors, with provenance."""
-
-    model: H4Model
-    matrix: tuple[tuple[int, ...], ...]
-    provenance: str
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    def apply(self, cls: CohClass) -> CohClass:
-        out = self.array @ np.array(cls.coeffs, dtype=np.int64)
-        return self.model.cls(tuple(int(v) for v in out))
-
-    def key(self) -> tuple:
-        return self.matrix
-
-
 def _reduce_rows(mat: np.ndarray, moduli) -> tuple[tuple[int, ...], ...]:
     out = mat % np.array(moduli, dtype=np.int64)[:, None]
     return tuple(tuple(int(v) for v in row) for row in out)
@@ -229,18 +213,20 @@ def _model_matrix(family: Family, params, p: int) -> np.ndarray:
     return out
 
 
-def _action(model: H4Model, params, name: str) -> ActionGenerator:
+def _action(model: H4Model, params, name: str) -> tuple[tuple[int, ...], ...]:
+    """The reduced model matrix of the automorphism with these record parameters."""
     mat = _model_matrix(model.family, params, model.p)
     if not _well_defined(mat, model.moduli):
         raise AssertionError(f"action matrix for {name} not well defined on mixed moduli")
     if not is_automorphism(mat, model.moduli):
         raise AssertionError(f"action matrix for {name} not invertible")
-    return ActionGenerator(model, _reduce_rows(mat, model.moduli), name)
+    return _reduce_rows(mat, model.moduli)
 
 
 @lru_cache(maxsize=None)
-def action_generators(family: Family, p: int) -> tuple[ActionGenerator, ...]:
-    """Generators of the image of Aut(G) inside the automorphisms of the model."""
+def action_generators(family: Family, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Generators of the image of Aut(G) on the model: the reduced matrices, in
+    ``aut_generators`` order, as tuples of row tuples."""
     model = h4_model(family, p)
     return tuple(_action(model, gen.params, gen.name) for gen in aut_generators(family, p))
 
@@ -267,8 +253,8 @@ def _params_of(sigma: GroupMorphism):
     return (img["A"][:2], img["B"][:2])
 
 
-def push_automorphism(sigma: GroupMorphism, model: H4Model) -> ActionGenerator:
-    """Model matrix induced by a group automorphism found by brute force."""
+def push_automorphism(sigma: GroupMorphism, model: H4Model) -> tuple[tuple[int, ...], ...]:
+    """Reduced model matrix induced by a group automorphism found by brute force."""
     G = sigma.source
     if G.family is not model.family or G.p != model.p:
         raise ValueError("automorphism and model belong to different groups")
@@ -387,14 +373,14 @@ def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     """Compare every action-generator matrix against the symbolic pullback."""
     family = Family(family)
     checks = []
-    for rec, gen in zip(aut_generators(family, p), action_generators(family, p)):
+    for rec, matrix in zip(aut_generators(family, p), action_generators(family, p)):
         symbolic = _symbolic_matrix(family, rec.params, p)
-        ok = symbolic == gen.matrix
+        ok = symbolic == matrix
         checks.append(
             CheckResult(
                 f"action.{family.value}.p{p}.{rec.name}",
                 ok,
-                "matrix equals symbolic pullback" if ok else f"{symbolic} != {gen.matrix}",
+                "matrix equals symbolic pullback" if ok else f"{symbolic} != {matrix}",
             )
         )
     return checks

@@ -21,7 +21,7 @@ from itertools import product
 
 from . import graded_ring as gr
 from .groups import FAMILIES, Family
-from .h4_models import CohClass, h4_model
+from .h4_models import CohClass, H4Model, h4_model
 from .modular import least_nonsquare, rank_and_det_mod, units
 from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits
 from .quadforms import select_h
@@ -32,7 +32,8 @@ from .report import CheckResult
 class RealizedExtension:
     family: Family
     # class label in H^2(K, A), "0" for the split extension; over the rank-1 and rank-2
-    # bases graded_ring.k_invariants turns it into the class the page checks use
+    # bases graded_ring.k_invariants turns it into the class the page checks use, while
+    # the mixed-torsion labels ("uv", "nonzero") only tell a nonsplit member from the split one
     k_invariant: str
     # Omega(G; A) as (sub, quot) spans: ((model basis label, p-exponent of its scale), ...)
     omega: tuple
@@ -164,15 +165,9 @@ CASES = (
 class OmegaGroup:
     """Span of classes admitting module-category data over A, inside the model."""
 
-    case_id: str
-    family: Family
-    p: int
+    model: H4Model
     sub_basis: tuple[tuple[str, int], ...]  # (model basis label, scale)
     quot_basis: tuple[tuple[str, int], ...]
-
-    @property
-    def model(self):
-        return h4_model(self.family, self.p)
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -225,7 +220,7 @@ def omega(case_id: str, family: Family, p: int) -> OmegaGroup:
         raise ValueError(f"{family.value} is not realized in case {case_id}")
     sub, quot = realized[family].omega
     scale = lambda pairs: tuple((label, p**e) for label, e in pairs)
-    return OmegaGroup(case_id, family, p, scale(sub), scale(quot))
+    return OmegaGroup(h4_model(family, p), scale(sub), scale(quot))
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +361,17 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
         (0, 4): [y2 * y2, y2 * y3, y3 * y3],
         (4, 0): [y1 * y1],
     }
-    # split member: both differentials vanish, so every cell survives
+    # d2 is the derivation x2 -> kappa of each member's k-invariant
+    kappa = gr.k_invariants(x1, x2, y1, y2)
+    d2_of = {r.family: gr.derivation(R, {"x2": kappa[r.k_invariant]}) for r in CASES[3].realized}
+    # split member: kappa = 0, so d2 = 0 and every cell survives
     for cell, domain in page2.items():
         _cell_check(
             f"pages.{CASES[3].case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
-            domain, None, domain, [], p, checks,
+            domain, d2_of[Family.ELEM_ABELIAN], domain, [], p, checks,
         )
-    # product member: d2 is the derivation x2 -> kappa, then d3(x1 y2) = y1^2
-    product_member = next(r for r in CASES[3].realized if r.family is Family.P2XP)
-    d2 = gr.derivation(R, {"x2": gr.k_invariants(x1, x2, y1, y2)[product_member.k_invariant]})
+    # product member: d2(x2) = kappa, then d3(x1 y2) = y1^2
+    d2 = d2_of[Family.P2XP]
     fam = Family.P2XP.value
     page3_expected = {
         (0, 2): [y2, y3],
@@ -486,66 +483,37 @@ def verify_pages(p: int) -> list[CheckResult]:
 # the derived equivalences, as explicit class pairs
 
 
-@dataclass(frozen=True)
-class MoritaEdge:
-    case_id: str
-    left: CohClass
-    right: CohClass
-    provenance: str
-
-
-def morita_edges(case_id: str, p: int) -> list[MoritaEdge]:
-    """All parametrized equivalences of one extension case, as class pairs."""
+def morita_edges(case_id: str, p: int) -> list[tuple[CohClass, CohClass]]:
+    """All parametrized equivalences of one extension case, as (left, right) class pairs."""
     C = h4_model(Family.CYCLIC, p)
     P2 = h4_model(Family.P2XP, p)
     E = h4_model(Family.ELEM_ABELIAN, p)
     H = h4_model(Family.HEISENBERG, p)
     G = h4_model(Family.GP, p)
-    edges: list[MoritaEdge] = []
-
-    def add(left, right, provenance):
-        edges.append(MoritaEdge(case_id, left, right, provenance))
-
     if case_id == CASES[0].case_id:
-        add(C.cls((0,)), P2.cls((0, 1, 0)), "0 <-> uv")
-    elif case_id == CASES[2].case_id:
-        add(C.cls((0,)), P2.cls((0, 1, 0)), "0 <-> uv")
-        for k in range(1, p):
-            add(C.cls((k * p * p,)), P2.cls((k, 1, 0)), f"k={k}: k*p^2*s^2 <-> uv + k*v^2")
-    elif case_id == CASES[3].case_id:
-        add(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 1, 0, 0, 0)), "0 <-> y1y2")
-    elif case_id == CASES[4].case_id:
-        add(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 0, 1, 0, 0)), "0 <-> y1y3")
-        for k in range(1, p):
-            add(
-                P2.cls((0, 0, k)),
-                E.cls((0, k, 0, 0, 1, 0, 0)),
-                f"k={k}: k*u^2 <-> y1y3 + k*y2^2",
-            )
-        for a, b, cc in product(range(p), repeat=3):
-            add(
-                H.cls((0, a, cc, b)),
-                E.cls((a, cc, 0, b, 0, 0, 1)),
-                f"(a,b,c)=({a},{b},{cc})",
-            )
-        add(G.cls((0, 0)), E.cls((0, 0, 0, 0, 0, 1, p - 1)), "0 <-> y2y3 - b(x1x2x3)")
-        for k in range(1, p):
-            add(
-                G.cls((0, k)),
-                E.cls((k, 0, 0, 0, 0, 1, p - 1)),
-                f"k={k}: k*gamma^2 <-> y2y3 - b(x1x2x3) + k*y1^2",
-            )
-    elif case_id == CASES[5].case_id:
-        for l in range(p):
-            add(G.cls((0, 0)), H.cls((0, l, 0, 1)), f"l={l}: 0 <-> z1z2 + {l}*z1^2")
-    return edges
+        # 0 <-> uv
+        return [(C.cls((0,)), P2.cls((0, 1, 0)))]
+    if case_id == CASES[2].case_id:
+        # k p² s² <-> uv + k v², from k = 0
+        return [(C.cls((k * p * p,)), P2.cls((k, 1, 0))) for k in range(p)]
+    if case_id == CASES[3].case_id:
+        # 0 <-> y1y2
+        return [(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 1, 0, 0, 0)))]
+    if case_id == CASES[4].case_id:
+        # k u² <-> y1y3 + k y2², from k = 0
+        edges = [(P2.cls((0, 0, k)), E.cls((0, k, 0, 0, 1, 0, 0))) for k in range(p)]
+        # a z1² + c z2² + m z1z2 <-> a y1² + c y2² + m y1y2 + b(x1x2x3)
+        edges += [(H.cls((0, a, c, m)), E.cls((a, c, 0, m, 0, 0, 1))) for a, m, c in product(range(p), repeat=3)]
+        # k gamma² <-> y2y3 - b(x1x2x3) + k y1², from k = 0
+        return edges + [(G.cls((0, k)), E.cls((k, 0, 0, 0, 0, 1, p - 1))) for k in range(p)]
+    if case_id == CASES[5].case_id:
+        # 0 <-> z1z2 + l z1²
+        return [(G.cls((0, 0)), H.cls((0, l, 0, 1))) for l in range(p)]
+    return []
 
 
-def all_edges(p: int) -> list[MoritaEdge]:
-    out = []
-    for case in CASES:
-        out.extend(morita_edges(case.case_id, p))
-    return out
+def all_edges(p: int) -> list[tuple[CohClass, CohClass]]:
+    return [edge for case in CASES for edge in morita_edges(case.case_id, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +588,7 @@ def build_orbit_indices(p: int, max_states: int = DEFAULT_MAX_STATES) -> dict[Fa
 def morita_components(
     p: int,
     indices: dict[Family, OrbitIndex] | None = None,
-    edges: list[MoritaEdge] | None = None,
+    edges: list[tuple[CohClass, CohClass]] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> MoritaGraph:
     """Canonicalize every edge endpoint and merge; components are Morita classes."""
@@ -638,8 +606,8 @@ def morita_components(
         return offset[fam] + indices[fam].id_of(cls)
 
     uf = _UnionFind(len(nodes))
-    for edge in edges:
-        uf.union(node(edge.left), node(edge.right))
+    for left, right in edges:
+        uf.union(node(left), node(right))
     groups: dict[int, list[int]] = {}
     for i in range(len(nodes)):
         groups.setdefault(uf.find(i), []).append(i)
@@ -750,9 +718,8 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     ok = True
     for case in CASES:
         for edge in morita_edges(case.case_id, p):
-            for cls in (edge.left, edge.right):
-                om = omega(case.case_id, cls.model.family, p)
-                ok &= om.contains(cls)
+            for cls in edge:
+                ok &= omega(case.case_id, cls.model.family, p).contains(cls)
     checks.append(CheckResult("consistency.edges_in_omega", ok))
 
     # the unit-parameter reading mod p^2 produces the same canonical edge set

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Family
-from .h4_models import ActionGenerator, CohClass, H4Model, action_generators
+from .h4_models import CohClass, H4Model, action_generators
 from .modular import is_automorphism, is_prime, primitive_root, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
@@ -57,7 +57,6 @@ class OrbitIndex:
     """Orbit decomposition of a whole model under a fixed generator set."""
 
     model: H4Model
-    generators: tuple[ActionGenerator, ...]
     orbit_id: np.ndarray  # int32, len == model.total_order
     orbits: list[Orbit]
 
@@ -261,17 +260,16 @@ def enumerate_orbits(
     generators=None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OrbitIndex:
-    """BFS closure from each unvisited state, deterministic orbit numbering."""
+    """BFS closure from each unvisited state, deterministic orbit numbering;
+    ``generators`` are model matrices, the family's ``action_generators`` by default."""
     if generators is None:
         generators = action_generators(model.family, model.p)
-    orbit_id, seeds, sizes = enumerate_orbit_ids(
-        model.moduli, [g.array for g in generators], max_states
-    )
+    orbit_id, seeds, sizes = enumerate_orbit_ids(model.moduli, generators, max_states)
     orbits = [
         Orbit(rep=model.cls(model.decode(seed)), size=size)
         for seed, size in zip(seeds, sizes)
     ]
-    return OrbitIndex(model, tuple(generators), orbit_id, orbits)
+    return OrbitIndex(model, orbit_id, orbits)
 
 
 def expected_orbit_count(family: Family, p: int) -> int:

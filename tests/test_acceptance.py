@@ -9,8 +9,10 @@ import random
 import time
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from pcubed.cli import _corrupt_generators, _orbit_checks
 from pcubed.graded_ring import verify_identity_suite
 from pcubed.groups import (
     FAMILIES,
@@ -22,7 +24,6 @@ from pcubed.groups import (
     normal_abelian_subgroup_classes,
 )
 from pcubed.h4_models import (
-    ActionGenerator,
     action_generators,
     h4_model,
     matrix_group_closure,
@@ -219,10 +220,8 @@ def test_criterion_8_pushed_automorphisms_match_generators():
     for fam in (Family.HEISENBERG, Family.GP):
         model = h4_model(fam, 3)
         G = build_group(fam, 3)
-        pushed = {push_automorphism(s, model).matrix for s in enumerate_automorphisms(G)}
-        generated = matrix_group_closure(
-            [g.matrix for g in action_generators(fam, 3)], model.moduli
-        )
+        pushed = {push_automorphism(s, model) for s in enumerate_automorphisms(G)}
+        generated = matrix_group_closure(action_generators(fam, 3), model.moduli)
         assert pushed == generated  # containment in both directions
     print("PASS criterion 8: brute-force automorphisms and action generators span the same "
           "matrix groups (Heisenberg, extraspecial p^2) at p=3")
@@ -251,12 +250,8 @@ def test_criterion_9_negative_controls(indices_for):
         (Family.GP, 0, 0),
     ]
     for fam, row, col in corruptions:
-        gens = list(action_generators(fam, p))
-        mat = [list(r) for r in gens[0].matrix]
-        mat[row][col] = (mat[row][col] + 1) % gens[0].model.moduli[row]
-        gens[0] = ActionGenerator(gens[0].model, tuple(tuple(r) for r in mat), "corrupted")
         corrupted = dict(baseline)
-        corrupted[fam] = enumerate_orbits(h4_model(fam, p), gens)
+        corrupted[fam] = enumerate_orbits(h4_model(fam, p), _corrupt_generators(fam, p, row, col))
         sig = _signals(p, corrupted)
         assert sig != base_sig, f"corrupting {fam.value}[{row}][{col}] went undetected"
         counts, n_comp, rows = sig
@@ -266,6 +261,34 @@ def test_criterion_9_negative_controls(indices_for):
             or rows != base_sig[2]
         )
     print("PASS criterion 9: single-entry corruption of each family's action matrix is detected")
+
+
+# single-entry corruptions at p = 5 that the orbit-side checks let through
+UNCHANGED_AT_P5 = {"p2xp:1:1", "elem_abelian:6:6", "heisenberg:3:3"}  # one primitive root for another: same partition
+UNDETECTED_AT_P5 = {
+    "gp:1:0": "(delta, gamma) -> (4 delta, delta + gamma) moves the partition, but no representative, size, count "
+    "or Morita component; only a partition-level check would see it",
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_single_entry_corruption_fails_an_orbit_check(p, indices_for):
+    # each --corrupt spec, run through the orbit-side checks of verify
+    baseline = indices_for(p)
+    specs = 0
+    unchanged, survivors = set(), set()
+    for fam in FAMILIES:
+        k = len(h4_model(fam, p).basis)
+        for row, col in product(range(k), repeat=2):
+            specs += 1
+            indices = dict(baseline)
+            indices[fam] = enumerate_orbits(h4_model(fam, p), _corrupt_generators(fam, p, row, col))
+            if all(c.ok for c in _orbit_checks(p, indices)):
+                same = np.array_equal(indices[fam].orbit_id, baseline[fam].orbit_id)
+                (unchanged if same else survivors).add(f"{fam.value}:{row}:{col}")
+    assert specs == 79
+    assert unchanged == (set() if p == 3 else UNCHANGED_AT_P5)
+    assert survivors == (set() if p == 3 else set(UNDETECTED_AT_P5))
 
 
 def test_consistency_checks_pass(graph_for):

@@ -48,9 +48,7 @@ AUT_ORDERS = {
 @pytest.mark.parametrize("fam,p", sorted(AUT_ORDERS, key=str))
 def test_burnside_count_matches_bfs(fam, p, indices_for):
     model = h4_model(fam, p)
-    group = matrix_group_closure(
-        [g.matrix for g in action_generators(fam, p)], model.moduli
-    )
+    group = matrix_group_closure(action_generators(fam, p), model.moduli)
     # the matrix group is a quotient of Aut(G)
     assert AUT_ORDERS[(fam, p)] % len(group) == 0
     fixed = _fixed_point_counts(sorted(group), model.moduli)

@@ -146,6 +146,23 @@ def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys, monkeypat
     assert captured.err == f"pcubed: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["morita", "-p", "3", "--max-states", "10"],
+        ["verify", "-p", "3", "--corrupt", "bogus"],
+        ["classify", "-p", "3", "--family", "bogus"],
+    ],
+)
+def test_usage_error_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, argv):
+    # these errors are found after the -o file is opened, and must not empty it
+    target = tmp_path / "out.md"
+    target.write_bytes(b"precious\n")
+    assert main(argv + ["-o", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("pcubed: ")
+    assert target.read_bytes() == b"precious\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
 @pytest.mark.parametrize("prime", ["9", "2", "1"])
 def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):

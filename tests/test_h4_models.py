@@ -6,7 +6,6 @@ import pytest
 from pcubed import h4_models
 from pcubed.groups import FAMILIES, Family, build_group, enumerate_automorphisms
 from pcubed.h4_models import (
-    ActionGenerator,
     _coords_in_basis,
     _model_matrix,
     _ring_and_basis,
@@ -56,9 +55,10 @@ def test_p2xp_moduli_and_heisenberg_basis():
 @pytest.mark.parametrize("fam", FAMILIES)
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_generators_invertible_and_well_defined(fam, p):
-    for gen in action_generators(fam, p):
-        assert is_automorphism(gen.matrix, gen.model.moduli)
-        assert _well_defined(gen.array, gen.model.moduli)
+    moduli = h4_model(fam, p).moduli
+    for matrix in action_generators(fam, p):
+        assert is_automorphism(matrix, moduli)
+        assert _well_defined(np.array(matrix), moduli)
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
@@ -152,13 +152,18 @@ def test_each_record_pushes_to_its_action_generator(fam, p):
     G = build_group(fam, p)
     model = h4_model(fam, p)
     auts = enumerate_automorphisms(G)
-    for rec, gen in zip(aut_generators(fam, p), action_generators(fam, p), strict=True):
+    for rec, matrix in zip(aut_generators(fam, p), action_generators(fam, p), strict=True):
         images = _group_images(fam, rec.params, p)
         [sigma] = [
             s for s in auts
             if all(tuple(int(v) for v in G.exps[s(G.gen_names[label])]) == e for label, e in images.items())
         ]
-        assert push_automorphism(sigma, model).matrix == gen.matrix, rec.name
+        assert push_automorphism(sigma, model) == matrix, rec.name
+
+
+def _apply(matrix, cls):
+    """The class a model matrix sends ``cls`` to."""
+    return cls.model.cls(tuple(int(v) for v in np.array(matrix, dtype=np.int64) @ cls.coeffs))
 
 
 def test_heisenberg_diag_action_columns():
@@ -166,12 +171,13 @@ def test_heisenberg_diag_action_columns():
     p = 5
     g = 2
     model = h4_model(Family.HEISENBERG, p)
-    gen = next(a for a in action_generators(Family.HEISENBERG, p) if a.provenance == f"diag({g},1)")
-    chi_col = [row[0] for row in gen.matrix]
+    names = [rec.name for rec in aut_generators(Family.HEISENBERG, p)]
+    matrix = action_generators(Family.HEISENBERG, p)[names.index(f"diag({g},1)")]
+    chi_col = [row[0] for row in matrix]
     assert chi_col == [g * g % p, 0, 0, 0]
-    z1sq = gen.apply(model.cls((0, 1, 0, 0)))
+    z1sq = _apply(matrix, model.cls((0, 1, 0, 0)))
     assert z1sq.coeffs == (0, g * g % p, 0, 0)
-    z1z2 = gen.apply(model.cls((0, 0, 0, 1)))
+    z1z2 = _apply(matrix, model.cls((0, 0, 0, 1)))
     assert z1z2.coeffs == (0, 0, 0, g % p)
 
 
@@ -191,10 +197,9 @@ def test_elem_swap_action():
     A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
     model = h4_model(Family.ELEM_ABELIAN, p)
-    gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "swap")
-    moved = gen.apply(model.cls((0, 0, 0, 0, 1, 0, 0)))  # y1y3
+    moved = _apply(mat, model.cls((0, 0, 0, 0, 1, 0, 0)))  # y1y3
     assert moved.coeffs == (0, 0, 0, 0, 0, 1, 0)  # y2y3
-    beta = gen.apply(model.cls((0, 0, 0, 0, 0, 0, 1)))
+    beta = _apply(mat, model.cls((0, 0, 0, 0, 0, 0, 1)))
     assert beta.coeffs == (0, 0, 0, 0, 0, 0, p - 1)
 
 
@@ -205,10 +210,9 @@ def test_elem_diag_scaling_example():
     A = np.array([[1, 0, 0], [0, 1, 0], [0, 0, a]])
     mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
     model = h4_model(Family.ELEM_ABELIAN, p)
-    gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "diag(1,1,a)")
-    beta = gen.apply(model.cls((0, 0, 0, 0, 0, 0, 1)))
+    beta = _apply(mat, model.cls((0, 0, 0, 0, 0, 0, 1)))
     assert beta.coeffs[6] == a % p
-    y3sq = gen.apply(model.cls((0, 0, 1, 0, 0, 0, 0)))
+    y3sq = _apply(mat, model.cls((0, 0, 1, 0, 0, 0, 0)))
     assert y3sq.coeffs[2] == a * a % p
 
 
@@ -226,8 +230,7 @@ def test_quadratic_block_matches_congruence_action():
         coeffs = [rng.randrange(p) for _ in range(6)]
         cls = model.cls(tuple(coeffs) + (0,))
         mat = _model_matrix(Family.ELEM_ABELIAN, A, p)
-        gen = ActionGenerator(model, tuple(tuple(int(v) for v in r) for r in mat), "rand")
-        moved = gen.apply(cls)
+        moved = _apply(mat, cls)
         q = QuadForm.from_poly(3, p, {pair: c for pair, c in zip(pairs, coeffs)})
         qa = QuadForm.from_matrix((A.T @ np.array(q.matrix) @ A) % p, p)
         expect = QuadForm.from_poly(3, p, {pair: c for pair, c in zip(pairs, moved.coeffs[:6])})
@@ -247,8 +250,8 @@ def test_pushed_automorphisms_generate_same_matrix_group(fam):
     p = 3
     model = h4_model(fam, p)
     G = build_group(fam, p)
-    pushed = {push_automorphism(s, model).matrix for s in enumerate_automorphisms(G)}
-    generated = matrix_group_closure([g.matrix for g in action_generators(fam, p)], model.moduli)
+    pushed = {push_automorphism(s, model) for s in enumerate_automorphisms(G)}
+    generated = matrix_group_closure(action_generators(fam, p), model.moduli)
     assert pushed == generated
 
 
@@ -257,10 +260,8 @@ def test_push_p2xp_and_cyclic_automorphisms():
     for fam in (Family.P2XP, Family.CYCLIC):
         model = h4_model(fam, p)
         G = build_group(fam, p)
-        pushed = {push_automorphism(s, model).matrix for s in enumerate_automorphisms(G)}
-        generated = matrix_group_closure(
-            [g.matrix for g in action_generators(fam, p)], model.moduli
-        )
+        pushed = {push_automorphism(s, model) for s in enumerate_automorphisms(G)}
+        generated = matrix_group_closure(action_generators(fam, p), model.moduli)
         assert pushed == generated
 
 

@@ -118,26 +118,33 @@ def test_swapped_k_invariants_fail_their_own_pages(monkeypatch):
     assert all(n.startswith((prefix + "p2xp.", prefix + "gp.")) for n in failed), sorted(failed)
 
 
+def test_split_rank1_member_k_invariant_drives_its_pages(monkeypatch):
+    # the (Z/p)^3 member of CASES[3] builds its d2 from its own k_invariant label
+    case = CASES[3]
+    relabeled = replace(case, realized=tuple(
+        replace(r, k_invariant="y1") if r.family is Family.ELEM_ABELIAN else r for r in case.realized
+    ))
+    monkeypatch.setattr(lhs_morita, "CASES", CASES[:3] + (relabeled,) + CASES[4:])
+    failed = {c.name for c in verify_pages(3) if not c.ok}
+    prefix = f"pages.{case.case_id}.elem_abelian."
+    assert failed == {prefix + "cell(0, 3)", prefix + "cell(1, 3)"}
+
+
 def test_edge_examples():
     p = 3
-    e1 = morita_edges(CASE_IDS[0], p)
-    assert len(e1) == 1
-    assert e1[0].left.coeffs == (0,) and e1[0].right.coeffs == (0, 1, 0)
+    [(left, right)] = morita_edges(CASE_IDS[0], p)
+    assert left.coeffs == (0,) and right.coeffs == (0, 1, 0)
 
     e6 = morita_edges(CASE_IDS[5], p)
     assert len(e6) == p
-    l0 = e6[0]
-    assert l0.left.model.family is Family.GP and l0.left.is_zero()
-    assert l0.right.coeffs == (0, 0, 0, 1)  # z1z2
+    left, right = e6[0]
+    assert left.model.family is Family.GP and left.is_zero()
+    assert right.coeffs == (0, 0, 0, 1)  # z1z2
 
     e5 = morita_edges(CASE_IDS[4], p)
-    gp_k1 = [
-        e
-        for e in e5
-        if e.left.model.family is Family.GP and e.left.coeffs == (0, 1)
-    ]
+    gp_k1 = [right for left, right in e5 if left.model.family is Family.GP and left.coeffs == (0, 1)]
     assert len(gp_k1) == 1
-    assert gp_k1[0].right.coeffs == (1, 0, 0, 0, 0, 1, p - 1)
+    assert gp_k1[0].coeffs == (1, 0, 0, 0, 0, 1, p - 1)
 
     assert morita_edges(CASE_IDS[1], p) == []
 
@@ -146,7 +153,7 @@ def test_edge_examples():
 def test_edges_lie_in_omega_spans(p):
     for case in CASES:
         for edge in morita_edges(case.case_id, p):
-            for cls in (edge.left, edge.right):
+            for cls in edge:
                 assert omega(case.case_id, cls.model.family, p).contains(cls)
 
 

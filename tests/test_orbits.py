@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pcubed import orbits
 from pcubed.groups import FAMILIES, Family
-from pcubed.h4_models import h4_model
+from pcubed.h4_models import action_generators, h4_model
 from pcubed.modular import primitive_root
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 
@@ -75,9 +75,9 @@ def test_representative_stability(indices_for):
     for fam in FAMILIES:
         index = indices_for(3)[fam]
         for oid, orbit in enumerate(index.orbits):
-            for gen in index.generators:
-                moved = gen.apply(orbit.rep)
-                assert int(index.orbit_id[index.model.encode(moved.coeffs)]) == oid
+            for matrix in action_generators(fam, 3):
+                moved = np.array(matrix) @ orbit.rep.coeffs
+                assert int(index.orbit_id[index.model.encode(moved)]) == oid
 
 
 def test_canonical_representative_is_lex_min(indices_for):
