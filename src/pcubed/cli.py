@@ -24,7 +24,7 @@ from .lhs_morita import (
     verify_pages,
 )
 from .modular import is_prime
-from .orbits import DEFAULT_MAX_STATES, enumerate_orbits, expected_orbit_count, orbit_rows
+from .orbits import DEFAULT_MAX_STATES, enumerate_orbits, expected_orbit_count, orbit_rows, require_state_space
 from .quadforms import congruence_invariant, representatives, select_h
 from .report import CheckResult, Report
 
@@ -150,8 +150,9 @@ def cmd_quadforms(args) -> int:
             prefix = f"p={p}: " if len(args.primes) > 1 else ""
             blocks.append(f"{prefix}h = {select_h(p)}")
             continue
-        lines = [f"{2 * args.n + 1} congruence classes of rank <= {args.n} over F_{p}:"]
-        for q in representatives(args.n, p):
+        reps = representatives(args.n, p)
+        lines = [f"{len(reps)} congruence classes of rank <= {args.n} over F_{p}:"]
+        for q in reps:
             inv = congruence_invariant(q)
             diag = [q.matrix[i][i] for i in range(q.n)]
             lines.append(f"  diag{tuple(diag)}  rank={inv.rank}  disc={inv.disc_class}")
@@ -338,6 +339,10 @@ def main(argv=None) -> int:
     try:
         args.primes = _parse_primes(args.primes)
         with _open_output(args.output) as args.out:
+            if "max_states" in args:  # refuse a model that cannot fit before any work
+                for p in args.primes:
+                    for fam in _families(args):
+                        require_state_space(h4_model(fam, p).total_order, args.max_states)
             return args.fn(args)
     except ValueError as exc:
         print(f"pcubed: {exc}", file=sys.stderr)

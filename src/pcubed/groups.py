@@ -3,16 +3,19 @@
 Elements are normal-form exponent tuples mapped to dense indices, with the
 full product table precomputed, so every downstream loop pays O(1) per
 product.  Automorphisms and normal abelian subgroups are found by brute
-force over generator images, pruned by element orders and the defining
-relations; a map of generators satisfying the relations extends uniquely to
-a homomorphism, which is an automorphism iff its image array is a
-permutation.
+force over generator images of the right element orders.  Each choice is
+extended by normal form to an image array img, which is a homomorphism iff
+img(g x) = img(g) img(x) for every normal-form generator g and every x: the
+generators generate G, so the rows of the generators in the multiplication
+table are enough.  A homomorphism is an isomorphism iff img is a permutation.
+The defining relations are read only by ``GroupTable.validate``, which checks
+the presentation.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -294,103 +297,33 @@ def center(G: GroupTable) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(mask))
 
 
-@dataclass(eq=False)
-class GroupMorphism:
-    """A homomorphism stored as a full image array over the source."""
-
-    source: GroupTable
-    target: GroupTable
-    image: np.ndarray
-
-    def __call__(self, a: int) -> int:
-        return int(self.image[a])
-
-    def is_bijective(self) -> bool:
-        return np.unique(self.image).size == self.source.order
-
-    def compose(self, other: "GroupMorphism") -> "GroupMorphism":
-        """self after other."""
-        return GroupMorphism(other.source, self.target, self.image[other.image])
-
-    def inverse(self) -> "GroupMorphism":
-        inv_img = np.empty_like(self.image)
-        inv_img[self.image] = np.arange(self.image.size)
-        return GroupMorphism(self.target, self.source, inv_img)
-
-    def key(self) -> bytes:
-        return self.image.astype(np.int32).tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, GroupMorphism) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+def _isomorphisms(G: GroupTable, H: GroupTable):
+    """Image arrays of the isomorphisms G -> H, in lexicographic order of the
+    searched generator images (each running over the elements of H of its order)."""
+    # the Heisenberg C = [A, B] is derived, the other generators are searched
+    heisenberg = G.family is Family.HEISENBERG
+    labels = tuple(label for label in G.gen_labels if not (heisenberg and label == "C"))
+    gens = np.array([G.gen_names[label] for label in G.gen_labels])
+    candidates = [np.flatnonzero(H.element_orders == G.element_order(G.gen_names[label])) for label in labels]
+    for images in product(*candidates):
+        full = dict(zip(labels, map(int, images)))
+        if heisenberg:
+            full["C"] = H.commutator(full["A"], full["B"])
+        img = G.extend_by_images(full, H)
+        if np.array_equal(H.mul[img[gens]][:, img], img[G.mul[gens]]) and np.unique(img).size == G.order:
+            yield img
 
 
-def _search_images(G: GroupTable, H: GroupTable, find_all: bool):
-    """Backtracking search for relation-preserving bijective generator images."""
-    # the commutator C = [A, B] is derived, the other generators are searched
-    derived = {"C": ("A", "B")} if G.family is Family.HEISENBERG else {}
-    labels = tuple(label for label in G.gen_labels if label not in derived)
-    relations = _relations(G.family, G.p)
-
-    def available(assigned):
-        have = set(assigned) | {d for d, (u, v) in derived.items() if u in assigned and v in assigned}
-        return have
-
-    rel_by_depth = []
-    for depth in range(1, len(labels) + 1):
-        have = available(labels[:depth])
-        rel_by_depth.append([w for w in relations if all(l in have for l, _ in w)])
-    for depth in range(len(labels) - 1, 0, -1):
-        seen = {id(w) for lst in rel_by_depth[:depth] for w in lst}
-        rel_by_depth[depth] = [w for w in rel_by_depth[depth] if id(w) not in seen]
-
-    candidates = {}
-    for label in labels:
-        want = G.element_order(G.gen_names[label])
-        candidates[label] = [int(i) for i in np.flatnonzero(H.element_orders == want)]
-
-    found = []
-
-    def extend(depth, images):
-        if depth == len(labels):
-            full = dict(images)
-            for d, (u, v) in derived.items():
-                full[d] = H.commutator(full[u], full[v])
-            img = G.extend_by_images(full, H)
-            if np.unique(img).size != G.order:
-                return False
-            found.append(GroupMorphism(G, H, img))
-            return not find_all
-        label = labels[depth]
-        for cand in candidates[label]:
-            images[label] = cand
-            trial = dict(images)
-            for d, (u, v) in derived.items():
-                if u in trial and v in trial:
-                    trial[d] = H.commutator(trial[u], trial[v])
-            ok = all(
-                H.evaluate_word(w, trial) == H.identity for w in rel_by_depth[depth]
-            )
-            if ok and extend(depth + 1, images):
-                return True
-            del images[label]
-        return False
-
-    extend(0, {})
-    return found
-
-
-def enumerate_automorphisms(G: GroupTable) -> list[GroupMorphism]:
-    """Complete automorphism list by pruned brute force, in deterministic order."""
+def enumerate_automorphisms(G: GroupTable) -> np.ndarray:
+    """Every automorphism as one int32 row of element images, in the
+    deterministic order of the generator-image search."""
     if G.order > BRUTE_FORCE_MAX_ORDER:
         raise ValueError(f"order {G.order} above brute-force bound {BRUTE_FORCE_MAX_ORDER}")
-    return _search_images(G, G, find_all=True)
+    return np.array(list(_isomorphisms(G, G)), dtype=np.int32).reshape(-1, G.order)
 
 
 def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
-    """Generator-image search for a multiplication-preserving bijection."""
+    """Invariant filters, then the first isomorphism of the generator-image search."""
     if G.order > BRUTE_FORCE_MAX_ORDER or H.order > BRUTE_FORCE_MAX_ORDER:
         raise ValueError("order above brute-force bound")
     if G.order != H.order:
@@ -399,7 +332,7 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
         return False
     if len(center(G)) != len(center(H)):
         return False
-    return bool(_search_images(G, H, find_all=False))
+    return next(_isomorphisms(G, H), None) is not None
 
 
 @dataclass(frozen=True)
@@ -468,7 +401,7 @@ def normal_abelian_subgroups(G: GroupTable) -> list[frozenset]:
 
 
 def normal_abelian_subgroup_classes(
-    G: GroupTable, automorphisms: list[GroupMorphism] | None = None
+    G: GroupTable, automorphisms: np.ndarray | None = None
 ) -> list[SubgroupClass]:
     """Partition the normal abelian subgroups into Aut(G)-equivalence classes."""
     subgroups = normal_abelian_subgroups(G)
@@ -479,8 +412,7 @@ def normal_abelian_subgroup_classes(
     for S in subgroups:
         if S not in unassigned:
             continue
-        idx = np.fromiter(S, dtype=np.int64)
-        orbit = {frozenset(int(v) for v in sigma.image[idx]) for sigma in automorphisms}
+        orbit = set(map(frozenset, automorphisms[:, np.fromiter(S, dtype=np.int64)].tolist()))
         unassigned -= orbit
         members = tuple(sorted(orbit, key=sorted))
         rep = min(members, key=sorted)

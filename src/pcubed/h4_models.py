@@ -22,8 +22,9 @@ Three things are derived from the record: the model matrix
 ``push_automorphism``), the symbolic ring pullback that
 ``cross_check_actions`` compares it with (``_ring_images``), and the
 generator images in the group, which ``push_automorphism`` reads back into a
-record (``_params_of``).  An action generator is the model matrix with each
-row reduced mod its modulus, held as a tuple of row tuples:
+record (``_params_of``) from an automorphism's row of element images, one
+row of ``groups.enumerate_automorphisms``.  An action generator is the model
+matrix with each row reduced mod its modulus, held as a tuple of row tuples:
 ``action_generators`` returns one per record, in ``aut_generators`` order,
 and ``push_automorphism`` returns the same kind of matrix.
 """
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graded_ring as gr
-from .groups import Family, GroupMorphism
+from .groups import Family, GroupTable, build_group
 from .modular import (
     gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_weights, rank_and_det_mod,
     require_odd_prime,
@@ -235,10 +236,9 @@ def action_generators(family: Family, p: int) -> tuple[tuple[tuple[int, ...], ..
 # pushing brute-force automorphisms into the models (used for cross-checks)
 
 
-def _params_of(sigma: GroupMorphism):
+def _params_of(G: GroupTable, image: np.ndarray):
     """Record parameters of a group automorphism, read off its generator images."""
-    G = sigma.source
-    img = {label: tuple(int(v) for v in G.exps[sigma(G.gen_names[label])]) for label in G.gen_labels}
+    img = {label: tuple(int(v) for v in G.exps[image[G.gen_names[label]]]) for label in G.gen_labels}
     if G.family is Family.CYCLIC:
         return img["x"][0]
     if G.family is Family.GP:
@@ -253,12 +253,10 @@ def _params_of(sigma: GroupMorphism):
     return (img["A"][:2], img["B"][:2])
 
 
-def push_automorphism(sigma: GroupMorphism, model: H4Model) -> tuple[tuple[int, ...], ...]:
-    """Reduced model matrix induced by a group automorphism found by brute force."""
-    G = sigma.source
-    if G.family is not model.family or G.p != model.p:
-        raise ValueError("automorphism and model belong to different groups")
-    return _action(model, _params_of(sigma), "pushed automorphism")
+def push_automorphism(image: np.ndarray, model: H4Model) -> tuple[tuple[int, ...], ...]:
+    """Reduced model matrix induced by a group automorphism of the model's group,
+    given as its row of element images (one row of ``enumerate_automorphisms``)."""
+    return _action(model, _params_of(build_group(model.family, model.p), image), "pushed automorphism")
 
 
 def matrix_group_closure(gens, moduli) -> set:

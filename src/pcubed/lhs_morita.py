@@ -759,14 +759,14 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     checks.append(CheckResult("consistency.triple_product_sign", ok))
 
     # the sixteen listed product-group representatives are pairwise disjoint
-    # orbits and exhaust the classification
-    a = least_nonsquare(p)
-    b = least_nonsquare(p * p)
+    # orbits and exhaust the classification; g is also the least nonsquare unit
+    # mod p^2, because a unit mod p^2 is a square iff it is a square mod p
+    g = least_nonsquare(p)
     listed = [
-        (1, 0, 1), (1, 0, a), (b, 0, 1), (b, 0, a),
-        (0, 0, 1), (0, 0, a), (p, 0, 0), (b * p, 0, 0),
-        (1, 0, 0), (b, 0, 0),
-        (p, 0, 1), (p, 0, a), (b * p, 0, 1), (b * p, 0, a),
+        (1, 0, 1), (1, 0, g), (g, 0, 1), (g, 0, g),
+        (0, 0, 1), (0, 0, g), (p, 0, 0), (g * p, 0, 0),
+        (1, 0, 0), (g, 0, 0),
+        (p, 0, 1), (p, 0, g), (g * p, 0, 1), (g * p, 0, g),
         (0, 1, 0), (0, 0, 0),
     ]
     ids = {indices[Family.P2XP].id_of(P2.cls(v)) for v in listed}
@@ -780,7 +780,6 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
 
     # the p+11 listed representatives of the elementary abelian family are
     # pairwise disjoint orbits and exhaust the classification
-    g = least_nonsquare(p)
     listed_e = [
         (lead, rank2, 0, 0, 0, 0, beta)
         for lead in (0, 1, g)

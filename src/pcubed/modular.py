@@ -73,13 +73,12 @@ def primitive_root(m: int) -> int:
     raise ValueError(f"no primitive root mod {m}")
 
 
-def least_nonsquare(m: int) -> int:
-    """Smallest unit mod m that is not a square of a unit (m odd prime power)."""
-    squares = {u * u % m for u in units(m)}
-    for a in units(m):
-        if a not in squares:
+def least_nonsquare(p: int) -> int:
+    """Smallest nonsquare mod an odd prime p."""
+    for a in range(2, p):
+        if legendre(a, p) == -1:
             return a
-    raise ValueError(f"all units mod {m} are squares")
+    raise ValueError(f"all units mod {p} are squares")
 
 
 def rank_and_det_mod(mat, p: int) -> tuple[int, int | None]:

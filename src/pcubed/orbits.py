@@ -220,6 +220,12 @@ def _split_character(orbit_id, labels, block_seeds, block_sizes, gcds, log):
     return seeds, sizes
 
 
+def require_state_space(total: int, max_states: int) -> None:
+    """Refuse a state space of ``total`` states above the ``max_states`` bound."""
+    if total > max_states:
+        raise ValueError(f"state space {total} above the bound {max_states}")
+
+
 def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     """Core BFS: orbit ids, seed states and sizes for matrices acting mod moduli.
 
@@ -234,8 +240,7 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     bound = max(k * (int(moduli.max()) - 1) ** 2, total)
     if bound >= 2**53:
         raise ValueError(f"moduli {moduli.tolist()} too large for exact float64 arithmetic (bound {bound} >= 2^53)")
-    if total > max_states:
-        raise ValueError(f"state space {total} above the bound {max_states}")
+    require_state_space(total, max_states)
     # row i acts mod moduli[i], so reducing it there changes no image and
     # keeps every entry of mats @ coords below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]

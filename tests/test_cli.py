@@ -180,3 +180,19 @@ def test_verify_bad_corrupt_spec_is_a_one_line_usage_error(capsys, spec):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pcubed: --corrupt ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("prime, total", [("1000000007", 1000000007**3), ("17", 17**7)])
+def test_a_state_space_above_the_bound_is_refused_before_any_work(capsys, monkeypatch, command, prime, total):
+    def computed(*args, **kwargs):
+        raise AssertionError("the computation ran before the state space was checked")
+
+    # classify starts with the cyclic model (p^3 states), verify with the identity suite;
+    # at p = 17 the first model above the bound is the (Z/p)^3 one (p^7 states)
+    monkeypatch.setattr(cli, "enumerate_orbits", computed)
+    monkeypatch.setattr(cli, "verify_identity_suite", computed)
+    assert main([command, "-p", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: state space {total} above the bound 100000000\n"

@@ -156,7 +156,7 @@ def test_each_record_pushes_to_its_action_generator(fam, p):
         images = _group_images(fam, rec.params, p)
         [sigma] = [
             s for s in auts
-            if all(tuple(int(v) for v in G.exps[s(G.gen_names[label])]) == e for label, e in images.items())
+            if all(tuple(int(v) for v in G.exps[s[G.gen_names[label]]]) == e for label, e in images.items())
         ]
         assert push_automorphism(sigma, model) == matrix, rec.name
 

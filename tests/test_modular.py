@@ -5,7 +5,8 @@ from math import gcd, prod
 
 import pytest
 
-from pcubed.modular import is_prime, primitive_root, rank_and_det_mod, units
+from pcubed import modular
+from pcubed.modular import is_prime, least_nonsquare, primitive_root, rank_and_det_mod, units
 
 
 def _brute_force_root(m):
@@ -78,3 +79,26 @@ def test_rank_and_det_mod_match_brute_force(p):
         rank, det = rank_and_det_mod(a, p)
         assert p**rank == _span_size(a, p), a
         assert det == (_leibniz_det(a, p) if rows == cols else None), a
+
+
+def _least_nonsquare_by_squares(m):
+    """The definition: the smallest unit mod m that is not the square of a unit."""
+    squares = {u * u % m for u in units(m)}
+    return next(a for a in units(m) if a not in squares)
+
+
+def test_least_nonsquare_matches_the_definition_mod_p_and_p_squared():
+    # consistency_checks uses the value mod p as the least nonsquare unit mod p^2
+    for p in (p for p in range(3, 50) if is_prime(p)):
+        assert least_nonsquare(p) == _least_nonsquare_by_squares(p) == _least_nonsquare_by_squares(p * p), p
+
+
+def test_least_nonsquare_of_a_large_prime_is_immediate(monkeypatch):
+    # listing the units mod 1000000007 to square them took over 20 s and grew without bound
+    def listed(m):
+        raise AssertionError(f"listed the units mod {m}")
+
+    monkeypatch.setattr(modular, "units", listed)
+    start = time.perf_counter()
+    assert least_nonsquare(1000000007) == 5
+    assert time.perf_counter() - start < 1.0
