@@ -322,19 +322,6 @@ def enumerate_automorphisms(G: GroupTable) -> np.ndarray:
     return np.array(list(_isomorphisms(G, G)), dtype=np.int32).reshape(-1, G.order)
 
 
-def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
-    """Invariant filters, then the first isomorphism of the generator-image search."""
-    if G.order > BRUTE_FORCE_MAX_ORDER or H.order > BRUTE_FORCE_MAX_ORDER:
-        raise ValueError("order above brute-force bound")
-    if G.order != H.order:
-        return False
-    if sorted(G.element_orders.tolist()) != sorted(H.element_orders.tolist()):
-        return False
-    if len(center(G)) != len(center(H)):
-        return False
-    return next(_isomorphisms(G, H), None) is not None
-
-
 @dataclass(frozen=True)
 class SubgroupClass:
     """An Aut(G)-equivalence class of normal abelian subgroups."""

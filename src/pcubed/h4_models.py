@@ -259,27 +259,6 @@ def push_automorphism(image: np.ndarray, model: H4Model) -> tuple[tuple[int, ...
     return _action(model, _params_of(build_group(model.family, model.p), image), "pushed automorphism")
 
 
-def matrix_group_closure(gens, moduli) -> set:
-    """All products of the given matrices, as reduced tuples."""
-    mod = np.array(moduli, dtype=np.int64)[:, None]
-    start = tuple(tuple(int(v) for v in row) for row in np.eye(len(moduli), dtype=np.int64))
-    seen = {start}
-    frontier = [start]
-    arrays = [np.array(g, dtype=np.int64) for g in gens]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            ma = np.array(m, dtype=np.int64)
-            for g in arrays:
-                prod = (g @ ma) % mod
-                key = tuple(tuple(int(v) for v in row) for row in prod)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(key)
-        frontier = nxt
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # symbolic cross-checks against the graded-ring engine
 

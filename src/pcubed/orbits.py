@@ -30,9 +30,12 @@ representative contract the Morita graph relies on.
   their gcd d.  The block orbit O of x0 splits into O x {0} and one orbit of
   size |O| (q - 1) / d per coset (log b - L(x)) mod d; as b is the least
   significant coordinate, seeds and numbering are those of the full BFS.
+  Only the block table and the labels are stored: the id of (x, b) is
+  computed on demand from the block orbit of x, L(x) and log b.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,6 @@ from .modular import is_automorphism, is_prime, primitive_root, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
 _CHUNK = 1 << 13  # the (generators * k) x chunk float64 temporaries stay within L2
-_EXPAND_ROWS = 1 << 14  # block states expanded per step of the character split
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,14 @@ class OrbitIndex:
     """Orbit decomposition of a whole model under a fixed generator set."""
 
     model: H4Model
-    orbit_id: np.ndarray  # int32, len == model.total_order
+    ids: Callable[[np.ndarray], np.ndarray]  # encoded states -> int32 orbit ids
     orbits: list[Orbit]
 
     def id_of(self, cls: CohClass) -> int:
         """Number of the orbit holding ``cls``: its position in ``orbits``."""
         if cls.model != self.model:
             raise ValueError("class belongs to a different model")
-        return int(self.orbit_id[self.model.encode(cls.coeffs)])
+        return int(self.ids(self.model.encode(cls.coeffs)))
 
     def orbit_of(self, cls: CohClass) -> Orbit:
         return self.orbits[self.id_of(cls)]
@@ -176,13 +178,14 @@ def _bfs(moduli: np.ndarray, mats: np.ndarray, orbit_id: np.ndarray, character=N
     return seeds, sizes, gcds
 
 
-def _split_character(orbit_id, labels, block_seeds, block_sizes, gcds, log):
-    """Expand block orbits into the orbits of the whole space, in place.
+def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
+    """Orbit ids, seeds and sizes of the whole space from its block orbits.
 
-    ``orbit_id[:B]`` holds the block orbit ids on entry, for the B = len(labels)
-    block states; the state (x, b) is ``x * q + b``.  Block orbit O with seed
-    x0 and gcd d becomes the orbit of (x0, 0), then one orbit per coset of
-    the index-d subgroup of F_q^*, numbered by the coset's least member.
+    ``block`` and ``labels`` hold each block state x's orbit id and L(x); the
+    state (x, b) is ``x * q + b``.  Block orbit O with seed x0 and gcd d
+    becomes the orbit of (x0, 0), then one orbit per coset of the index-d
+    subgroup of F_q^*, numbered by the coset's least member; ``ids`` computes
+    the id of (x, b) from these on demand, with no table of the whole space.
     """
     q = log.size
     order = q - 1
@@ -208,16 +211,13 @@ def _split_character(orbit_id, labels, block_seeds, block_sizes, gcds, log):
     shifts = np.array(shifts, dtype=np.int32)
     gcds = np.array(gcds, dtype=np.int32)
 
-    # top down, so block rows are read before their p-fold expansion covers them
-    for hi in range(labels.size, 0, -_EXPAND_ROWS):
-        lo = max(hi - _EXPAND_ROWS, 0)
-        block = orbit_id[lo:hi]
-        first = bases[block]
-        idx = (shifts[block] - labels[lo:hi] % gcds[block])[:, None] + log
-        out = orbit_id[lo * q : hi * q].reshape(-1, q)
-        np.add(first[:, None], table[idx], out=out)
-        out[:, 0] = first
-    return seeds, sizes
+    def ids(states):
+        x, b = np.divmod(states, q)
+        orbit = block[x]
+        first = bases[orbit]
+        return np.where(b == 0, first, first + table[shifts[orbit] - labels[x] % gcds[orbit] + log[b]])
+
+    return ids, seeds, sizes
 
 
 def require_state_space(total: int, max_states: int) -> None:
@@ -229,10 +229,11 @@ def require_state_space(total: int, max_states: int) -> None:
 def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     """Core BFS: orbit ids, seed states and sizes for matrices acting mod moduli.
 
-    Seeds are scanned in increasing state order, so each seed is the smallest
-    encoded state of its orbit.  Raises ``ValueError`` when the arithmetic
-    would not be exact in float64 (``k * max(m - 1)**2`` or the number of
-    states at least 2**53) or the state space is above ``max_states``.
+    ``ids`` maps encoded states to orbit ids.  Seeds are scanned in increasing
+    state order, so each seed is the smallest encoded state of its orbit.
+    Raises ``ValueError`` when the arithmetic would not be exact in float64
+    (``k * max(m - 1)**2`` or the number of states at least 2**53) or the
+    state space is above ``max_states``.
     """
     moduli = np.asarray(moduli, dtype=np.int64)
     k = len(moduli)
@@ -245,19 +246,17 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     # keeps every entry of mats @ coords below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
 
-    orbit_id = np.empty(total, dtype=np.int32)
     if not _splits_off(moduli, mats):
+        orbit_id = np.empty(total, dtype=np.int32)
         orbit_id.fill(-1)
         seeds, sizes, _ = _bfs(moduli, mats, orbit_id)
-        return orbit_id, seeds, sizes
+        return orbit_id.__getitem__, seeds, sizes
     q = int(moduli[-1])
     log = _discrete_logs(q)
-    block = orbit_id[: total // q]
-    block.fill(-1)
+    block = np.full(total // q, -1, dtype=np.int32)
     labels = np.zeros(block.size, dtype=np.min_scalar_type(q - 2))
     seeds, sizes, gcds = _bfs(moduli[:-1], mats[:, :-1, :-1], block, (labels, log[mats[:, -1, -1]], q - 1))
-    seeds, sizes = _split_character(orbit_id, labels, seeds, sizes, gcds, log)
-    return orbit_id, seeds, sizes
+    return _split_character(block, labels, seeds, sizes, gcds, log)
 
 
 def enumerate_orbits(
@@ -269,12 +268,12 @@ def enumerate_orbits(
     ``generators`` are model matrices, the family's ``action_generators`` by default."""
     if generators is None:
         generators = action_generators(model.family, model.p)
-    orbit_id, seeds, sizes = enumerate_orbit_ids(model.moduli, generators, max_states)
+    ids, seeds, sizes = enumerate_orbit_ids(model.moduli, generators, max_states)
     orbits = [
         Orbit(rep=model.cls(model.decode(seed)), size=size)
         for seed, size in zip(seeds, sizes)
     ]
-    return OrbitIndex(model, orbit_id, orbits)
+    return OrbitIndex(model, ids, orbits)
 
 
 def expected_orbit_count(family: Family, p: int) -> int:

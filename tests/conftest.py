@@ -3,7 +3,9 @@ from functools import lru_cache
 import pytest
 
 from pcubed.lhs_morita import build_orbit_indices, morita_components
-from pcubed.quadforms import congruence_orbit_ids, count_congruence_classes
+from pcubed.quadforms import count_congruence_classes
+
+from oracles import congruence_orbit_ids
 
 
 @lru_cache(maxsize=None)

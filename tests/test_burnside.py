@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from pcubed.groups import Family
-from pcubed.h4_models import action_generators, h4_model, matrix_group_closure
+from pcubed.h4_models import action_generators, h4_model
+
+from oracles import matrix_group_closure
 
 
 def _fixed_point_counts(matrices, moduli):

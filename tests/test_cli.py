@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +199,32 @@ def test_a_state_space_above_the_bound_is_refused_before_any_work(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"pcubed: state space {total} above the bound 100000000\n"
+
+
+BIG_PRIME = 1000000000000000003
+
+
+def _cli_in_subprocess(*argv):
+    # a child with a timeout, so a -p that hangs the parser fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pcubed.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_a_large_prime_reaches_the_state_space_refusal():
+    proc = _cli_in_subprocess("classify", "-p", str(BIG_PRIME))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"pcubed: state space {BIG_PRIME**3} above the bound 100000000\n"
+
+
+def test_quadforms_of_a_large_prime():
+    proc = _cli_in_subprocess("quadforms", "-n", "1", "-p", str(BIG_PRIME))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"3 congruence classes of rank <= 1 over F_{BIG_PRIME}:\n"
+        "  diag(0,)  rank=0  disc=None\n"
+        "  diag(1,)  rank=1  disc=square\n"
+        "  diag(2,)  rank=1  disc=nonsquare\n"
+    )

@@ -8,13 +8,14 @@ import pytest
 from pcubed.groups import (
     FAMILIES,
     Family,
-    are_isomorphic,
     build_group,
     _isomorphisms,
     center,
     enumerate_automorphisms,
     normal_abelian_subgroup_classes,
 )
+
+from oracles import are_isomorphic
 
 AUT_ORDERS_P3 = {
     Family.CYCLIC: 18,

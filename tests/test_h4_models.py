@@ -14,11 +14,12 @@ from pcubed.h4_models import (
     aut_generators,
     cross_check_actions,
     h4_model,
-    matrix_group_closure,
     push_automorphism,
 )
 from pcubed.modular import is_automorphism
 from pcubed.quadforms import QuadForm, congruence_invariant
+
+from oracles import matrix_group_closure
 
 TOTALS = {
     Family.CYCLIC: lambda p: p**3,

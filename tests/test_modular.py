@@ -1,7 +1,7 @@
 import random
 import time
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -22,6 +22,25 @@ def _brute_force_root(m):
         if order == n:
             return g
     return None
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if by_trial_division(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the nine prime bases 2..23
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
 
 
 ODD_PRIME_POWERS = sorted(

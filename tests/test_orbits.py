@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest.mock import patch
 
@@ -77,7 +78,7 @@ def test_representative_stability(indices_for):
         for oid, orbit in enumerate(index.orbits):
             for matrix in action_generators(fam, 3):
                 moved = np.array(matrix) @ orbit.rep.coeffs
-                assert int(index.orbit_id[index.model.encode(moved)]) == oid
+                assert int(index.ids(index.model.encode(moved))) == oid
 
 
 def test_canonical_representative_is_lex_min(indices_for):
@@ -86,8 +87,7 @@ def test_canonical_representative_is_lex_min(indices_for):
         index = indices_for(3)[fam]
         model = index.model
         firsts = {}
-        for state in range(model.total_order):
-            oid = int(index.orbit_id[state])
+        for state, oid in enumerate(index.ids(np.arange(model.total_order)).tolist()):
             firsts.setdefault(oid, state)
         for oid, orbit in enumerate(index.orbits):
             assert model.encode(orbit.rep.coeffs) == firsts[oid]
@@ -97,8 +97,44 @@ def test_determinism():
     model = h4_model(Family.HEISENBERG, 3)
     a = enumerate_orbits(model)
     b = enumerate_orbits(model)
-    assert np.array_equal(a.orbit_id, b.orbit_id)
+    states = np.arange(model.total_order)
+    assert np.array_equal(a.ids(states), b.ids(states))
     assert [(o.rep.coeffs, o.size) for o in a.orbits] == [(o.rep.coeffs, o.size) for o in b.orbits]
+
+
+# sha256 of every state's orbit id as int32 bytes, in state order, written by
+# the engine that still stored one id per state; they pin the orbit numbering
+ORBIT_ID_DIGESTS = {
+    3: {
+        Family.CYCLIC: "4b087a28e4067e5d54c09a0685b657c2cbea21523ca196d1d11af7910217be9f",
+        Family.P2XP: "88f64c64d42224599d2eb54db01285658b4b166e1724bc41a0f9f88fcc59de98",
+        Family.ELEM_ABELIAN: "0a445030fd89a6e8ad8640ad5e41d7a0aad1580093314fc772ea1822d30349a0",
+        Family.HEISENBERG: "fe64aa10d68a9bd43842be83cb6fbd5b9cb678ed02ced8b392ddf818451f4f0a",
+        Family.GP: "921c803abfa6ac88f44f7ab19198e5c137d1c7183e8e6912757a6263e8dee0a5",
+    },
+    5: {
+        Family.CYCLIC: "984c3f65747141e946de3eb836c2fae3b90e04b796fc65a4587c5c0137924255",
+        Family.P2XP: "623264572f602ec3c6ab119ba63c0b8ee5bdbb775816c99cea23d20509c29306",
+        Family.ELEM_ABELIAN: "6c01eafda35673b21da5470db2c5e73ce2252c252ef5fe6005d7f8aa214038e9",
+        Family.HEISENBERG: "346fa59cfb82b562b3e0b034ffec0d08e9ae453efd0424f81c2ea579907d9132",
+        Family.GP: "ee7ef7a38e003ba38c17778e808969687f61d07ff040dfb3b2abc64ccd6e9541",
+    },
+    7: {
+        Family.CYCLIC: "e3d095e84682921a2a4b79c6f4a2c53d3ef2711092a35458723840357f47f5f5",
+        Family.P2XP: "5a58e05ed105f48aaf8539850b82481a8cef91743dd64211b87323cce726914e",
+        Family.ELEM_ABELIAN: "c2d93dbfaad2f5cda808488df44b70fb00ef30d4d1f5f4a58042fe87e59e9585",
+        Family.HEISENBERG: "260232c5fd3654099834ae4a3e8b32da2fcd9efec84f66e6f9971b1f0508b825",
+        Family.GP: "ec67d1d6e39728bf8ea2578eee76c561ba722de8684f9ee32e8f09ae441d13da",
+    },
+}
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_orbit_ids_are_pinned(fam, p, indices_for):
+    index = indices_for(p)[fam]
+    ids = index.ids(np.arange(index.model.total_order))
+    assert hashlib.sha256(ids.astype(np.int32).tobytes()).hexdigest() == ORBIT_ID_DIGESTS[p][fam]
 
 
 def test_state_bound_enforced():
@@ -135,10 +171,11 @@ def test_rows_are_reduced_before_the_product():
         [[v + 10**18 * m for v in row] for row, m in zip(mat, moduli)] for mat in reduced
     ]
     negative = [[[v - 5 * m for v in row] for row, m in zip(mat, moduli)] for mat in reduced]
+    states = np.arange(math.prod(moduli))
     ids, seeds, sizes = enumerate_orbit_ids(moduli, reduced)
     for mats in (unreduced, negative):
         ids2, seeds2, sizes2 = enumerate_orbit_ids(moduli, mats)
-        assert np.array_equal(ids, ids2)
+        assert np.array_equal(ids(states), ids2(states))
         assert (seeds, sizes) == (seeds2, sizes2)
 
 
@@ -261,12 +298,12 @@ def _split_actions(draw):
 
 
 def _check_against_union_find(moduli, mats, chunk):
-    # small chunks push frontiers, the seed scan and the character split's
-    # top-down expansion across block boundaries
-    with patch.object(orbits, "_CHUNK", chunk), patch.object(orbits, "_EXPAND_ROWS", chunk):
-        orbit_id, seeds, sizes = enumerate_orbit_ids(moduli, mats)
+    # small chunks push frontiers and the seed scan across block boundaries;
+    # every state's id is read, so a split action's ids are checked in full
+    with patch.object(orbits, "_CHUNK", chunk):
+        ids, seeds, sizes = enumerate_orbit_ids(moduli, mats)
     smallest = _union_find_orbits(moduli, [m.tolist() for m in mats])
-    assert [seeds[o] for o in orbit_id] == smallest
+    assert [seeds[o] for o in ids(np.arange(math.prod(moduli))).tolist()] == smallest
     assert seeds == sorted(set(smallest))
     assert sizes == [smallest.count(s) for s in seeds]
     assert sum(sizes) == math.prod(moduli)

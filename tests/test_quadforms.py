@@ -10,11 +10,12 @@ from pcubed.quadforms import (
     QuadForm,
     are_congruent,
     congruence_invariant,
-    congruent_by_search,
     count_congruence_classes,
     representatives,
     select_h,
 )
+
+from oracles import congruent_by_search
 
 
 def test_polarization_of_cross_term():
