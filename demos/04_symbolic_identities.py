@@ -8,7 +8,7 @@ from pcubed.graded_ring import (
     bockstein,
     derivation,
     exterior_bockstein_ring,
-    heisenberg_base_ring,
+    rank2_extension_ring,
     verify_identity_suite,
 )
 from pcubed.lhs_morita import verify_pages
@@ -22,7 +22,7 @@ print("beta(x1*x2*x3) =", bockstein(x1 * x2 * x3))
 d2 = derivation(R, {"x2": R.gen("y1")})
 print("d2(beta(x2*x3)) =", d2(bockstein(x2 * x3)))
 
-H = heisenberg_base_ring(p)
+H = rank2_extension_ring(p, "w", "z", "t")
 w1, w2, t = H.gen("w1"), H.gen("w2"), H.gen("t")
 kappa = w1 * w2
 d3 = derivation(H, {"t": bockstein(kappa)})

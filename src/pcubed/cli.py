@@ -56,17 +56,11 @@ def _parse_corrupt(spec: str, p: int) -> tuple[Family, int, int]:
     return fam, row, col
 
 
-def _families(args) -> tuple[Family, ...]:
-    if getattr(args, "family", None):
-        return (Family.parse(args.family),)
-    return FAMILIES
-
-
 def _open_output(path: str | None):
     """The -o file, opened before any computation so a bad path fails at once;
-    stdout without -o.  It is opened for appending, so a usage error found later
-    leaves an existing file as it was."""
-    if not path:
+    stdout without -o.  It is opened after every other usage check, and for
+    appending, so a usage error leaves no new file and an existing one as it was."""
+    if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "a")
@@ -77,7 +71,7 @@ def _open_output(path: str | None):
 def _write(args, text: str) -> None:
     """Write the text, newline-terminated, to stdout or in place of the -o file's
     contents.  Each command writes once, after its input has been validated."""
-    if args.output:
+    if args.output is not None:
         args.out.truncate(0)
     args.out.write(text if text.endswith("\n") else text + "\n")
 
@@ -88,7 +82,7 @@ def cmd_classify(args) -> int:
     payload = []
     for p in args.primes:
         counts = {}
-        for fam in _families(args):
+        for fam in args.families:
             index = enumerate_orbits(h4_model(fam, p), max_states=args.max_states)
             counts[fam] = len(index.orbits)
             payload.append(
@@ -164,7 +158,7 @@ def cmd_quadforms(args) -> int:
 def cmd_orbits_dump(args) -> int:
     rows = []
     for p in args.primes:
-        for fam in _families(args):
+        for fam in args.families:
             index = enumerate_orbits(h4_model(fam, p), max_states=args.max_states)
             rows.extend(orbit_rows(index))
     if args.format == "json":
@@ -202,7 +196,7 @@ def _orbit_checks(p: int, indices) -> list[CheckResult]:
 
 
 def cmd_verify(args) -> int:
-    corrupt = _parse_corrupt(args.corrupt, args.primes[0]) if args.corrupt else None
+    corrupt = args.corrupt  # (family, row, col), parsed in main, or None
     reports = []
     for p in args.primes:
         rep = Report(f"verification at p = {p}")
@@ -337,12 +331,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # every usage check, then the -o file, then the work; an empty option value is a value
         args.primes = _parse_primes(args.primes)
+        family = getattr(args, "family", None)
+        args.families = FAMILIES if family is None else (Family.parse(family),)
+        if getattr(args, "corrupt", None) is not None:
+            args.corrupt = _parse_corrupt(args.corrupt, args.primes[0])
+        if "max_states" in args:  # refuse a model that cannot fit
+            for p in args.primes:
+                for fam in args.families:
+                    require_state_space(h4_model(fam, p).total_order, args.max_states)
         with _open_output(args.output) as args.out:
-            if "max_states" in args:  # refuse a model that cannot fit before any work
-                for p in args.primes:
-                    for fam in _families(args):
-                        require_state_space(h4_model(fam, p).total_order, args.max_states)
             return args.fn(args)
     except ValueError as exc:
         print(f"pcubed: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ functions on elements, built from their images of the generators.
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .modular import units
@@ -253,15 +254,15 @@ def exterior_bockstein_ring(n: int, p: int) -> RingPresentation:
     return RingPresentation(gens, p)
 
 
-def heisenberg_base_ring(p: int) -> RingPresentation:
-    """w_1, w_2 (degree 1, beta -> z_i), z_1, z_2, and the fiber class t (degree 2)."""
-    gens = [
-        Generator("w1", 1, p, bockstein="z1"),
-        Generator("w2", 1, p, bockstein="z2"),
-        Generator("z1", 2, p),
-        Generator("z2", 2, p),
-        Generator("t", 2, p),
-    ]
+@lru_cache(maxsize=None)
+def rank2_extension_ring(p: int, odd: str, even: str, fiber: str) -> RingPresentation:
+    """A central extension by Z/p of a rank-2 base, all classes of order p: the
+    base's degree-1 classes odd1, odd2 with Bocksteins even1, even2, and the
+    degree-2 fiber class.  Each caller names the classes, w/z/t for the
+    Heisenberg group and x/y/y3 for the page checks; one presentation per names
+    and p, so elements built by different callers multiply."""
+    gens = [Generator(f"{odd}{i}", 1, p, bockstein=f"{even}{i}") for i in (1, 2)]
+    gens += [Generator(f"{even}{i}", 2, p) for i in (1, 2)] + [Generator(fiber, 2, p)]
     return RingPresentation(gens, p)
 
 
@@ -277,18 +278,6 @@ def cyclic_s_ring(p: int) -> RingPresentation:
 def r_gamma_ring(p: int) -> RingPresentation:
     """r of order p^2 and gam of order p, both in degree 2."""
     return RingPresentation([Generator("r", 2, p * p), Generator("gam", 2, p)], p)
-
-
-def fiber_extension_ring(p: int) -> RingPresentation:
-    """Base classes x1, x2, y1, y2 plus a degree-2 fiber class y3 of order p."""
-    gens = [
-        Generator("x1", 1, p, bockstein="y1"),
-        Generator("x2", 1, p, bockstein="y2"),
-        Generator("y1", 2, p),
-        Generator("y2", 2, p),
-        Generator("y3", 2, p),
-    ]
-    return RingPresentation(gens, p)
 
 
 def k_invariants(x1, x2, y1, y2) -> dict[str, GradedElement]:
@@ -311,15 +300,14 @@ def _gl2(p: int):
 def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     """Re-derive every printed pullback/differential identity symbolically.
 
-    Each automorphism pullback compares, column by column, the matrix read
-    off the symbolic pullback (``h4_models._symbolic_matrix``, which
-    ``cross_check_actions`` uses too) with the reduced ``_model_matrix``.
+    Each automorphism pullback is compared with its model matrix, column by
+    column, by ``h4_models.pullbacks``, which ``cross_check_actions`` uses too.
     Parametrized identities run over all parameter tuples when there are at
     most ``MAX_TUPLES`` of them, and over a deterministic stride sample
     otherwise.  Returns one check per identity.
     """
     from .groups import Family
-    from .h4_models import _model_matrix, _reduce_rows, _ring_images, _symbolic_matrix, h4_model
+    from .h4_models import h4_model, pullbacks
 
     checks: list[CheckResult] = []
 
@@ -333,39 +321,31 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         stride = len(seq) // MAX_TUPLES + 1
         return seq[::stride]
 
-    def columns_agree(family, params):
-        """Per basis column: does the symbolic pullback match the model matrix?"""
-        model = _reduce_rows(_model_matrix(family, params, p), h4_model(family, p).moduli)
-        return [s == m for s, m in zip(zip(*_symbolic_matrix(family, params, p)), zip(*model))]
-
     # -- product group Z/p^2 x Z/p: pullbacks on u^2, uv, v^2 ---------------
     tuples = sample(
         [(i, j, k, l) for i in units(p * p) for j in range(p) for k in range(p) for l in units(p)]
     )
     basis = h4_model(Family.P2XP, p).basis
-    agree = [columns_agree(Family.P2XP, rho) for rho in tuples]
+    agree = [pb.agree for pb in pullbacks(Family.P2XP, p, tuples)]
     for col in reversed(range(len(basis))):
         bad = next((rho for rho, ok in zip(tuples, agree) if not ok[col]), None)
         detail = f"{len(tuples)} tuples" if bad is None else f"first failure at (i,j,k,l)={bad}"
         add(f"product_group.pullback.{basis[col]}", bad is None, detail)
 
     # -- Heisenberg: GL(2,p) pullbacks on chi, z1^2, z2^2, z1z2 --------------
-    H = heisenberg_base_ring(p)
+    H = rank2_extension_ring(p, "w", "z", "t")
     w1, w2, z1, z2, t = (H.gen(l) for l in ("w1", "w2", "z1", "z2", "t"))
-
-    def commutes_with_bockstein(M):
-        m = ring_map(H, _ring_images(Family.HEISENBERG, M, p, H))
-        return m(bockstein(w1 * w2)) == bockstein(m(w1 * w2))
-
+    kappa = w1 * w2
     mats = sample(list(_gl2(p)))
-    agree = [columns_agree(Family.HEISENBERG, M) for M in mats]
+    agree, ok_wlin = [], True
+    for pb in pullbacks(Family.HEISENBERG, p, mats):
+        agree.append(pb.agree)
+        ok_wlin &= pb.map(bockstein(kappa)) == bockstein(pb.map(kappa))
     for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, zip(*agree)):
         add(f"heisenberg.pullback.{label}", all(ok), f"{len(mats)} matrices")
-    ok_wlin = all(commutes_with_bockstein(M) for M in mats)
     add("heisenberg.pullback.commutes_with_bockstein", ok_wlin, f"{len(mats)} matrices")
 
     # -- Heisenberg central extension: d3 generated by t -> beta(w1 w2) ------
-    kappa = w1 * w2
     d3 = derivation(H, {"t": bockstein(kappa)})
     add("heisenberg.d3.t^2", d3(t * t) == 2 * (t * bockstein(kappa)), "Leibniz on t^2")
     add("heisenberg.d3.t*w1", bockstein(kappa * w1).is_zero(), "beta(w1*w2*w1) = 0")
@@ -380,7 +360,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     Q = r_gamma_ring(p)
     r, gam = Q.gen("r"), Q.gen("gam")
     delta = p * (r * r)  # order-p class p*r^2
-    ok_delta = all(all(columns_agree(Family.GP, i)) for i in units(p * p))
+    ok_delta = all(all(pb.agree) for pb in pullbacks(Family.GP, p, units(p * p)))
     add("order_p2_extension.pullback.unit_action", ok_delta, f"{len(units(p*p))} units")
     tau = ring_map(Q, {"gam": gam + p * r})
     add(
@@ -407,8 +387,8 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         ("cycle", ((0, 1, 0), (0, 0, 1), (1, 0, 0)), "det = 1"),
         ("swap", ((0, 1, 0), (1, 0, 0), (0, 0, 1)), "det = -1"),
     )
-    for name, A, detail in twists:
-        add(f"elem_abelian.pullback.det_twist.{name}", columns_agree(Family.ELEM_ABELIAN, A)[-1], detail)
+    for (name, _, detail), pb in zip(twists, pullbacks(Family.ELEM_ABELIAN, p, [A for _, A, _ in twists])):
+        add(f"elem_abelian.pullback.det_twist.{name}", pb.agree[-1], detail)
 
     # -- second differential of the split-off p^2 factor ----------------------
     d2 = derivation(E, {"x2": y1})
@@ -416,7 +396,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     add("product_group_fiber.d2.x1_beta_x2x3", d2(x1 * bockstein(x2 * x3)) == x1 * y1 * y3)
 
     # -- rank-2 base with order-p fiber: d3(y3 * P) = beta(kappa * P) --------
-    F = fiber_extension_ring(p)
+    F = rank2_extension_ring(p, "x", "y", "y3")
     fx1, fx2, fy1, fy2, fy3 = (F.gen(l) for l in ("x1", "x2", "y1", "y2", "y3"))
     kappas = k_invariants(fx1, fx2, fy1, fy2)
     # kappa = x1x2 spares exactly 1, x1, x2 and x1x2 in the checked spans

@@ -5,13 +5,14 @@ p-power moduli, together with integer matrices generating the image of Aut(G)
 on it.  The matrices are built from explicit per-family formulas and then
 cross-checked, column by column, against symbolic pullbacks computed in
 ``graded_ring`` - so the action data is never trusted as hand-copied numbers
-alone.  There is one pullback path: ``_ring_images`` turns an automorphism's
-parameters into a ring map, ``_symbolic_matrix`` applies it to the ring
-elements of the basis (``_ring_and_basis``) and reads the images back with
-``_coords_in_basis``, and the result is compared with
+alone.  There is one pullback comparison, ``pullbacks``: ``_ring_images``
+turns an automorphism's parameters into a ring map on the family's
+presentation, the map is applied to the ring elements of the basis
+(``_ring_and_basis``), the images are read back with ``_coords_in_basis``, and
+the matrix they form is compared column by column with
 ``_reduce_rows(_model_matrix(...))``.  ``cross_check_actions`` runs it on the
 generator records; ``graded_ring.verify_identity_suite`` runs it over whole
-parameter ranges.
+parameter ranges and reuses the returned ring maps.
 
 Each generator of Aut(G) the paper names is one ``AutGenerator`` record,
 written once per family in ``aut_generators``: its name and its parameters
@@ -30,8 +31,10 @@ and ``push_automorphism`` returns the same kind of matrix.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,7 +275,7 @@ def _ring_and_basis(family: Family, p: int):
         beta = gr.bockstein(R.gen("x1") * R.gen("x2") * R.gen("x3"))
         return R, (y[0] * y[0], y[1] * y[1], y[2] * y[2], y[0] * y[1], y[0] * y[2], y[1] * y[2], beta)
     if family is Family.HEISENBERG:
-        R = gr.heisenberg_base_ring(p)
+        R = gr.rank2_extension_ring(p, "w", "z", "t")
         z1, z2, t = R.gen("z1"), R.gen("z2"), R.gen("t")
         chi = t * R.gen("w1") * R.gen("w2")
         return R, (chi, z1 * z1, z2 * z2, z1 * z2)
@@ -312,8 +315,9 @@ def _coords_in_basis(el, basis) -> list[int]:
     return coords
 
 
-def _ring_images(family: Family, params, p: int, ring) -> dict:
-    """Generator images of the pullback by the automorphism with these record parameters."""
+def _ring_images(family: Family, params, p: int) -> dict:
+    """Generator images, on the family's presentation, of the pullback by these record parameters."""
+    ring = _ring_and_basis(family, p)[0]
     gen = ring.gen
     if family is Family.CYCLIC:
         return {"s": gen("s", params)}
@@ -338,26 +342,43 @@ def _ring_images(family: Family, params, p: int, ring) -> dict:
     return images
 
 
-def _symbolic_matrix(family: Family, params, p: int) -> tuple[tuple[int, ...], ...]:
-    """Model matrix of the automorphism with these record parameters, read off
-    the symbolic pullback: column j holds the coordinates of basis class j's image."""
+class Pullback(NamedTuple):
+    """An automorphism's ring map, the matrix read off it (column j: the
+    coordinates of basis class j's image), its reduced ``_model_matrix``, and
+    per basis column whether the two matrices agree."""
+
+    map: gr.GradedMap
+    symbolic: tuple[tuple[int, ...], ...]
+    model: tuple[tuple[int, ...], ...]
+    agree: tuple[bool, ...]
+
+
+def pullbacks(family: Family, p: int, params_seq) -> Iterator[Pullback]:
+    """Compare the symbolic pullback of each record's parameters with its model
+    matrix, reduced mod the moduli, column by column.  Lazy, so a sweep holds
+    only what it keeps of each."""
+    family = Family(family)
     ring, basis = _ring_and_basis(family, p)
-    pullback = gr.ring_map(ring, _ring_images(family, params, p, ring))
-    return tuple(zip(*(_coords_in_basis(pullback(el), basis) for el in basis)))
+    moduli = h4_model(family, p).moduli
+    for params in params_seq:
+        pullback = gr.ring_map(ring, _ring_images(family, params, p))
+        symbolic = tuple(zip(*(_coords_in_basis(pullback(el), basis) for el in basis)))
+        model = _reduce_rows(_model_matrix(family, params, p), moduli)
+        yield Pullback(pullback, symbolic, model, tuple(s == m for s, m in zip(zip(*symbolic), zip(*model))))
 
 
 def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     """Compare every action-generator matrix against the symbolic pullback."""
     family = Family(family)
+    recs = aut_generators(family, p)
     checks = []
-    for rec, matrix in zip(aut_generators(family, p), action_generators(family, p)):
-        symbolic = _symbolic_matrix(family, rec.params, p)
-        ok = symbolic == matrix
+    for rec, pb in zip(recs, pullbacks(family, p, [rec.params for rec in recs])):
+        ok = all(pb.agree)
         checks.append(
             CheckResult(
                 f"action.{family.value}.p{p}.{rec.name}",
                 ok,
-                "matrix equals symbolic pullback" if ok else f"{symbolic} != {matrix}",
+                "matrix equals symbolic pullback" if ok else f"{pb.symbolic} != {pb.model}",
             )
         )
     return checks

@@ -23,7 +23,7 @@ from . import graded_ring as gr
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, H4Model, h4_model
 from .modular import least_nonsquare, rank_and_det_mod, units
-from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits
+from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits, expected_orbit_count
 from .quadforms import select_h
 from .report import CheckResult
 
@@ -333,11 +333,11 @@ def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
     """Symbolic page-4 verification for the extensions over a rank-2 base, then
     for the Heisenberg member again as the centre of H_p in w/z names."""
     case = CASES[4]
-    R = gr.fiber_extension_ring(p)
+    R = gr.rank2_extension_ring(p, "x", "y", "y3")
     base = tuple(R.gen(l) for l in ("x1", "x2", "y1", "y2"))
     for realized in case.realized:
         _walk_rank2(f"pages.{case.case_id}.{realized.family.value}", base, realized, p, checks)
-    H = gr.heisenberg_base_ring(p)
+    H = gr.rank2_extension_ring(p, "w", "z", "t")
     heisenberg = next(r for r in case.realized if r.family is Family.HEISENBERG)
     _walk_rank2(
         "pages.heisenberg_center", tuple(H.gen(l) for l in ("w1", "w2", "z1", "z2")), heisenberg, p, checks,
@@ -773,7 +773,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "consistency.p2xp_sixteen_representatives",
-            len(ids) == 16 and len(indices[Family.P2XP].orbits) == 16,
+            len(ids) == len(indices[Family.P2XP].orbits) == expected_orbit_count(Family.P2XP, p),
             f"{len(ids)} distinct orbits among the listed representatives",
         )
     )
@@ -793,9 +793,8 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "consistency.elem_abelian_listed_representatives",
-            len(listed_e) == p + 11
-            and len(ids_e) == p + 11
-            and len(indices[Family.ELEM_ABELIAN].orbits) == p + 11,
+            len(listed_e) == len(ids_e) == len(indices[Family.ELEM_ABELIAN].orbits)
+            == expected_orbit_count(Family.ELEM_ABELIAN, p),
             f"{len(ids_e)} distinct orbits among {len(listed_e)} listed classes",
         )
     )

@@ -158,12 +158,16 @@ def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys, monkeypat
     ],
 )
 def test_usage_error_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, argv):
-    # these errors are found after the -o file is opened, and must not empty it
+    # these errors are found before the -o file is opened: they must neither empty it nor create it
     target = tmp_path / "out.md"
     target.write_bytes(b"precious\n")
     assert main(argv + ["-o", str(target)]) == 2
     assert capsys.readouterr().err.startswith("pcubed: ")
     assert target.read_bytes() == b"precious\n"
+    new = tmp_path / "new.md"
+    assert main(argv + ["-o", str(new)]) == 2
+    assert capsys.readouterr().err.startswith("pcubed: ")
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
@@ -176,13 +180,30 @@ def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):
 
 
 @pytest.mark.parametrize(
-    "spec", ["heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2"]
+    "spec", ["heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2", ""]
 )
 def test_verify_bad_corrupt_spec_is_a_one_line_usage_error(capsys, spec):
     assert main(["verify", "-p", "3", "--corrupt", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pcubed: --corrupt ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify", "-p", "3", "--family="], "pcubed: unknown family ''\n"),
+        (["orbits-dump", "-p", "3", "--family="], "pcubed: unknown family ''\n"),
+        (["classify", "-p", "3", "-o", ""], "pcubed: cannot write : No such file or directory\n"),
+    ],
+    ids=["classify-family", "orbits-dump-family", "output"],
+)
+def test_an_empty_option_value_is_a_one_line_usage_error(capsys, argv, err):
+    # an empty value is a value: it must not fall back to every family or to stdout
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])

@@ -10,9 +10,9 @@ from pcubed.graded_ring import (
     cyclic_s_ring,
     derivation,
     exterior_bockstein_ring,
-    heisenberg_base_ring,
     kunneth_uv_ring,
     r_gamma_ring,
+    rank2_extension_ring,
     ring_map,
     verify_identity_suite,
 )
@@ -39,7 +39,7 @@ def test_even_generators_commute(ext3):
 
 def test_quadratic_product_expansion():
     # (a z1 + c z2)(b z1 + d z2) = ab z1^2 + (ad + bc) z1 z2 + cd z2^2
-    R = heisenberg_base_ring(5)
+    R = rank2_extension_ring(5, "w", "z", "t")
     z1, z2 = R.gen("z1"), R.gen("z2")
     a, b, c, d = 2, 3, 4, 1
     lhs = (a * z1 + c * z2) * (b * z1 + d * z2)
@@ -165,7 +165,7 @@ def test_apply_map_examples():
     d2 = derivation(E, {"x2": y1})
     assert d2(bockstein(E.gen("x2") * E.gen("x3"))) == -1 * (y1 * y3)
 
-    H = heisenberg_base_ring(p)
+    H = rank2_extension_ring(p, "w", "z", "t")
     t = H.gen("t")
     m = ring_map(H, {"t": 2 * t})  # det(M) = 2
     assert m(t) == 2 * t
@@ -226,6 +226,22 @@ def test_identity_suite_flags_a_model_matrix_off_at_one_rho(monkeypatch):
     monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
     failed = [(c.name, c.detail) for c in verify_identity_suite(3) if not c.ok]
     assert failed == [("product_group.pullback.uv", "first failure at (i,j,k,l)=(1, 1, 1, 1)")]
+
+
+def test_identity_suite_flags_a_z_image_that_is_not_beta_of_its_w_image(monkeypatch):
+    # doubling z1's image keeps the map a ring map, but beta(w1) = z1 no longer pulls back
+    images = h4_models._ring_images
+
+    def doubled_z1(family, params, p):
+        out = images(family, params, p)
+        if family is Family.HEISENBERG:
+            out["z1"] = 2 * out["z1"]
+        return out
+
+    monkeypatch.setattr(h4_models, "_ring_images", doubled_z1)
+    failed = {c.name for c in verify_identity_suite(3) if not c.ok}
+    assert "heisenberg.pullback.commutes_with_bockstein" in failed
+    assert all(name.startswith("heisenberg.pullback.") for name in failed)
 
 
 def test_identity_suite_names_are_unique():

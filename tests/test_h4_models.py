@@ -95,6 +95,24 @@ def test_cross_check_fails_exactly_the_generator_whose_matrix_is_off(monkeypatch
     assert failed == [f"action.{fam.value}.p{p}.{name}"]
 
 
+def test_a_failing_cross_check_prints_both_matrices(monkeypatch):
+    p = 3
+    fam = Family.HEISENBERG
+    symbolic = action_generators(fam, p)[1]  # the swap, as the pullback reads it
+    build = h4_models._model_matrix
+
+    def off_by_one(family, params, p):
+        mat = build(family, params, p)
+        if family is fam and params == aut_generators(fam, p)[1].params:
+            mat[0, 0] += 1
+        return mat
+
+    monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
+    off = ((symbolic[0][0] + 1,) + symbolic[0][1:],) + symbolic[1:]
+    [failed] = [c for c in cross_check_actions(fam, p) if not c.ok]
+    assert failed.detail == f"{symbolic} != {off}"
+
+
 def _random_combination(fam, p, rng):
     ring, basis = _ring_and_basis(fam, p)
     coords = [rng.randrange(m) for m in h4_model(fam, p).moduli]
