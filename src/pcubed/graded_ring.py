@@ -12,12 +12,20 @@ Sign conventions, fixed project-wide: sorting two odd generators past each
 other flips the sign, and derivations raise degree by one and satisfy
 D(ab) = D(a) b + (-1)^|a| a D(b).  Ring maps and derivations are plain
 functions on elements, built from their images of the generators.
+
+A coefficient is an ``int`` or an int64 array over a batch of B parameter
+tuples, one entry per tuple; a scalar is a batch of one, so one element, one
+ring map, one derivation and one Bockstein carry a whole parameter sweep.  A
+monomial is kept while any entry of its coefficient is nonzero, and ``==`` and
+``is_zero`` hold only when they hold on every row.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .modular import units
 from .report import CheckResult
@@ -98,9 +106,11 @@ class RingPresentation:
 
 
 class GradedElement:
-    """Signed sum of sorted monomials; no zero coefficients stored."""
+    """Signed sum of sorted monomials; no coefficient that is zero on every row
+    is stored."""
 
     __slots__ = ("ring", "terms")
+    __array_ufunc__ = None  # an array coefficient times an element is the element's __rmul__
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
@@ -108,8 +118,8 @@ class GradedElement:
         for mon, coeff in terms.items():
             order = ring.monomial_order(mon)
             if order:
-                coeff %= order
-            if coeff:
+                coeff = coeff % order
+            if np.count_nonzero(coeff):
                 clean[mon] = coeff
         self.terms = clean
 
@@ -148,13 +158,13 @@ class GradedElement:
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
-    def __rmul__(self, scalar: int) -> "GradedElement":
-        if not isinstance(scalar, int):
+    def __rmul__(self, scalar) -> "GradedElement":
+        if not isinstance(scalar, (int, np.integer, np.ndarray)):
             return NotImplemented
         return GradedElement(self.ring, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, GradedElement):
             return other * self
         if self.ring is not other.ring:
             raise ValueError("elements from different presentations")
@@ -172,11 +182,9 @@ class GradedElement:
         return (
             isinstance(other, GradedElement)
             and self.ring is other.ring
-            and self.terms == other.terms
+            and self.terms.keys() == other.terms.keys()
+            and not any(np.count_nonzero(c != other.terms[mon]) for mon, c in self.terms.items())
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -185,7 +193,7 @@ class GradedElement:
         for mon in sorted(self.terms):
             c = self.terms[mon]
             body = "*".join(mon) if mon else "1"
-            parts.append(body if c == 1 else f"{c}*{body}")
+            parts.append(body if np.all(c == 1) else f"{c}*{body}")
         return " + ".join(parts)
 
 
@@ -193,7 +201,10 @@ GradedMap = Callable[[GradedElement], GradedElement]
 
 
 def ring_map(ring: RingPresentation, images: dict[str, GradedElement]) -> GradedMap:
-    """Degree- and torsion-preserving map of presentations, extended multiplicatively."""
+    """Degree- and torsion-preserving map of presentations, extended multiplicatively.
+
+    Images with array coefficients make it a batch of maps, one per row,
+    validated on every row at once."""
     for label, img in images.items():
         gen = ring.by_label[label]
         if not img.is_zero() and img.degree() != gen.degree:
@@ -301,7 +312,8 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     """Re-derive every printed pullback/differential identity symbolically.
 
     Each automorphism pullback is compared with its model matrix, column by
-    column, by ``h4_models.pullbacks``, which ``cross_check_actions`` uses too.
+    column, by ``h4_models.pullbacks``, which ``cross_check_actions`` uses too;
+    one call, and one batched ring map, covers a whole parameter sweep.
     Parametrized identities run over all parameter tuples when there are at
     most ``MAX_TUPLES`` of them, and over a deterministic stride sample
     otherwise.  Returns one check per identity.
@@ -326,23 +338,21 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         [(i, j, k, l) for i in units(p * p) for j in range(p) for k in range(p) for l in units(p)]
     )
     basis = h4_model(Family.P2XP, p).basis
-    agree = [pb.agree for pb in pullbacks(Family.P2XP, p, tuples)]
+    agree = pullbacks(Family.P2XP, p, tuples).agree
     for col in reversed(range(len(basis))):
-        bad = next((rho for rho, ok in zip(tuples, agree) if not ok[col]), None)
-        detail = f"{len(tuples)} tuples" if bad is None else f"first failure at (i,j,k,l)={bad}"
-        add(f"product_group.pullback.{basis[col]}", bad is None, detail)
+        bad = np.flatnonzero(~agree[:, col])
+        detail = f"first failure at (i,j,k,l)={tuples[bad[0]]}" if bad.size else f"{len(tuples)} tuples"
+        add(f"product_group.pullback.{basis[col]}", not bad.size, detail)
 
     # -- Heisenberg: GL(2,p) pullbacks on chi, z1^2, z2^2, z1z2 --------------
     H = rank2_extension_ring(p, "w", "z", "t")
     w1, w2, z1, z2, t = (H.gen(l) for l in ("w1", "w2", "z1", "z2", "t"))
     kappa = w1 * w2
     mats = sample(list(_gl2(p)))
-    agree, ok_wlin = [], True
-    for pb in pullbacks(Family.HEISENBERG, p, mats):
-        agree.append(pb.agree)
-        ok_wlin &= pb.map(bockstein(kappa)) == bockstein(pb.map(kappa))
-    for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, zip(*agree)):
-        add(f"heisenberg.pullback.{label}", all(ok), f"{len(mats)} matrices")
+    pb = pullbacks(Family.HEISENBERG, p, mats)
+    for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, pb.agree.T):
+        add(f"heisenberg.pullback.{label}", ok.all(), f"{len(mats)} matrices")
+    ok_wlin = pb.map(bockstein(kappa)) == bockstein(pb.map(kappa))
     add("heisenberg.pullback.commutes_with_bockstein", ok_wlin, f"{len(mats)} matrices")
 
     # -- Heisenberg central extension: d3 generated by t -> beta(w1 w2) ------
@@ -360,7 +370,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     Q = r_gamma_ring(p)
     r, gam = Q.gen("r"), Q.gen("gam")
     delta = p * (r * r)  # order-p class p*r^2
-    ok_delta = all(all(pb.agree) for pb in pullbacks(Family.GP, p, units(p * p)))
+    ok_delta = pullbacks(Family.GP, p, units(p * p)).agree.all()
     add("order_p2_extension.pullback.unit_action", ok_delta, f"{len(units(p*p))} units")
     tau = ring_map(Q, {"gam": gam + p * r})
     add(
@@ -387,8 +397,9 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
         ("cycle", ((0, 1, 0), (0, 0, 1), (1, 0, 0)), "det = 1"),
         ("swap", ((0, 1, 0), (1, 0, 0), (0, 0, 1)), "det = -1"),
     )
-    for (name, _, detail), pb in zip(twists, pullbacks(Family.ELEM_ABELIAN, p, [A for _, A, _ in twists])):
-        add(f"elem_abelian.pullback.det_twist.{name}", pb.agree[-1], detail)
+    agree = pullbacks(Family.ELEM_ABELIAN, p, [A for _, A, _ in twists]).agree
+    for (name, _, detail), ok in zip(twists, agree[:, -1]):
+        add(f"elem_abelian.pullback.det_twist.{name}", ok, detail)
 
     # -- second differential of the split-off p^2 factor ----------------------
     d2 = derivation(E, {"x2": y1})

@@ -5,14 +5,16 @@ p-power moduli, together with integer matrices generating the image of Aut(G)
 on it.  The matrices are built from explicit per-family formulas and then
 cross-checked, column by column, against symbolic pullbacks computed in
 ``graded_ring`` - so the action data is never trusted as hand-copied numbers
-alone.  There is one pullback comparison, ``pullbacks``: ``_ring_images``
-turns an automorphism's parameters into a ring map on the family's
-presentation, the map is applied to the ring elements of the basis
-(``_ring_and_basis``), the images are read back with ``_coords_in_basis``, and
-the matrix they form is compared column by column with
-``_reduce_rows(_model_matrix(...))``.  ``cross_check_actions`` runs it on the
-generator records; ``graded_ring.verify_identity_suite`` runs it over whole
-parameter ranges and reuses the returned ring maps.
+alone.  There is one pullback comparison, ``pullbacks``, and it is batched:
+``_ring_images`` turns a stack of B automorphisms' parameters into one ring map
+on the family's presentation whose coefficients are int64 arrays over the B
+rows, the map is applied to the ring elements of the basis
+(``_ring_and_basis``), the images are read back with ``_coords_in_basis`` into
+a ``(B, n, n)`` stack, and that stack is compared column by column with
+``_reduce_rows(_model_matrix(...))``, the model matrices stacked the same way.
+``cross_check_actions`` runs it once on a family's generator records;
+``graded_ring.verify_identity_suite`` runs it once per parameter sweep and
+reuses the returned ring map.
 
 Each generator of Aut(G) the paper names is one ``AutGenerator`` record,
 written once per family in ``aut_generators``: its name and its parameters
@@ -31,7 +33,6 @@ and ``push_automorphism`` returns the same kind of matrix.
 """
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -138,9 +139,13 @@ def h4_model(family: Family, p: int) -> H4Model:
     return H4Model(family, p, _BASIS[family], moduli)
 
 
-def _reduce_rows(mat: np.ndarray, moduli) -> tuple[tuple[int, ...], ...]:
-    out = mat % np.array(moduli, dtype=np.int64)[:, None]
-    return tuple(tuple(int(v) for v in row) for row in out)
+def _reduce_rows(mat: np.ndarray, moduli) -> np.ndarray:
+    """Each row of a matrix, or of each matrix in a stack, mod its modulus."""
+    return mat % np.array(moduli, dtype=np.int64)[:, None]
+
+
+def _as_rows(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, mat.tolist()))
 
 
 def _well_defined(mat: np.ndarray, moduli) -> bool:
@@ -191,29 +196,44 @@ def aut_generators(family: Family, p: int) -> tuple[AutGenerator, ...]:
     return tuple(AutGenerator(name, m) for name, m in zip(names, gl_generators(n, p)))
 
 
-def _model_matrix(family: Family, params, p: int) -> np.ndarray:
-    """Action on the model of the automorphism with these record parameters.
+def _dets_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Determinant mod p of each matrix in a stack, one ``rank_and_det_mod`` each."""
+    flat = mats.reshape(-1, *mats.shape[-2:]).tolist()
+    return np.array([rank_and_det_mod(m, p)[1] for m in flat], dtype=np.int64).reshape(mats.shape[:-2])
 
-    Rows are not yet reduced mod their moduli.
+
+def _stacked(rows) -> np.ndarray:
+    """A matrix written entry by entry, each entry a scalar or an array over the
+    parameter stack, as one array with the stack's axes in front."""
+    entries = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for row in rows for v in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
+
+
+def _model_matrix(family: Family, params, p: int) -> np.ndarray:
+    """Action on the model of the automorphisms with these record parameters.
+
+    ``params`` is one record's parameters or a stack of them along leading
+    axes (B units, B rho tuples, B matrices); the result is the matching
+    ``(..., n, n)`` stack.  Rows are not yet reduced mod their moduli.
     """
+    params = np.asarray(params, dtype=np.int64)
     if family is Family.CYCLIC:
-        return np.array([[params * params]], dtype=np.int64)
+        return _stacked([[params * params]])
     if family is Family.GP:
-        return np.array([[params * params, 0], [0, 1]], dtype=np.int64)
+        return _stacked([[params * params, 0], [0, 1]])
     if family is Family.P2XP:
         # on [v^2, uv, u^2]
-        i, j, k, l = params
-        return np.array([[i * i, p * i * j, 0], [2 * i * k, i * l, 0], [k * k, k * l, l * l]], dtype=np.int64)
-    A = np.array(params, dtype=np.int64)
-    det = rank_and_det_mod(A, p)[1]
-    out = np.zeros((len(_BASIS[family]),) * 2, dtype=np.int64)
+        i, j, k, l = np.moveaxis(params, -1, 0)
+        return _stacked([[i * i, p * i * j, 0], [2 * i * k, i * l, 0], [k * k, k * l, l * l]])
+    det = _dets_mod(params, p)
+    out = np.zeros(params.shape[:-2] + (len(_BASIS[family]),) * 2, dtype=np.int64)
     if family is Family.ELEM_ABELIAN:
-        out[:6, :6] = quadratic_substitution_matrix(A, _QUAD_PAIRS[family], p)
-        out[6, 6] = det
+        out[..., :6, :6] = quadratic_substitution_matrix(params, _QUAD_PAIRS[family], p)
+        out[..., 6, 6] = det
     else:
         # z1 -> a z1 + c z2, z2 -> b z1 + d z2 for A -> A^a B^b, B -> A^c B^d
-        out[0, 0] = det * det % p
-        out[1:, 1:] = quadratic_substitution_matrix(A.T, _QUAD_PAIRS[family], p)
+        out[..., 0, 0] = det * det % p
+        out[..., 1:, 1:] = quadratic_substitution_matrix(np.swapaxes(params, -1, -2), _QUAD_PAIRS[family], p)
     return out
 
 
@@ -224,7 +244,7 @@ def _action(model: H4Model, params, name: str) -> tuple[tuple[int, ...], ...]:
         raise AssertionError(f"action matrix for {name} not well defined on mixed moduli")
     if not is_automorphism(mat, model.moduli):
         raise AssertionError(f"action matrix for {name} not invertible")
-    return _reduce_rows(mat, model.moduli)
+    return _as_rows(_reduce_rows(mat, model.moduli))
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +314,15 @@ def _ring_and_basis(family: Family, p: int):
     raise ValueError(family)
 
 
-def _coords_in_basis(el, basis) -> list[int]:
+def _coords_in_basis(el, basis) -> list:
     """Coordinates of a ring element in the model basis; error if outside its span.
 
     The basis classes have pairwise disjoint monomial supports, so coordinate
     k is read off one monomial of class k: its coefficient in ``el`` divided by
     its coefficient in the class, modulo the monomial's additive order (the
-    quotient is the coordinate's modulus).  Rebuilding ``el`` from the
-    coordinates then checks every other monomial.
+    quotient is the coordinate's modulus), element by element when ``el`` is a
+    batch.  Rebuilding ``el`` from the coordinates then checks every other
+    monomial on every batch row.
     """
     coords = []
     for cls in basis:
@@ -315,8 +336,9 @@ def _coords_in_basis(el, basis) -> list[int]:
     return coords
 
 
-def _ring_images(family: Family, params, p: int) -> dict:
-    """Generator images, on the family's presentation, of the pullback by these record parameters."""
+def _ring_images(family: Family, params: np.ndarray, p: int) -> dict:
+    """Generator images, on the family's presentation, of the pullbacks by a
+    stack of record parameters: coefficient arrays over the stack's rows."""
     ring = _ring_and_basis(family, p)[0]
     gen = ring.gen
     if family is Family.CYCLIC:
@@ -324,61 +346,66 @@ def _ring_images(family: Family, params, p: int) -> dict:
     if family is Family.GP:
         return {"r": gen("r", params)}
     if family is Family.P2XP:
-        i, j, k, l = params
+        i, j, k, l = np.moveaxis(params, -1, 0)
         return {"u": ring.element({("u",): l, ("v",): p * j}), "v": ring.element({("u",): k, ("v",): i})}
     # x_i, y_i substitute by the rows of the 3x3 matrix, the Heisenberg base
     # classes w_i, z_i by the columns of the 2x2 one
     if family is Family.ELEM_ABELIAN:
         names, rows = "xy", params
     else:
-        names, rows = "wz", tuple(zip(*params))
+        names, rows = "wz", np.swapaxes(params, -1, -2)
+    n = rows.shape[-1]
     images = {
-        f"{x}{i}": ring.element({(f"{x}{j}",): c for j, c in enumerate(row, start=1)})
+        f"{x}{i}": ring.element({(f"{x}{j}",): rows[..., i - 1, j - 1] for j in range(1, n + 1)})
         for x in names
-        for i, row in enumerate(rows, start=1)
+        for i in range(1, n + 1)
     }
     if family is Family.HEISENBERG:
-        images["t"] = gen("t", rank_and_det_mod(params, p)[1])
+        images["t"] = gen("t", _dets_mod(params, p))
     return images
 
 
 class Pullback(NamedTuple):
-    """An automorphism's ring map, the matrix read off it (column j: the
-    coordinates of basis class j's image), its reduced ``_model_matrix``, and
-    per basis column whether the two matrices agree."""
+    """The pullbacks of B automorphisms: their batched ring map, the ``(B, n, n)``
+    stack of matrices read off it (column j: the coordinates of basis class j's
+    image), the stack of reduced ``_model_matrix`` matrices, and the ``(B, n)``
+    array of whether the two agree, per automorphism and basis column."""
 
     map: gr.GradedMap
-    symbolic: tuple[tuple[int, ...], ...]
-    model: tuple[tuple[int, ...], ...]
-    agree: tuple[bool, ...]
+    symbolic: np.ndarray
+    model: np.ndarray
+    agree: np.ndarray
 
 
-def pullbacks(family: Family, p: int, params_seq) -> Iterator[Pullback]:
+def pullbacks(family: Family, p: int, params_seq) -> Pullback:
     """Compare the symbolic pullback of each record's parameters with its model
-    matrix, reduced mod the moduli, column by column.  Lazy, so a sweep holds
-    only what it keeps of each."""
+    matrix, reduced mod the moduli, column by column.  Batched: one ring map,
+    whose coefficients are arrays over the records, carries the whole sequence."""
     family = Family(family)
     ring, basis = _ring_and_basis(family, p)
-    moduli = h4_model(family, p).moduli
-    for params in params_seq:
-        pullback = gr.ring_map(ring, _ring_images(family, params, p))
-        symbolic = tuple(zip(*(_coords_in_basis(pullback(el), basis) for el in basis)))
-        model = _reduce_rows(_model_matrix(family, params, p), moduli)
-        yield Pullback(pullback, symbolic, model, tuple(s == m for s, m in zip(zip(*symbolic), zip(*model))))
+    params = np.array(params_seq, dtype=np.int64)
+    pullback = gr.ring_map(ring, _ring_images(family, params, p))
+    symbolic = np.empty((len(params), len(basis), len(basis)), dtype=np.int64)
+    for col, el in enumerate(basis):
+        for row, coord in enumerate(_coords_in_basis(pullback(el), basis)):
+            symbolic[:, row, col] = coord
+    model = _reduce_rows(_model_matrix(family, params, p), h4_model(family, p).moduli)
+    return Pullback(pullback, symbolic, model, (symbolic == model).all(axis=-2))
 
 
 def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     """Compare every action-generator matrix against the symbolic pullback."""
     family = Family(family)
     recs = aut_generators(family, p)
+    pb = pullbacks(family, p, [rec.params for rec in recs])
     checks = []
-    for rec, pb in zip(recs, pullbacks(family, p, [rec.params for rec in recs])):
-        ok = all(pb.agree)
+    for rec, symbolic, model, agree in zip(recs, pb.symbolic, pb.model, pb.agree):
+        ok = bool(agree.all())
         checks.append(
             CheckResult(
                 f"action.{family.value}.p{p}.{rec.name}",
                 ok,
-                "matrix equals symbolic pullback" if ok else f"{pb.symbolic} != {pb.model}",
+                "matrix equals symbolic pullback" if ok else f"{_as_rows(symbolic)} != {_as_rows(model)}",
             )
         )
     return checks

@@ -134,13 +134,15 @@ def is_automorphism(mat, moduli) -> bool:
 def quadratic_substitution_matrix(sub: np.ndarray, pairs, p: int) -> np.ndarray:
     """Action mod p on the coefficients of the quadratic monomials y_i y_j,
     (i, j) in ``pairs``, under the substitution y_i -> sum_j sub[i, j] y_j:
-    column c holds the coefficients of the image of monomial ``pairs[c]``."""
+    column c holds the coefficients of the image of monomial ``pairs[c]``.
+    Leading axes of ``sub`` are a stack of substitutions, giving a stack of
+    matrices."""
+    sub = np.asarray(sub, dtype=np.int64)
     k, l = np.array(pairs).T
-    m = np.empty((len(pairs), len(pairs)), dtype=np.int64)
-    for col, (i, j) in enumerate(pairs):
-        coeff = np.outer(sub[i], sub[j])
-        m[:, col] = coeff[k, l] + np.where(k != l, coeff[l, k], 0)
-    return m % p
+    # coeff[..., c, a, b]: coefficient of y_a y_b in the image of y_i y_j, (i, j) = pairs[c]
+    coeff = sub[..., k, :, None] * sub[..., l, None, :]
+    m = coeff[..., k, l] + np.where(k != l, coeff[..., l, k], 0)
+    return np.swapaxes(m, -1, -2) % p
 
 
 def radix_weights(moduli) -> tuple[int, ...]:

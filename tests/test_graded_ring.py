@@ -1,9 +1,14 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcubed import h4_models
+from pcubed import graded_ring, h4_models
 from pcubed.graded_ring import (
+    GradedElement,
     Generator,
     RingPresentation,
     bockstein,
@@ -180,6 +185,9 @@ def test_map_validation():
     u, v = R.gen("u"), R.gen("v")
     with pytest.raises(ValueError):
         ring_map(R, {"u": v})  # order p image would need order <= p
+    with pytest.raises(ValueError):
+        ring_map(R, {"u": np.array([0, 0, 1], dtype=np.int64) * v})  # a batch is checked on every row
+    ring_map(R, {"u": np.array([0, 3, 6], dtype=np.int64) * v + u})  # p*v has order p on every row
     R2 = exterior_bockstein_ring(2, 3)
     with pytest.raises(ValueError):
         ring_map(R2, {"x1": R2.gen("y1")})  # degree mismatch
@@ -219,8 +227,8 @@ def test_identity_suite_flags_a_model_matrix_off_at_one_rho(monkeypatch):
 
     def off_by_one(family, params, p):
         mat = build(family, params, p)
-        if family is Family.P2XP and params == (1, 1, 1, 1):
-            mat[1, 1] += 1  # the uv column
+        if family is Family.P2XP:
+            mat[[np.array_equal(row, (1, 1, 1, 1)) for row in params], 1, 1] += 1  # the uv column
         return mat
 
     monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
@@ -252,3 +260,131 @@ def test_identity_suite_names_are_unique():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         RingPresentation([Generator("a", 1, 3), Generator("a", 2, 3)], 3)
+
+
+def test_identity_suite_builds_the_same_number_of_ring_maps_at_every_p(monkeypatch):
+    # one batched ring map per parameter sweep: a return to one map per tuple
+    # would make the count grow with p
+    build = graded_ring.ring_map
+    calls = []
+
+    def counting(ring, images):
+        calls.append(ring)
+        return build(ring, images)
+
+    monkeypatch.setattr(graded_ring, "ring_map", counting)
+    counts = {}
+    for p in (3, 5, 7):
+        calls.clear()
+        verify_identity_suite(p)
+        counts[p] = len(calls)
+    assert len(set(counts.values())) == 1, counts
+
+
+# -- batches: an element whose coefficients are arrays over B rows ------------
+
+
+def _monomials_by_degree(R):
+    """Sorted monomials of one to three labels, keyed by degree."""
+    out = {}
+    labels = [g.label for g in R.gens]
+    for k in (1, 2, 3):
+        for labs in itertools.combinations_with_replacement(labels, k):
+            norm = R.sort_with_sign(labs)
+            if norm is not None:
+                out.setdefault(sum(R.degree(l) for l in labs), set()).add(norm[0])
+    return {d: sorted(mons) for d, mons in out.items()}
+
+
+def _row(el, r):
+    """Row r of a batch element, as a scalar element."""
+    return GradedElement(el.ring, {mon: int(c[r] if np.ndim(c) else c) for mon, c in el.terms.items()})
+
+
+RINGS = [
+    exterior_bockstein_ring(3, 3),
+    exterior_bockstein_ring(3, 5),
+    rank2_extension_ring(3, "w", "z", "t"),
+    rank2_extension_ring(5, "x", "y", "y3"),
+]
+
+
+@st.composite
+def _batch_elements(draw, R, B, degree=None):
+    """A batch element of B rows: a few monomials (of one degree, if given)
+    with independent coefficients per row, zero rows included."""
+    by_degree = _monomials_by_degree(R)
+    pool = by_degree[degree] if degree is not None else sorted(m for ms in by_degree.values() for m in ms)
+    mons = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    coeff = st.lists(st.integers(-2 * R.p, 2 * R.p), min_size=B, max_size=B)
+    return R.element({mon: np.array(draw(coeff), dtype=np.int64) for mon in mons})
+
+
+@st.composite
+def _ring_and_batches(draw, count):
+    R = draw(st.sampled_from(RINGS))
+    B = draw(st.integers(1, 4))
+    return R, B, [draw(_batch_elements(R, B)) for _ in range(count)]
+
+
+def _assert_rowwise(batch_result, scalar_results):
+    for r, want in enumerate(scalar_results):
+        assert _row(batch_result, r) == want
+    assert batch_result.is_zero() == all(w.is_zero() for w in scalar_results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_and_batches(2), st.data())
+def test_batch_arithmetic_is_rowwise(drawn, data):
+    R, B, (a, b) = drawn
+    k = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=B, max_size=B)), dtype=np.int64)
+    rows = range(B)
+    _assert_rowwise(a + b, [_row(a, r) + _row(b, r) for r in rows])
+    _assert_rowwise(a - b, [_row(a, r) - _row(b, r) for r in rows])
+    _assert_rowwise(a * b, [_row(a, r) * _row(b, r) for r in rows])
+    _assert_rowwise(3 * a, [3 * _row(a, r) for r in rows])
+    _assert_rowwise(k * a, [int(k[r]) * _row(a, r) for r in rows])
+    _assert_rowwise(a * 3, [_row(a, r) * 3 for r in rows])
+    assert (a == b) == all(_row(a, r) == _row(b, r) for r in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_and_batches(1), st.data())
+def test_batch_derivations_are_rowwise(drawn, data):
+    R, B, (a,) = drawn
+    _assert_rowwise(bockstein(a), [bockstein(_row(a, r)) for r in range(B)])
+    # a derivation whose images are batches: its row r is the derivation built from the images' rows r
+    images = {g.label: data.draw(_batch_elements(R, B, g.degree + 1)) for g in R.gens}
+    batch = derivation(R, images)
+    _assert_rowwise(batch(a), [
+        derivation(R, {l: _row(img, r) for l, img in images.items()})(_row(a, r)) for r in range(B)
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_and_batches(2), st.data())
+def test_batch_ring_maps_are_rowwise(drawn, data):
+    R, B, (a, b) = drawn
+    images = {g.label: data.draw(_batch_elements(R, B, g.degree)) for g in R.gens}
+    batch = ring_map(R, images)
+    rows = [ring_map(R, {l: _row(img, r) for l, img in images.items()}) for r in range(B)]
+    _assert_rowwise(batch(a), [m(_row(a, r)) for r, m in enumerate(rows)])
+    _assert_rowwise(batch(a * b), [m(_row(a, r) * _row(b, r)) for r, m in enumerate(rows)])
+
+
+def test_batch_equality_and_zero_hold_on_every_row():
+    R = exterior_bockstein_ring(3, 3)
+    y1 = R.gen("y1")
+    one_row = np.array([0, 1, 0], dtype=np.int64) * y1
+    assert not one_row.is_zero()
+    assert one_row != R.zero()
+    assert one_row != y1
+    assert (np.array([3, 6, -3], dtype=np.int64) * y1).is_zero()  # order 3 on every row
+    assert np.array([1, 1, 1], dtype=np.int64) * y1 == y1  # a scalar is every row
+    assert np.array([1, 4, -2], dtype=np.int64) * y1 == y1
+
+
+def test_elements_do_not_hash():
+    R = exterior_bockstein_ring(3, 3)
+    with pytest.raises(TypeError):
+        hash(R.gen("x1"))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -14,9 +15,10 @@ from pcubed.h4_models import (
     aut_generators,
     cross_check_actions,
     h4_model,
+    pullbacks,
     push_automorphism,
 )
-from pcubed.modular import is_automorphism
+from pcubed.modular import is_automorphism, units
 from pcubed.quadforms import QuadForm, congruence_invariant
 
 from oracles import matrix_group_closure
@@ -82,8 +84,8 @@ def test_cross_check_fails_exactly_the_generator_whose_matrix_is_off(monkeypatch
 
     def off_by_one(family, params, p):
         mat = build(family, params, p)
-        if family is fam and params == target.params:
-            mat[0, 0] += 1
+        if family is fam:
+            mat[[np.array_equal(row, target.params) for row in params], 0, 0] += 1
         return mat
 
     monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
@@ -103,8 +105,8 @@ def test_a_failing_cross_check_prints_both_matrices(monkeypatch):
 
     def off_by_one(family, params, p):
         mat = build(family, params, p)
-        if family is fam and params == aut_generators(fam, p)[1].params:
-            mat[0, 0] += 1
+        if family is fam:
+            mat[[np.array_equal(row, aut_generators(fam, p)[1].params) for row in params], 0, 0] += 1
         return mat
 
     monkeypatch.setattr(h4_models, "_model_matrix", off_by_one)
@@ -123,10 +125,14 @@ def _random_combination(fam, p, rng):
 @pytest.mark.parametrize("p", [3, 5])
 def test_basis_reader_round_trips(fam, p):
     rng = random.Random(p)
-    basis = _ring_and_basis(fam, p)[1]
-    for _ in range(50):
-        coords, el = _random_combination(fam, p, rng)
+    ring, basis = _ring_and_basis(fam, p)
+    draws = [_random_combination(fam, p, rng) for _ in range(50)]
+    for coords, el in draws:
         assert _coords_in_basis(el, basis) == coords
+    # the same draws as one batch of 50 rows
+    columns = np.array([coords for coords, _ in draws]).T
+    batch = sum((c * cls for c, cls in zip(columns, basis)), ring.zero())
+    assert all((got == want).all() for got, want in zip(_coords_in_basis(batch, basis), columns))
 
 
 @pytest.mark.parametrize(
@@ -140,12 +146,41 @@ def test_basis_reader_round_trips(fam, p):
 )
 @pytest.mark.parametrize("p", [3, 5])
 def test_basis_reader_rejects_elements_outside_the_span(fam, stray, p):
-    # r^2 alone is not p*r^2, and x1x2y3 is one of the three terms of b(x1x2x3)
+    # r^2 alone is not p*r^2, and x1x2y3 is one of the three terms of b(x1x2x3);
+    # a batch is refused when a single one of its rows strays
     ring, basis = _ring_and_basis(fam, p)
     _, el = _random_combination(fam, p, random.Random(p))
-    for candidate in (ring.monomial(*stray), el + ring.monomial(*stray)):
+    stray_on_one_row = np.eye(6, dtype=np.int64)[4] * ring.monomial(*stray)
+    for candidate in (ring.monomial(*stray), el + ring.monomial(*stray), el + stray_on_one_row):
         with pytest.raises(AssertionError, match="not in the model span"):
             _coords_in_basis(candidate, basis)
+
+
+def _gl(n, p):
+    """Every invertible n x n matrix mod p, as an (N, n, n) stack."""
+    mats = np.array(list(itertools.product(range(p), repeat=n * n)), dtype=np.int64).reshape(-1, n, n)
+    return mats[np.rint(np.linalg.det(mats)).astype(np.int64) % p != 0]
+
+
+def test_every_pullback_agrees_on_whole_parameter_sets():
+    # the full sets verify samples or leaves out: all of GL(3, 3) (verify checks
+    # three det twists), every rho tuple at p = 7 (verify strides 3087 of them),
+    # all of GL(2, 7), and every unit mod 7^3 and mod 7^2
+    p = 7
+    sets = {
+        (Family.ELEM_ABELIAN, 3): _gl(3, 3),
+        (Family.P2XP, p): [(i, j, k, l) for i in units(p * p) for j in range(p) for k in range(p) for l in units(p)],
+        (Family.HEISENBERG, p): _gl(2, p),
+        (Family.CYCLIC, p): units(p**3),
+        (Family.GP, p): units(p**2),
+    }
+    sizes = {fam: len(params) for (fam, _), params in sets.items()}
+    assert sizes == {Family.ELEM_ABELIAN: 11232, Family.P2XP: 12348, Family.HEISENBERG: 2016,
+                     Family.CYCLIC: 294, Family.GP: 42}
+    for (fam, q), params in sets.items():
+        agree = pullbacks(fam, q, params).agree
+        assert agree.shape == (len(params), len(h4_model(fam, q).basis))
+        assert agree.all(), (fam, np.argwhere(~agree)[:3])
 
 
 def _group_images(family, params, p):

@@ -3,10 +3,13 @@ import time
 from itertools import permutations
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 
 from pcubed import modular
-from pcubed.modular import is_prime, least_nonsquare, primitive_root, rank_and_det_mod, units
+from pcubed.modular import (
+    is_prime, least_nonsquare, primitive_root, quadratic_substitution_matrix, rank_and_det_mod, units,
+)
 
 
 def _brute_force_root(m):
@@ -121,3 +124,27 @@ def test_least_nonsquare_of_a_large_prime_is_immediate(monkeypatch):
     start = time.perf_counter()
     assert least_nonsquare(1000000007) == 5
     assert time.perf_counter() - start < 1.0
+
+
+def _substitution_by_outer_products(sub, pairs, p):
+    """Column by column: the coefficients of y_i y_j's image, from the outer
+    product of the substituted rows i and j."""
+    k, l = np.array(pairs).T
+    m = np.empty((len(pairs), len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        coeff = np.outer(sub[i], sub[j])
+        m[:, col] = coeff[k, l] + np.where(k != l, coeff[l, k], 0)
+    return m % p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_substitution_matrix_of_a_stack_is_each_matrix_in_turn(n):
+    p = 7
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    subs = np.random.default_rng(n).integers(0, p, size=(2, 5, n, n))
+    stack = quadratic_substitution_matrix(subs, pairs, p)
+    assert stack.shape == (2, 5, len(pairs), len(pairs))
+    for sub, got in zip(subs.reshape(-1, n, n), stack.reshape(-1, len(pairs), len(pairs))):
+        want = _substitution_by_outer_products(sub, pairs, p)
+        assert (got == want).all()
+        assert (quadratic_substitution_matrix(sub.tolist(), pairs, p) == want).all()
