@@ -3,8 +3,10 @@
 Elements are normal-form exponent tuples mapped to dense indices, with the
 full product table precomputed, so every downstream loop pays O(1) per
 product.  Automorphisms and normal abelian subgroups are found by brute
-force over generator images of the right element orders.  Each choice is
-extended by normal form to an image array img, which is a homomorphism iff
+force over generator images of the right element orders.  The search is
+batched per image of the first searched generator: every choice of the other
+images is one row of a numpy batch, and each row is extended by normal form
+to an image array img, which is a homomorphism iff
 img(g x) = img(g) img(x) for every normal-form generator g and every x: the
 generators generate G, so the rows of the generators in the multiplication
 table are enough.  A homomorphism is an isomorphism iff img is a permutation.
@@ -15,7 +17,7 @@ the presentation.
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -150,11 +152,6 @@ class GroupTable:
             e >>= 1
         return r
 
-    def commutator(self, a: int, b: int) -> int:
-        ab = self.mul[a, b]
-        ba = self.mul[b, a]
-        return int(self.mul[ab, self.inv[ba]])
-
     def conjugate(self, g: int, s: int) -> int:
         return int(self.mul[self.mul[g, s], self.inv[g]])
 
@@ -163,21 +160,6 @@ class GroupTable:
         for label, e in word:
             r = self.multiply(r, self.power(images[label], e))
         return r
-
-    def extend_by_images(self, images: dict[str, int], target: "GroupTable") -> np.ndarray:
-        """Image array in ``target`` of the normal-form extension g1^e1...gk^ek -> im1^e1...imk^ek."""
-        acc = np.full(self.order, target.identity, dtype=np.int64)
-        for pos, label in enumerate(self.gen_labels):
-            tab = target._power_table(images[label], int(self.exps[:, pos].max()) + 1)
-            acc = target.mul[acc, tab[self.exps[:, pos]]]
-        return acc
-
-    def _power_table(self, a: int, n: int) -> np.ndarray:
-        tab = np.empty(n, dtype=np.int64)
-        tab[0] = self.identity
-        for e in range(1, n):
-            tab[e] = self.mul[tab[e - 1], a]
-        return tab
 
     def element_order(self, a: int) -> int:
         return int(self.element_orders[a])
@@ -299,19 +281,35 @@ def center(G: GroupTable) -> frozenset:
 
 def _isomorphisms(G: GroupTable, H: GroupTable):
     """Image arrays of the isomorphisms G -> H, in lexicographic order of the
-    searched generator images (each running over the elements of H of its order)."""
+    searched generator images (each running over the elements of H of its order).
+
+    One batch per image of the first searched generator holds every choice of
+    the other images (a one-generator G is a single batch); each row of the
+    batch is extended by normal form and tested as a whole array."""
     # the Heisenberg C = [A, B] is derived, the other generators are searched
     heisenberg = G.family is Family.HEISENBERG
     labels = tuple(label for label in G.gen_labels if not (heisenberg and label == "C"))
     gens = np.array([G.gen_names[label] for label in G.gen_labels])
     candidates = [np.flatnonzero(H.element_orders == G.element_order(G.gen_names[label])) for label in labels]
-    for images in product(*candidates):
-        full = dict(zip(labels, map(int, images)))
+    heads = candidates[0][:, None] if len(labels) > 1 else [candidates[0]]
+    for head in heads:
+        grids = np.meshgrid(head, *candidates[1:], indexing="ij")
+        images = dict(zip(labels, (grid.ravel() for grid in grids)))
         if heisenberg:
-            full["C"] = H.commutator(full["A"], full["B"])
-        img = G.extend_by_images(full, H)
-        if np.array_equal(H.mul[img[gens]][:, img], img[G.mul[gens]]) and np.unique(img).size == G.order:
-            yield img
+            a, b = images["A"], images["B"]
+            images["C"] = H.mul[H.mul[a, b], H.inv[H.mul[b, a]]]
+        img = np.full((grids[0].size, G.order), H.identity, dtype=np.int64)
+        for pos, label in enumerate(G.gen_labels):
+            # tab[:, e] = image^e, so g1^e1...gk^ek -> im1^e1...imk^ek row by row
+            tab = np.empty((img.shape[0], int(G.exps[:, pos].max()) + 1), dtype=np.int64)
+            tab[:, 0] = H.identity
+            for e in range(1, tab.shape[1]):
+                tab[:, e] = H.mul[tab[:, e - 1], images[label]]
+            img = H.mul[img, tab[:, G.exps[:, pos]]]
+        hom = np.all(H.mul[img[:, gens][:, :, None], img[:, None, :]] == img[:, G.mul[gens]], axis=(1, 2))
+        ordered = np.sort(img, axis=1)
+        bijective = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+        yield from img[hom & bijective]
 
 
 def enumerate_automorphisms(G: GroupTable) -> np.ndarray:

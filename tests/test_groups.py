@@ -170,6 +170,15 @@ def test_search_alone_rejects_same_element_orders():
     assert next(_isomorphisms(E, H), None) is None
     assert next(_isomorphisms(H, E), None) is None
     assert next(_isomorphisms(H, H), None) is not None
+    # at p = 5: H_5 -> (Z/5)^3 (the reverse direction, 124^3 candidates, is
+    # left out), and G_5 <-> Z/25 x Z/5, which also share their element orders
+    E5, H5 = build_group(Family.ELEM_ABELIAN, 5), build_group(Family.HEISENBERG, 5)
+    assert next(_isomorphisms(H5, E5), None) is None
+    G5, P5 = build_group(Family.GP, 5), build_group(Family.P2XP, 5)
+    assert sorted(G5.element_orders.tolist()) == sorted(P5.element_orders.tolist())
+    assert next(_isomorphisms(G5, P5), None) is None
+    assert next(_isomorphisms(P5, G5), None) is None
+    assert np.array_equal(next(_isomorphisms(H5, H5)), enumerate_automorphisms(H5)[0])
 
 
 def test_subgroup_classes_cyclic():
