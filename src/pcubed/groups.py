@@ -152,9 +152,6 @@ class GroupTable:
             e >>= 1
         return r
 
-    def conjugate(self, g: int, s: int) -> int:
-        return int(self.mul[self.mul[g, s], self.inv[g]])
-
     def evaluate_word(self, word, images: dict[str, int]) -> int:
         r = self.identity
         for label, e in word:
@@ -364,8 +361,14 @@ def _minimal_generators(G: GroupTable, S: frozenset) -> tuple[int, ...]:
 def normal_abelian_subgroups(G: GroupTable) -> list[frozenset]:
     """All proper nontrivial normal abelian subgroups, sorted for determinism."""
     n = G.order
-    subgroups = {G.closure([g]) for g in range(n) if g != G.identity}
-    small = [g for g in range(n) if G.element_order(g) <= G.p**2 and g != G.identity]
+    # <g, h> depends only on <g> and <h>: one pair per pair of cyclic
+    # subgroups, each given by its least generator
+    cyclic: dict[frozenset, int] = {}
+    for g in range(n):
+        if g != G.identity:
+            cyclic.setdefault(G.closure([g]), g)
+    subgroups = set(cyclic)
+    small = [g for C, g in cyclic.items() if len(C) <= G.p**2]
     for g, h in combinations(small, 2):
         S = G.closure([g, h])
         if len(S) < n:
@@ -374,12 +377,12 @@ def normal_abelian_subgroups(G: GroupTable) -> list[frozenset]:
     for S in subgroups:
         if not 1 < len(S) < n:
             continue
-        mem = sorted(S)
-        abelian = all(G.mul[a, b] == G.mul[b, a] for a, b in combinations(mem, 2))
-        if not abelian:
+        mem = np.fromiter(S, dtype=np.int64)
+        products = G.mul[np.ix_(mem, mem)]
+        if not np.array_equal(products, products.T):
             continue
-        normal = all(G.conjugate(g, s) in S for g in range(n) for s in mem)
-        if not normal:
+        conjugates = G.mul[G.mul[:, mem], G.inv[:, None]]  # g s g^-1 for every g in G, s in S
+        if not np.isin(conjugates, mem).all():
             continue
         out.append(S)
     return sorted(out, key=lambda S: (len(S), sorted(S)))

@@ -15,11 +15,18 @@ representative contract the Morita graph relies on.
   (``-2 - position``) into ``orbit_id`` and keeps its place only if that tag
   reads back, so exactly one copy of every new state survives without a sort
   or a hash table; the survivors are then set to the orbit id.
-- Exactness: decode, ``matrix @ coords`` (through BLAS), the reduction mod
-  each row's modulus and the encode all run in float64, which is exact while
-  every value stays below 2**53.  Matrix rows are reduced mod their modulus
-  first, so dot products stay below ``k * max(m - 1)**2``; inputs for which
-  that or the number of states reaches 2**53 are refused with ``ValueError``.
+- Images by table: a state s splits as a * P + b at a place value P near
+  sqrt(total) where its coefficient vector is the digitwise sum of those of
+  a * P and b, so each generator's image is the sum of two int64 table
+  entries.  The entries pack the image digits at radix 2 m_i, so the sum
+  has no carry between digits, and two small fold tables map its two halves
+  back to the encoded image; a chunk costs one ``divmod``, four ``np.take``
+  calls and two adds, with no floating point and no BLAS.
+- Exactness: the tables are built with int64 products of matrix rows
+  reduced mod their modulus and digits below it, so every dot product stays
+  below ``k * max(m - 1)**2``; inputs for which that or the number of states
+  reaches 2**53 are refused with ``ValueError``, which keeps both well inside
+  int64.  A digit cut whose packed sum could overflow int64 is refused too.
 - Character split: when the last coordinate b has an odd prime modulus q and
   every matrix permutes the states and acts on b by a scalar chi(s) alone
   (the det on beta in the elementary-abelian model), the BFS runs on the
@@ -37,6 +44,7 @@ representative contract the Morita graph relies on.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +53,7 @@ from .h4_models import CohClass, H4Model, action_generators
 from .modular import is_automorphism, is_prime, primitive_root, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
-_CHUNK = 1 << 13  # the (generators * k) x chunk float64 temporaries stay within L2
+_CHUNK = 1 << 13  # the generators x chunk int64 image temporaries stay within L2
 
 
 @dataclass(frozen=True)
@@ -78,20 +86,6 @@ class OrbitIndex:
         return [o.size for o in self.orbits]
 
 
-def _mod_exact(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``x %= m`` in place for float64 arrays of integers in [0, 2**53).
-
-    ``floor(x / m)`` is the exact integer quotient there: the correctly
-    rounded ``x / m`` lies within half an ulp, which is below ``1/m``, of the
-    true quotient, so it never rounds up to the next integer.
-    """
-    q = x / m
-    np.floor(q, out=q)
-    q *= m
-    x -= q
-    return x
-
-
 def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
     """Whether the last coordinate splits off as a character chi.
 
@@ -114,19 +108,119 @@ def _discrete_logs(q: int) -> np.ndarray:
     return log
 
 
-def _bfs(moduli: np.ndarray, mats: np.ndarray, orbit_id: np.ndarray, character=None):
+def _divisors(m: int) -> list[int]:
+    small = [c for c in range(1, math.isqrt(m) + 1) if m % c == 0]
+    return small + [m // c for c in small]
+
+
+def _split_place(moduli) -> int:
+    """The place value P nearest sqrt(total) at which every state splits as
+    s = a * P + b with vec(s) = vec(a * P) + vec(b), digit by digit.
+
+    That holds at P = w_i * c for every divisor c of m_i (c = 1 is a digit
+    boundary), and for any c inside the leading digit, where a * c plus the
+    leading digit of b stays below m_0 with no digit above it to carry into.
+    """
+    weights = radix_weights(moduli)
+    m0, w0 = int(moduli[0]), weights[0]
+    total = m0 * w0
+    c = min(max(math.isqrt(total) // w0, 1), m0)
+    places = {w0 * c, w0 * min(c + 1, m0)}
+    for w, m in zip(weights, moduli):
+        places.update(w * c for c in _divisors(int(m)))
+    return min(places, key=lambda P: (max(-(-total // P), P), P))
+
+
+class _Images(NamedTuple):
+    """Image tables of generator matrices acting mod ``moduli`` on encoded states.
+
+    A state s = a * place + b has image ``hi[g, a] + lo[g, b]`` under
+    generator g, packed: each entry holds the reduced image digits of a *
+    place or of b at radix 2 m_i, so the sum has every digit below 2 m_i and
+    no carry between digits.  The digits before the fold split sit above bit
+    ``shift``, the rest below it, and ``fold_hi`` and ``fold_lo`` map each
+    group back to the mixed-radix code of its digits mod m_i.  With a single
+    coordinate there are no fold tables: its sum is reduced by one
+    conditional subtraction of ``modulus``.
+    """
+
+    place: int
+    hi: np.ndarray  # (generators, ceil(total / place)) int64
+    lo: np.ndarray  # (generators, place) int64
+    shift: int
+    fold_hi: np.ndarray | None
+    fold_lo: np.ndarray | None
+    modulus: int  # the single coordinate's modulus; 0 when there are fold tables
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        """Encoded images, one row per generator, of the int64 ``states``."""
+        a, b = np.divmod(states, self.place)
+        packed = np.take(self.hi, a, axis=1)
+        packed += np.take(self.lo, b, axis=1)
+        if self.modulus:
+            return np.subtract(packed, self.modulus, out=packed, where=packed >= self.modulus)
+        images = np.take(self.fold_hi, packed >> self.shift)
+        images += np.take(self.fold_lo, packed & ((1 << self.shift) - 1))
+        return images
+
+
+def _digits(codes: np.ndarray, radix) -> np.ndarray:
+    """Big-endian mixed-radix digits of int64 ``codes``, one column per place."""
+    return codes[:, None] // np.array(radix_weights(radix), dtype=np.int64) % np.asarray(radix, dtype=np.int64)
+
+
+def _fold_table(radix, moduli, weights) -> np.ndarray:
+    """Mixed-radix code of the digits mod ``moduli`` of every number at ``radix``."""
+    return _digits(np.arange(math.prod(radix)), radix) % moduli @ weights
+
+
+def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
+    """The ``_Images`` of row-reduced ``mats``, built with exact int64 products.
+
+    The image tables hold about sqrt(total) entries per generator, and the
+    fold tables, one per half of a balanced cut of the digits, about
+    sqrt(2**k * total).  Raises ``ValueError`` when a packed sum could
+    overflow int64.
+    """
+    k = len(moduli)
+    weights = np.array(radix_weights(moduli), dtype=np.int64)
+    total = int(weights[0] * moduli[0])
+    place = _split_place(moduli)
+    radix = [2 * int(m) for m in moduli]
+    if k == 1:
+        pack, shift, fold_hi, fold_lo = np.ones(1, dtype=np.int64), 0, None, None
+    else:
+        cut = min(range(1, k), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
+        shift = (math.prod(radix[cut:]) - 1).bit_length()
+        if math.prod(radix[:cut]) << shift > 2**63:
+            raise ValueError(f"moduli {moduli.tolist()} too large for int64 packed images")
+        pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
+        fold_hi = _fold_table(radix[:cut], moduli[:cut], weights[:cut])
+        fold_lo = _fold_table(radix[cut:], moduli[cut:], weights[cut:])
+
+    def packed_images(codes):
+        # every dot product stays below k * max(m - 1)**2 < 2**53
+        return pack @ (mats @ _digits(codes, moduli).T % moduli[:, None])
+
+    return _Images(
+        place=place,
+        hi=packed_images(np.arange(-(-total // place)) * place),
+        lo=packed_images(np.arange(place)),
+        shift=shift,
+        fold_hi=fold_hi,
+        fold_lo=fold_lo,
+        modulus=int(moduli[0]) if k == 1 else 0,
+    )
+
+
+def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
     """Seed scan and chunked BFS over ``orbit_id`` (all -1 on entry).
 
     With ``character = (labels, log_chi, order)`` it also labels each state of
     an orbit with ``log chi`` of a path from the seed, mod ``order``, and
     returns per orbit the gcd of ``order`` and every edge's label defect.
     """
-    k = len(moduli)
     total = orbit_id.size
-    weights = np.array(radix_weights(moduli), dtype=np.float64)
-    stacked = mats.reshape(-1, k).astype(np.float64)
-    row_moduli = np.tile(moduli, len(mats))[:, None].astype(np.float64)
-    col_moduli = moduli[:, None].astype(np.float64)
     if character is not None:
         labels, log_chi, order = character
         log_chi = log_chi[:, None]
@@ -150,25 +244,22 @@ def _bfs(moduli: np.ndarray, mats: np.ndarray, orbit_id: np.ndarray, character=N
             new_parts = []
             for lo in range(0, frontier.size, _CHUNK):
                 states = frontier[lo : lo + _CHUNK]
-                coords = states / weights[:, None]
-                np.floor(coords, out=coords)
-                images = _mod_exact(stacked @ _mod_exact(coords, col_moduli), row_moduli)
-                images = (weights @ images.reshape(len(mats), k, -1)).astype(np.int64).ravel()
-                fresh = orbit_id[images] == -1
-                cand = images[fresh]
+                images = images_of(states).ravel()
+                fresh = np.take(orbit_id, images) == -1
+                cand = np.compress(fresh, images)
                 # in-table dedupe: every candidate writes its own tag, and the
                 # one whose tag reads back stands for its state
                 tags = -2 - np.arange(cand.size, dtype=np.int32)
                 orbit_id[cand] = tags
-                cand = cand[orbit_id[cand] == tags]
-                orbit_id[cand] = oid
-                new_parts.append(cand)
+                new = np.compress(np.take(orbit_id, cand) == tags, cand)
+                orbit_id[new] = oid
+                new_parts.append(new)
                 if d > 1:
                     # any edge into a new state gives it a valid label; once
                     # the gcd is 1 the labels are no longer needed
-                    proposed = ((labels[states] + log_chi) % order).ravel()
-                    labels[images[fresh]] = proposed[fresh]
-                    d = math.gcd(d, int(np.gcd.reduce(proposed - labels[images])))
+                    proposed = ((np.take(labels, states) + log_chi) % order).ravel()
+                    labels[cand] = np.compress(fresh, proposed)
+                    d = math.gcd(d, int(np.gcd.reduce(proposed - np.take(labels, images))))
             frontier = np.concatenate(new_parts)
             size += frontier.size
         seeds.append(ptr)
@@ -231,31 +322,34 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
 
     ``ids`` maps encoded states to orbit ids.  Seeds are scanned in increasing
     state order, so each seed is the smallest encoded state of its orbit.
-    Raises ``ValueError`` when the arithmetic would not be exact in float64
-    (``k * max(m - 1)**2`` or the number of states at least 2**53) or the
-    state space is above ``max_states``.
+    Images are read from int64 tables (``_image_tables``) built with exact
+    int64 products.  Raises ``ValueError`` when ``k * max(m - 1)**2`` or the
+    number of states is at least 2**53, when the packed images could
+    overflow int64, or when the state space is above ``max_states``.
     """
     moduli = np.asarray(moduli, dtype=np.int64)
     k = len(moduli)
     total = math.prod(int(m) for m in moduli)
+    # below 2**53, far inside int64, the table products and state codes are exact
     bound = max(k * (int(moduli.max()) - 1) ** 2, total)
     if bound >= 2**53:
         raise ValueError(f"moduli {moduli.tolist()} too large for exact float64 arithmetic (bound {bound} >= 2^53)")
     require_state_space(total, max_states)
     # row i acts mod moduli[i], so reducing it there changes no image and
-    # keeps every entry of mats @ coords below k * max(m - 1)**2
+    # keeps every dot product of the table build below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
 
     if not _splits_off(moduli, mats):
-        orbit_id = np.empty(total, dtype=np.int32)
-        orbit_id.fill(-1)
-        seeds, sizes, _ = _bfs(moduli, mats, orbit_id)
+        images = _image_tables(moduli, mats)
+        orbit_id = np.full(total, -1, dtype=np.int32)
+        seeds, sizes, _ = _bfs(images, orbit_id)
         return orbit_id.__getitem__, seeds, sizes
     q = int(moduli[-1])
+    images = _image_tables(moduli[:-1], mats[:, :-1, :-1])
     log = _discrete_logs(q)
     block = np.full(total // q, -1, dtype=np.int32)
     labels = np.zeros(block.size, dtype=np.min_scalar_type(q - 2))
-    seeds, sizes, gcds = _bfs(moduli[:-1], mats[:, :-1, :-1], block, (labels, log[mats[:, -1, -1]], q - 1))
+    seeds, sizes, gcds = _bfs(images, block, (labels, log[mats[:, -1, -1]], q - 1))
     return _split_character(block, labels, seeds, sizes, gcds, log)
 
 

@@ -114,10 +114,15 @@ def count_congruence_classes(n: int, p: int) -> int:
     through p = 13 in dimension 3.
     """
     require_odd_prime(p)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    mats = [quadratic_substitution_matrix(np.array(g), pairs, p) for g in gl_generators(n, p)]
-    _, seeds, _ = enumerate_orbit_ids([p] * len(pairs), mats)
+    _, seeds, _ = enumerate_orbit_ids(*congruence_action(n, p))
     return len(seeds)
+
+
+def congruence_action(n: int, p: int) -> tuple[list[int], list[np.ndarray]]:
+    """Moduli and generator matrices of GL(n, p) acting on the n(n+1)/2
+    coefficients of a quadratic form by the substitution z -> g z."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return [p] * len(pairs), [quadratic_substitution_matrix(np.array(g), pairs, p) for g in gl_generators(n, p)]
 
 
 def representatives(n: int, p: int) -> list[QuadForm]:

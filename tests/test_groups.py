@@ -13,6 +13,7 @@ from pcubed.groups import (
     center,
     enumerate_automorphisms,
     normal_abelian_subgroup_classes,
+    normal_abelian_subgroups,
 )
 
 from oracles import are_isomorphic
@@ -151,6 +152,41 @@ def test_subgroup_class_shapes_p5():
         classes = normal_abelian_subgroup_classes(build_group(fam, 5))
         got = sorted((c.isomorphism_type, len(c.members)) for c in classes)
         assert got == sorted(want)
+
+
+# sha256 of repr([sorted(S) for S in normal_abelian_subgroups(G)]), written
+# when every pair of small elements was closed; they pin the list itself
+NORMAL_ABELIAN_DIGESTS = {
+    3: {
+        Family.CYCLIC: "cb77446f1fa76d025143479a4444f4deef5b4bf375f773ec54807baceab5ee6d",
+        Family.P2XP: "1b3fc81f09821f3e09aaa6ab2e6142b56e0b862602bb059b7649fb8bb721fa63",
+        Family.ELEM_ABELIAN: "6d34556b30a023e53df0bb5e6d58a2f513052e2a6dfbb15d526970a0bf104f6f",
+        Family.HEISENBERG: "2f61cc9279ffdcff48064b8d8142738fb5012c61cb46d8045f882ca3ae9334bb",
+        Family.GP: "912a146011b614e9b0d002c6d13f98239d4c6253ccbae1dc5684c5352fc88908",
+    },
+    5: {
+        Family.CYCLIC: "c8449113dbb32be81d8af9c3395cacf068d7cab2c5e84b72760b7f04e14e3cbd",
+        Family.P2XP: "04a3ad12565ed517ac6cf74c6de4c8142cf1a3ff31e2aadc652495225abbb69f",
+        Family.ELEM_ABELIAN: "5b4a59dd90785fb469045bd431dac072713c509da06be334378071fed39a65ec",
+        Family.HEISENBERG: "0b59877c10063490d42e143fd9f697aa272bad70a8342e17b0d2f518a5552325",
+        Family.GP: "fae08fcb81257d4bc2205680071a38d319a0dd639924b0150c964476187054b3",
+    },
+    7: {
+        Family.CYCLIC: "51227f20958957bcb108c616518deecaa2214a9869cb463a0202ec6d3b8c0e9a",
+        Family.P2XP: "1a8f7f5680531176d492b0bb3fbaac3aa0f1b94bbe4f8857503c30e3819c4498",
+        Family.ELEM_ABELIAN: "08a96cbf39bcc6d84955c8c868be3cf561af6ca937c5060ddb0efbc3dc4b51a0",
+        Family.HEISENBERG: "bdede63f300edc49881f23798dede4082b9da625ca8c30515fe1f02a94dc44ff",
+        Family.GP: "5a86e8458a91de6db022484d4784bcabc61f9e5ebc48fa03a8c1fd489e554da2",
+    },
+}
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_normal_abelian_subgroups_are_pinned(fam, p):
+    subgroups = normal_abelian_subgroups(build_group(fam, p))
+    digest = hashlib.sha256(repr([sorted(S) for S in subgroups]).encode()).hexdigest()
+    assert digest == NORMAL_ABELIAN_DIGESTS[p][fam]
 
 
 @pytest.mark.parametrize("p", [3, 5])

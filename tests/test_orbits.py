@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from pcubed import orbits
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import action_generators, h4_model
-from pcubed.modular import primitive_root
+from pcubed.modular import primitive_root, radix_weights
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
+from pcubed.quadforms import congruence_action
 
 COUNTS = {
     Family.CYCLIC: lambda p: 7,
@@ -193,6 +194,56 @@ def test_only_permutations_with_a_scalar_last_coordinate_split():
         assert not split(moduli, np.array([ok[0], bad])), bad
     assert not split(np.array([9, 3, 9]), ok)  # the last modulus is not prime
     assert not split(np.array([5]), np.array([[[2]]]))  # no block left
+
+
+# --- the table kernel against the reference product ----------------------
+
+
+def _kernel_cases():
+    for p in (3, 5):
+        for fam in FAMILIES:
+            yield pytest.param(h4_model(fam, p).moduli, action_generators(fam, p), id=f"{fam.value}-p{p}")
+    for n in (1, 2, 3):
+        yield pytest.param(*congruence_action(n, 3), id=f"congruence-n{n}-p3")
+    rng = np.random.default_rng(0)
+    for moduli in ([9, 3, 3], [2, 9, 5]):
+        # any integer matrix: the tables never rely on the action being well defined
+        mats = rng.integers(-50, 50, size=(3, len(moduli), len(moduli)))
+        yield pytest.param(moduli, mats, id="mixed-" + "-".join(map(str, moduli)))
+
+
+@pytest.mark.parametrize("moduli, matrices", _kernel_cases())
+def test_table_images_equal_the_reference_product(moduli, matrices):
+    moduli = np.array(moduli, dtype=np.int64)
+    mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
+    weights = np.array(radix_weights(moduli), dtype=np.int64)
+    states = np.arange(math.prod(moduli.tolist()), dtype=np.int64)
+    digits = states[:, None] // weights % moduli
+    expected = (mats @ digits.T % moduli[:, None]).transpose(0, 2, 1) @ weights
+    assert np.array_equal(orbits._image_tables(moduli, mats)(states), expected)
+
+
+@pytest.mark.parametrize(
+    "moduli, mats",
+    [
+        (h4_model(Family.CYCLIC, 457).moduli, np.stack(action_generators(Family.CYCLIC, 457))),
+        (h4_model(Family.ELEM_ABELIAN, 17).moduli[:-1], np.stack(action_generators(Family.ELEM_ABELIAN, 17))[:, :-1, :-1]),
+    ],
+    ids=["cyclic-p457", "elem_abelian-block-p17"],
+)
+def test_image_tables_are_bounded(moduli, mats):
+    # builds the tables only: no state table is allocated and no BFS runs
+    moduli = np.array(moduli, dtype=np.int64)
+    images = orbits._image_tables(moduli, mats % moduli[:, None])
+    bound = 4 * math.sqrt(2 ** len(moduli) * math.prod(moduli.tolist()))
+    tables = [images.hi[0], images.lo[0], images.fold_hi, images.fold_lo]
+    assert all(t is None or t.size <= bound for t in tables), [None if t is None else t.size for t in tables]
+
+
+def test_packing_that_could_overflow_int64_is_refused():
+    # 3**30 states pass the 2**53 guard, but 6**29 packed block digits do not fit in int64
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_orbit_ids([3] * 30, [np.eye(30, dtype=np.int64)], max_states=3**30)
 
 
 # --- property tests against a plain-Python union-find reference -----------
