@@ -8,13 +8,16 @@ scanning seeds in increasing state order makes every seed the
 lexicographically minimal member of its orbit, which is the canonical
 representative contract the Morita graph relies on.
 
-- Seed scan: the next seed is the first ``-1`` (unvisited) entry of
-  ``orbit_id`` found block by block with ``np.flatnonzero``, so the scan
-  costs one vector compare per block, not one Python step per state.
-- Dedupe in the table: each unvisited image writes its own negative tag
-  (``-2 - position``) into ``orbit_id`` and keeps its place only if that tag
-  reads back, so exactly one copy of every new state survives without a sort
-  or a hash table; the survivors are then set to the orbit id.
+- Seed scan: the next seed is the first unvisited entry of ``orbit_id``
+  (the table dtype's maximum) found block by block with ``np.flatnonzero``,
+  so the scan costs one vector compare per block, not one Python step per
+  state.
+- Dedupe by sort: each chunk's unvisited images are sorted and kept where
+  they differ from their left neighbour, so exactly one copy of every new
+  state survives; the survivors are then set to the orbit id, so a later
+  chunk reads them as visited.  Frontiers are int32.
+- A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
+  below the unvisited mark 255; the 256th orbit widens it to int32 once.
 - Images by table: a state s splits as a * P + b at a place value P near
   sqrt(total) where its coefficient vector is the digitwise sum of those of
   a * P and b, so each generator's image is the sum of two int64 table
@@ -153,7 +156,7 @@ class _Images(NamedTuple):
     modulus: int  # the single coordinate's modulus; 0 when there are fold tables
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
-        """Encoded images, one row per generator, of the int64 ``states``."""
+        """Encoded images, one row per generator, of the integer ``states``."""
         a, b = np.divmod(states, self.place)
         packed = np.take(self.hi, a, axis=1)
         packed += np.take(self.lo, b, axis=1)
@@ -214,13 +217,17 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
 
 
 def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
-    """Seed scan and chunked BFS over ``orbit_id`` (all -1 on entry).
+    """Seed scan and chunked BFS over the uint8 ``orbit_id`` (all 255 on entry).
 
-    With ``character = (labels, log_chi, order)`` it also labels each state of
-    an orbit with ``log chi`` of a path from the seed, mod ``order``, and
-    returns per orbit the gcd of ``order`` and every edge's label defect.
+    Returns the seeds, sizes and gcds of the orbits and the table it ends
+    with: ``orbit_id`` itself, or its int32 widening once a 256th orbit
+    needs an id.  With ``character = (labels, log_chi, order)`` it also
+    labels each state of an orbit with ``log chi`` of a path from the seed,
+    mod ``order``, and the gcds are, per orbit, those of ``order`` and every
+    edge's label defect.
     """
     total = orbit_id.size
+    unvisited = np.iinfo(orbit_id.dtype).max
     if character is not None:
         labels, log_chi, order = character
         log_chi = log_chi[:, None]
@@ -230,14 +237,18 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
     gcds: list[int] = []
     ptr = 0
     while ptr < total:
-        free = np.flatnonzero(orbit_id[ptr : ptr + _CHUNK] == -1)
+        free = np.flatnonzero(orbit_id[ptr : ptr + _CHUNK] == unvisited)
         if not free.size:
             ptr += _CHUNK
             continue
         ptr += int(free[0])
         oid = len(seeds)
+        if oid == unvisited:  # the 256th orbit: widen the table to int32, once
+            wide = np.iinfo(np.int32).max
+            orbit_id = np.where(orbit_id == unvisited, np.int32(wide), orbit_id)
+            unvisited = wide
         orbit_id[ptr] = oid
-        frontier = np.array([ptr], dtype=np.int64)
+        frontier = np.array([ptr], dtype=np.int32)
         size = 1
         d = order if character is not None else 1
         while frontier.size:
@@ -245,13 +256,13 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
             for lo in range(0, frontier.size, _CHUNK):
                 states = frontier[lo : lo + _CHUNK]
                 images = images_of(states).ravel()
-                fresh = np.take(orbit_id, images) == -1
+                fresh = np.take(orbit_id, images) == unvisited
                 cand = np.compress(fresh, images)
-                # in-table dedupe: every candidate writes its own tag, and the
-                # one whose tag reads back stands for its state
-                tags = -2 - np.arange(cand.size, dtype=np.int32)
-                orbit_id[cand] = tags
-                new = np.compress(np.take(orbit_id, cand) == tags, cand)
+                new = cand.astype(np.int32)
+                new.sort()
+                first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
+                np.not_equal(new[1:], new[:-1], out=first[1:])
+                new = new[first]
                 orbit_id[new] = oid
                 new_parts.append(new)
                 if d > 1:
@@ -266,7 +277,7 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
         sizes.append(size)
         gcds.append(d)
         ptr += 1
-    return seeds, sizes, gcds
+    return seeds, sizes, gcds, orbit_id
 
 
 def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
@@ -325,7 +336,9 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     Images are read from int64 tables (``_image_tables``) built with exact
     int64 products.  Raises ``ValueError`` when ``k * max(m - 1)**2`` or the
     number of states is at least 2**53, when the packed images could
-    overflow int64, or when the state space is above ``max_states``.
+    overflow int64, when the state space is above ``max_states``, or, before
+    the state table is allocated, when it reaches 2**31, as the BFS frontiers
+    hold int32 states.
     """
     moduli = np.asarray(moduli, dtype=np.int64)
     k = len(moduli)
@@ -333,24 +346,28 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     # below 2**53, far inside int64, the table products and state codes are exact
     bound = max(k * (int(moduli.max()) - 1) ** 2, total)
     if bound >= 2**53:
-        raise ValueError(f"moduli {moduli.tolist()} too large for exact float64 arithmetic (bound {bound} >= 2^53)")
+        raise ValueError(f"moduli {moduli.tolist()} too large for exact int64 image tables (bound {bound} >= 2^53)")
     require_state_space(total, max_states)
     # row i acts mod moduli[i], so reducing it there changes no image and
     # keeps every dot product of the table build below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
 
-    if not _splits_off(moduli, mats):
-        images = _image_tables(moduli, mats)
-        orbit_id = np.full(total, -1, dtype=np.int32)
-        seeds, sizes, _ = _bfs(images, orbit_id)
-        return orbit_id.__getitem__, seeds, sizes
-    q = int(moduli[-1])
-    images = _image_tables(moduli[:-1], mats[:, :-1, :-1])
+    split = _splits_off(moduli, mats)
+    n = k - 1 if split else k  # the coordinates the BFS runs on
+    images = _image_tables(moduli[:n], mats[:, :n, :n])
+    # a packing the tables refuse implies 2**31 states, so that refusal, the
+    # more specific one, comes first; both come before the state table
+    if total >= 2**31:
+        raise ValueError(f"state space {total} at or above 2^31, too large for int32 frontiers")
+    q = int(moduli[-1]) if split else 1
+    table = np.full(total // q, np.iinfo(np.uint8).max, dtype=np.uint8)
+    if not split:
+        seeds, sizes, _, table = _bfs(images, table)
+        return lambda states: table[states].astype(np.int32), seeds, sizes
     log = _discrete_logs(q)
-    block = np.full(total // q, -1, dtype=np.int32)
-    labels = np.zeros(block.size, dtype=np.min_scalar_type(q - 2))
-    seeds, sizes, gcds = _bfs(images, block, (labels, log[mats[:, -1, -1]], q - 1))
-    return _split_character(block, labels, seeds, sizes, gcds, log)
+    labels = np.zeros(table.size, dtype=np.min_scalar_type(q - 2))
+    seeds, sizes, gcds, table = _bfs(images, table, (labels, log[mats[:, -1, -1]], q - 1))
+    return _split_character(table, labels, seeds, sizes, gcds, log)
 
 
 def enumerate_orbits(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pcubed import cli
+from pcubed import cli, orbits
 from pcubed.cli import main
 
 # written by the CLI before the Aut(G) generators became one record each; they
@@ -220,6 +220,18 @@ def test_a_state_space_above_the_bound_is_refused_before_any_work(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"pcubed: state space {total} above the bound 100000000\n"
+
+
+def test_a_state_space_past_int32_frontiers_is_a_usage_error(capsys, monkeypatch):
+    def bfs(*args, **kwargs):
+        raise AssertionError("the BFS ran before the state space was checked")
+
+    # 23**7 classes pass a raised bound but reach 2**31, past the BFS's int32 frontiers
+    monkeypatch.setattr(orbits, "_bfs", bfs)
+    assert main(["classify", "-p", "23", "--family", "elem_abelian", "--max-states", str(23**7)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: state space {23**7} at or above 2^31, too large for int32 frontiers\n"
 
 
 BIG_PRIME = 1000000000000000003

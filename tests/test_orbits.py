@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -138,6 +142,12 @@ def test_orbit_ids_are_pinned(fam, p, indices_for):
     assert hashlib.sha256(ids.astype(np.int32).tobytes()).hexdigest() == ORBIT_ID_DIGESTS[p][fam]
 
 
+def test_ids_are_int32(indices_for):
+    for fam in FAMILIES:
+        index = indices_for(3)[fam]
+        assert index.ids(np.arange(index.model.total_order)).dtype == np.int32, fam
+
+
 def test_state_bound_enforced():
     model = h4_model(Family.ELEM_ABELIAN, 3)
     with pytest.raises(ValueError):
@@ -194,6 +204,32 @@ def test_only_permutations_with_a_scalar_last_coordinate_split():
         assert not split(moduli, np.array([ok[0], bad])), bad
     assert not split(np.array([9, 3, 9]), ok)  # the last modulus is not prime
     assert not split(np.array([5]), np.array([[[2]]]))  # no block left
+
+
+def test_a_state_space_past_int32_frontiers_is_refused():
+    # 2**31 states pass the 2**53 guard and a raised bound, but not the int32
+    # frontiers; the refusal comes before the state table and the BFS
+    eye = np.eye(2, dtype=np.int64)
+    with patch.object(orbits, "_bfs", side_effect=AssertionError("the BFS ran")):
+        with pytest.raises(ValueError, match="2\\^31"):
+            enumerate_orbit_ids([2**16, 2**15], [eye], max_states=2**31)
+
+
+def test_the_congruence_closure_costs_under_four_bytes_per_state():
+    # a fresh child, so ru_maxrss grows from the post-import baseline; an int32
+    # id table alone would take 4 bytes for each of the 13**6 forms
+    code = (
+        "import resource\n"
+        "from pcubed.quadforms import count_congruence_classes\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert count_congruence_classes(3, 13) == 7\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
+    assert growth < 4 * 13**6, f"{growth / 2**20:.1f} MiB"
 
 
 # --- the table kernel against the reference product ----------------------
@@ -373,3 +409,24 @@ def test_character_split_matches_union_find(action, chunk):
     reduced = np.stack(mats) % np.array(moduli)[:, None]
     assert orbits._splits_off(np.array(moduli), reduced) != coupled
     _check_against_union_find(moduli, mats, chunk)
+
+
+@pytest.mark.parametrize("states, widened", [(255, False), (256, True)])
+def test_the_256th_orbit_widens_the_table(states, widened):
+    # the identity on Z/n has n orbits; ids 0..254 fit below the uint8 mark 255
+    images = orbits._image_tables(np.array([states]), np.ones((1, 1, 1), dtype=np.int64))
+    seeds, _, _, table = orbits._bfs(images, np.full(states, 255, dtype=np.uint8))
+    assert seeds == list(range(states))
+    assert table.dtype == (np.int32 if widened else np.uint8)
+    assert np.array_equal(table, np.arange(states))
+
+
+@pytest.mark.parametrize("moduli, g", [([20, 20], 1), ([16, 16, 5], primitive_root(5))], ids=["plain", "split"])
+@pytest.mark.parametrize("chunk", [5, orbits._CHUNK])
+def test_more_than_255_orbits_match_union_find(moduli, g, chunk):
+    # identity actions: 400 orbits, and 256 block orbits of (Z/16)^2 split by x -> g x
+    mat = np.diag([1] * (len(moduli) - 1) + [g]).astype(np.int64)
+    assert orbits._splits_off(np.array(moduli), mat[None]) == (g != 1)
+    _check_against_union_find(moduli, [mat], chunk)
+    ids, _, _ = enumerate_orbit_ids(moduli, [mat])
+    assert ids(np.arange(math.prod(moduli))).dtype == np.int32
