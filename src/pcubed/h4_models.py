@@ -42,7 +42,7 @@ import numpy as np
 from . import graded_ring as gr
 from .groups import Family, GroupTable, build_group
 from .modular import (
-    gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_weights, rank_and_det_mod,
+    gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_weights,
     require_odd_prime,
 )
 from .report import CheckResult
@@ -77,8 +77,10 @@ class H4Model:
     def weights(self) -> tuple[int, ...]:
         return radix_weights(self.moduli)
 
-    def encode(self, coeffs) -> int:
-        return sum((int(c) % m) * w for c, m, w in zip(coeffs, self.moduli, self.weights))
+    def encode(self, coeffs):
+        """Code of a coefficient vector; coefficients given as int64 arrays,
+        broadcast against each other, give an array of codes."""
+        return sum(np.asarray(c, dtype=np.int64) % m * w for c, m, w in zip(coeffs, self.moduli, self.weights))
 
     def decode(self, state: int) -> tuple[int, ...]:
         return tuple(int(state) // w % m for w, m in zip(self.weights, self.moduli))
@@ -197,9 +199,20 @@ def aut_generators(family: Family, p: int) -> tuple[AutGenerator, ...]:
 
 
 def _dets_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinant mod p of each matrix in a stack, one ``rank_and_det_mod`` each."""
-    flat = mats.reshape(-1, *mats.shape[-2:]).tolist()
-    return np.array([rank_and_det_mod(m, p)[1] for m in flat], dtype=np.int64).reshape(mats.shape[:-2])
+    """Determinant mod p of each 2x2 or 3x3 matrix in a stack, by cofactors.
+
+    The entries are reduced mod p first, so every product of three stays
+    below p**3, far inside int64, and the determinant is exact before its
+    final reduction."""
+    a = np.asarray(mats, dtype=np.int64) % p
+    if a.shape[-1] == 2:
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    else:
+        # expansion along the first row
+        det = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+               - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+               + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    return det % p
 
 
 def _stacked(rows) -> np.ndarray:

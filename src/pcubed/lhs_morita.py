@@ -17,12 +17,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import product
+
+import numpy as np
 
 from . import graded_ring as gr
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, H4Model, h4_model
-from .modular import least_nonsquare, rank_and_det_mod, units
+from .modular import least_nonsquare, radix_digits, rank_and_det_mod, units
 from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits, expected_orbit_count
 from .quadforms import select_h
 from .report import CheckResult
@@ -209,7 +210,12 @@ class OmegaGroup:
     def contains(self, cls: CohClass) -> bool:
         if cls.model != self.model:
             raise ValueError("class belongs to a different model")
-        return all(c % d == 0 for c, d in zip(cls.coeffs, self.divisors))
+        return bool(self.contains_codes(self.model.encode(cls.coeffs)))
+
+    def contains_codes(self, codes) -> np.ndarray:
+        """Whether each encoded class lies in the span: each of its digits is a
+        multiple of that coordinate's divisor."""
+        return (radix_digits(codes, self.model.moduli) % self.divisors == 0).all(axis=-1)
 
 
 def omega(case_id: str, family: Family, p: int) -> OmegaGroup:
@@ -485,37 +491,48 @@ def verify_pages(p: int) -> list[CheckResult]:
 # the derived equivalences, as explicit class pairs
 
 
-def morita_edges(case_id: str, p: int) -> list[tuple[CohClass, CohClass]]:
-    """All parametrized equivalences of one extension case, as (left, right) class pairs."""
-    C = h4_model(Family.CYCLIC, p)
-    P2 = h4_model(Family.P2XP, p)
-    E = h4_model(Family.ELEM_ABELIAN, p)
-    H = h4_model(Family.HEISENBERG, p)
-    G = h4_model(Family.GP, p)
+def morita_edges(case_id: str, p: int) -> np.ndarray:
+    """All parametrized equivalences of one extension case, as an ``(E, 4)``
+    int64 array: one row (left family, left code, right family, right code)
+    per edge, a family being its index in ``FAMILIES`` and a code its class's
+    ``H4Model.encode``."""
+    k = np.arange(p)
+
+    def edges(left: Family, left_coeffs, right: Family, right_coeffs) -> np.ndarray:
+        columns = np.broadcast_arrays(
+            FAMILIES.index(left), h4_model(left, p).encode(left_coeffs),
+            FAMILIES.index(right), h4_model(right, p).encode(right_coeffs),
+        )
+        return np.stack(columns, axis=-1).reshape(-1, 4)
+
     if case_id == CASES[0].case_id:
         # 0 <-> uv
-        return [(C.cls((0,)), P2.cls((0, 1, 0)))]
+        return edges(Family.CYCLIC, (0,), Family.P2XP, (0, 1, 0))
     if case_id == CASES[2].case_id:
         # k p² s² <-> uv + k v², from k = 0
-        return [(C.cls((k * p * p,)), P2.cls((k, 1, 0))) for k in range(p)]
+        return edges(Family.CYCLIC, (k * p * p,), Family.P2XP, (k, 1, 0))
     if case_id == CASES[3].case_id:
         # 0 <-> y1y2
-        return [(P2.cls((0, 0, 0)), E.cls((0, 0, 0, 1, 0, 0, 0)))]
+        return edges(Family.P2XP, (0, 0, 0), Family.ELEM_ABELIAN, (0, 0, 0, 1, 0, 0, 0))
     if case_id == CASES[4].case_id:
-        # k u² <-> y1y3 + k y2², from k = 0
-        edges = [(P2.cls((0, 0, k)), E.cls((0, k, 0, 0, 1, 0, 0))) for k in range(p)]
-        # a z1² + c z2² + m z1z2 <-> a y1² + c y2² + m y1y2 + b(x1x2x3)
-        edges += [(H.cls((0, a, c, m)), E.cls((a, c, 0, m, 0, 0, 1))) for a, m, c in product(range(p), repeat=3)]
-        # k gamma² <-> y2y3 - b(x1x2x3) + k y1², from k = 0
-        return edges + [(G.cls((0, k)), E.cls((k, 0, 0, 0, 0, 1, p - 1))) for k in range(p)]
+        a, m, c = np.indices((p, p, p)).reshape(3, -1)
+        return np.concatenate([
+            # k u² <-> y1y3 + k y2², from k = 0
+            edges(Family.P2XP, (0, 0, k), Family.ELEM_ABELIAN, (0, k, 0, 0, 1, 0, 0)),
+            # a z1² + c z2² + m z1z2 <-> a y1² + c y2² + m y1y2 + b(x1x2x3)
+            edges(Family.HEISENBERG, (0, a, c, m), Family.ELEM_ABELIAN, (a, c, 0, m, 0, 0, 1)),
+            # k gamma² <-> y2y3 - b(x1x2x3) + k y1², from k = 0
+            edges(Family.GP, (0, k), Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, p - 1)),
+        ])
     if case_id == CASES[5].case_id:
         # 0 <-> z1z2 + l z1²
-        return [(G.cls((0, 0)), H.cls((0, l, 0, 1))) for l in range(p)]
-    return []
+        return edges(Family.GP, (0, 0), Family.HEISENBERG, (0, k, 0, 1))
+    return np.empty((0, 4), dtype=np.int64)
 
 
-def all_edges(p: int) -> list[tuple[CohClass, CohClass]]:
-    return [edge for case in CASES for edge in morita_edges(case.case_id, p)]
+def all_edges(p: int) -> np.ndarray:
+    """The ``morita_edges`` rows of every case, one ``(E, 4)`` array in case order."""
+    return np.concatenate([morita_edges(case.case_id, p) for case in CASES])
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +607,13 @@ def build_orbit_indices(p: int, max_states: int = DEFAULT_MAX_STATES) -> dict[Fa
 def morita_components(
     p: int,
     indices: dict[Family, OrbitIndex] | None = None,
-    edges: list[tuple[CohClass, CohClass]] | None = None,
+    edges: np.ndarray | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> MoritaGraph:
-    """Canonicalize every edge endpoint and merge; components are Morita classes."""
+    """Canonicalize every edge endpoint and merge; components are Morita classes.
+
+    ``edges`` holds rows laid out as ``all_edges(p)`` lays them out; a code
+    outside its model at p raises ``ValueError``."""
     if indices is None:
         indices = build_orbit_indices(p, max_states=max_states)
     if edges is None:
@@ -603,26 +623,28 @@ def morita_components(
         offset[fam] = len(nodes)
         nodes += [(fam, orbit.rep) for orbit in indices[fam].orbits]
 
-    def node(cls: CohClass) -> int:
-        fam = cls.model.family
-        return offset[fam] + indices[fam].id_of(cls)
-
+    # the node of every endpoint, left and right interleaved, one ids call per family
+    fams, codes = edges[:, 0::2].ravel(), edges[:, 1::2].ravel()
+    ends = np.empty(fams.size, dtype=np.int64)
+    for f, fam in enumerate(FAMILIES):
+        rows = fams == f
+        mine = codes[rows]
+        if mine.size and (mine.min() < 0 or mine.max() >= indices[fam].model.total_order):
+            raise ValueError(f"edge codes outside the {fam.value} model at p = {p}")
+        ends[rows] = offset[fam] + indices[fam].ids(mine)
     uf = _UnionFind(len(nodes))
-    for left, right in edges:
-        uf.union(node(left), node(right))
+    for left, right in ends.reshape(-1, 2).tolist():
+        uf.union(left, right)
     groups: dict[int, list[int]] = {}
     for i in range(len(nodes)):
         groups.setdefault(uf.find(i), []).append(i)
     # members come in node order, which is (family, representative) order
-    # because orbit ids follow the order of their seeds
-    components = [tuple(nodes[i] for i in members) for members in groups.values()]
-    fam_pos = {fam: i for i, fam in enumerate(FAMILIES)}
-    components.sort(
-        key=lambda comp: (
-            tuple(fam_pos[f] for f, _ in comp),
-            tuple(r.model.encode(r.coeffs) for _, r in comp),
-        )
-    )
+    # because orbit ids follow the order of their seeds; components are
+    # sorted by their members' families, then by their representatives,
+    # which for equal families is the order of their node numbers
+    family_of = [f for f, fam in enumerate(FAMILIES) for _ in indices[fam].orbits]
+    groups_in_order = sorted(groups.values(), key=lambda members: ([family_of[i] for i in members], members))
+    components = [tuple(nodes[i] for i in members) for members in groups_in_order]
     return MoritaGraph(p, indices, components)
 
 
@@ -713,28 +735,25 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     checks: list[CheckResult] = []
     indices = graph.indices
 
-    def rep_key(cls):
-        return indices[cls.model.family].rep_of(cls).coeffs
+    def orbit_ids(family: Family, coeffs) -> list[int]:
+        """Orbit ids of the classes with these coefficients, one ids call."""
+        return indices[family].ids(indices[family].model.encode(coeffs)).tolist()
 
     # every edge endpoint lies inside the Omega span of its case and family
     ok = True
     for case in CASES:
-        for edge in morita_edges(case.case_id, p):
-            for cls in edge:
-                ok &= omega(case.case_id, cls.model.family, p).contains(cls)
+        edges = morita_edges(case.case_id, p)
+        fams, codes = edges[:, 0::2].ravel(), edges[:, 1::2].ravel()
+        for f in set(fams.tolist()):
+            ok &= bool(omega(case.case_id, FAMILIES[f], p).contains_codes(codes[fams == f]).all())
     checks.append(CheckResult("consistency.edges_in_omega", ok))
 
     # the unit-parameter reading mod p^2 produces the same canonical edge set
-    C = h4_model(Family.CYCLIC, p)
-    P2 = h4_model(Family.P2XP, p)
-    narrow = {
-        (rep_key(C.cls((k * p * p,))), rep_key(P2.cls((k, 1, 0))))
-        for k in units(p)
-    }
-    wide = {
-        (rep_key(C.cls((k * p * p,))), rep_key(P2.cls((k, 1, 0))))
-        for k in units(p * p)
-    }
+    def unit_pairs(modulus):
+        k = np.array(units(modulus))
+        return set(zip(orbit_ids(Family.CYCLIC, (k * p * p,)), orbit_ids(Family.P2XP, (k, 1, 0))))
+
+    narrow, wide = unit_pairs(p), unit_pairs(p * p)
     checks.append(
         CheckResult(
             "consistency.unit_parameter_readings_agree",
@@ -752,13 +771,10 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     )
 
     # both signs of the triple-product class land in the same orbit
-    E = h4_model(Family.ELEM_ABELIAN, p)
-    ok = True
-    for k in range(p):
-        plus = E.cls((k, 0, 0, 0, 0, 1, 1))
-        minus = E.cls((k, 0, 0, 0, 0, 1, p - 1))
-        ok &= rep_key(plus) == rep_key(minus)
-    checks.append(CheckResult("consistency.triple_product_sign", ok))
+    k = np.arange(p)
+    plus = orbit_ids(Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, 1))
+    minus = orbit_ids(Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, p - 1))
+    checks.append(CheckResult("consistency.triple_product_sign", plus == minus))
 
     # the sixteen listed product-group representatives are pairwise disjoint
     # orbits and exhaust the classification; g is also the least nonsquare unit
@@ -771,7 +787,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
         (p, 0, 1), (p, 0, g), (g * p, 0, 1), (g * p, 0, g),
         (0, 1, 0), (0, 0, 0),
     ]
-    ids = {indices[Family.P2XP].id_of(P2.cls(v)) for v in listed}
+    ids = set(orbit_ids(Family.P2XP, np.array(listed).T))
     checks.append(
         CheckResult(
             "consistency.p2xp_sixteen_representatives",
@@ -791,7 +807,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     for lead in (1, g):
         for a in range((p - 1) // 2 + 1):
             listed_e.append((lead, 1, 1, 0, 0, 0, a))
-    ids_e = {indices[Family.ELEM_ABELIAN].id_of(E.cls(v)) for v in listed_e}
+    ids_e = set(orbit_ids(Family.ELEM_ABELIAN, np.array(listed_e).T))
     checks.append(
         CheckResult(
             "consistency.elem_abelian_listed_representatives",

@@ -153,6 +153,12 @@ def radix_weights(moduli) -> tuple[int, ...]:
     return tuple(weights[::-1])
 
 
+def radix_digits(codes, radix) -> np.ndarray:
+    """Big-endian mixed-radix digits of int64 ``codes``, one column per place."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes[..., None] // np.array(radix_weights(radix), dtype=np.int64) % np.asarray(radix, dtype=np.int64)
+
+
 def gl_generators(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Generators of GL(n, p): diag(g, 1, ..., 1) for the primitive root g,
     then, for n > 1, the n-cycle with 1 at (i, i + 1 mod n) and the shear

@@ -42,6 +42,16 @@ representative contract the Morita graph relies on.
   significant coordinate, seeds and numbering are those of the full BFS.
   Only the block table and the labels are stored: the id of (x, b) is
   computed on demand from the block orbit of x, L(x) and log b.
+- Label tables: the labels of an edge's target are read from a (generators x
+  q - 1) shift table, (L + log chi(s)) mod (q - 1) in the labels' own dtype,
+  and each defect, shifted by q - 1 into 1..2 (q - 1) - 1 (so the labels'
+  dtype holds it), is tested against the current gcd d in a "multiple of d"
+  table; ``np.gcd.reduce`` runs only on a chunk with a defect that is not.
+- One coordinate: a 1x1 multiplier u is replaced by its distinct repeated
+  squares u, u^2, u^4, ..., ``m.bit_length()`` of them.  They are words in
+  u, so orbits, seeds and sizes do not change, and u^e s is popcount(e)
+  levels from s, not e: the cyclic model at p = 11 takes 27 levels in all,
+  not 1331.
 """
 
 import math
@@ -53,7 +63,7 @@ import numpy as np
 
 from .groups import Family
 from .h4_models import CohClass, H4Model, action_generators
-from .modular import is_automorphism, is_prime, primitive_root, radix_weights
+from .modular import is_automorphism, is_prime, primitive_root, radix_digits, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
 _CHUNK = 1 << 13  # the generators x chunk int64 image temporaries stay within L2
@@ -167,14 +177,9 @@ class _Images(NamedTuple):
         return images
 
 
-def _digits(codes: np.ndarray, radix) -> np.ndarray:
-    """Big-endian mixed-radix digits of int64 ``codes``, one column per place."""
-    return codes[:, None] // np.array(radix_weights(radix), dtype=np.int64) % np.asarray(radix, dtype=np.int64)
-
-
 def _fold_table(radix, moduli, weights) -> np.ndarray:
     """Mixed-radix code of the digits mod ``moduli`` of every number at ``radix``."""
-    return _digits(np.arange(math.prod(radix)), radix) % moduli @ weights
+    return radix_digits(np.arange(math.prod(radix)), radix) % moduli @ weights
 
 
 def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
@@ -203,7 +208,7 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
 
     def packed_images(codes):
         # every dot product stays below k * max(m - 1)**2 < 2**53
-        return pack @ (mats @ _digits(codes, moduli).T % moduli[:, None])
+        return pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])
 
     return _Images(
         place=place,
@@ -230,7 +235,10 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
     unvisited = np.iinfo(orbit_id.dtype).max
     if character is not None:
         labels, log_chi, order = character
-        log_chi = log_chi[:, None]
+        # shift[g, l] = (l + log chi(g)) mod order, and divisible[order + t]
+        # whether t is 0 mod d: defects are looked up, not reduced
+        shift = ((np.arange(order) + log_chi[:, None]) % order).astype(labels.dtype)
+        multiples = np.arange(2 * order)
 
     seeds: list[int] = []
     sizes: list[int] = []
@@ -251,6 +259,8 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
         frontier = np.array([ptr], dtype=np.int32)
         size = 1
         d = order if character is not None else 1
+        if d > 1:
+            divisible = multiples % d == 0
         while frontier.size:
             new_parts = []
             for lo in range(0, frontier.size, _CHUNK):
@@ -268,9 +278,14 @@ def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
                 if d > 1:
                     # any edge into a new state gives it a valid label; once
                     # the gcd is 1 the labels are no longer needed
-                    proposed = ((np.take(labels, states) + log_chi) % order).ravel()
+                    proposed = np.take(shift, np.take(labels, states), axis=1).ravel()
                     labels[cand] = np.compress(fresh, proposed)
-                    d = math.gcd(d, int(np.gcd.reduce(proposed - np.take(labels, images))))
+                    # each defect, shifted by order, is in 1..2 order - 1
+                    defects = proposed + order
+                    defects -= np.take(labels, images)
+                    if not np.take(divisible, defects).all():
+                        d = math.gcd(d, int(np.gcd.reduce(defects)))
+                        divisible = multiples % d == 0
             frontier = np.concatenate(new_parts)
             size += frontier.size
         seeds.append(ptr)
@@ -322,6 +337,18 @@ def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
     return ids, seeds, sizes
 
 
+def _repeated_squares(units: list[int], m: int) -> np.ndarray:
+    """The distinct u, u^2, u^4, ... mod ``m``, ``m.bit_length()`` of each
+    multiplier u, as 1x1 matrices.
+
+    They are words in the u, so the orbits do not change, and any u^e with
+    e < m is a product of popcount(e) of them: the BFS reaches it in that many
+    levels, not e.
+    """
+    squares = dict.fromkeys(pow(u, 1 << t, m) for u in units for t in range(m.bit_length()))
+    return np.array(list(squares), dtype=np.int64).reshape(-1, 1, 1)
+
+
 def require_state_space(total: int, max_states: int) -> None:
     """Refuse a state space of ``total`` states above the ``max_states`` bound."""
     if total > max_states:
@@ -351,6 +378,8 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     # row i acts mod moduli[i], so reducing it there changes no image and
     # keeps every dot product of the table build below k * max(m - 1)**2
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
+    if k == 1:
+        mats = _repeated_squares(mats[:, 0, 0].tolist(), int(moduli[0]))
 
     split = _splits_off(moduli, mats)
     n = k - 1 if split else k  # the coordinates the BFS runs on
@@ -365,7 +394,8 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
         seeds, sizes, _, table = _bfs(images, table)
         return lambda states: table[states].astype(np.int32), seeds, sizes
     log = _discrete_logs(q)
-    labels = np.zeros(table.size, dtype=np.min_scalar_type(q - 2))
+    # the labels' dtype also holds the shifted defects, up to 2 (q - 1) - 1
+    labels = np.zeros(table.size, dtype=np.min_scalar_type(2 * (q - 1) - 1))
     seeds, sizes, gcds, table = _bfs(images, table, (labels, log[mats[:, -1, -1]], q - 1))
     return _split_character(table, labels, seeds, sizes, gcds, log)
 

@@ -8,6 +8,7 @@ from pcubed import h4_models
 from pcubed.groups import FAMILIES, Family, build_group, enumerate_automorphisms
 from pcubed.h4_models import (
     _coords_in_basis,
+    _dets_mod,
     _model_matrix,
     _ring_and_basis,
     _well_defined,
@@ -18,7 +19,7 @@ from pcubed.h4_models import (
     pullbacks,
     push_automorphism,
 )
-from pcubed.modular import is_automorphism, units
+from pcubed.modular import is_automorphism, rank_and_det_mod, units
 from pcubed.quadforms import QuadForm, congruence_invariant
 
 from oracles import matrix_group_closure
@@ -327,3 +328,18 @@ def test_json_round_trip():
     assert blob["coeffs"] == [1, 0, 2, 0]
     assert blob["moduli"] == [3, 3, 3, 3]
     assert cls.label() == "chi + 2*z2^2"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cofactor_determinants_match_elimination(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    # unreduced entries, negative ones included, then a third of the stack
+    # made singular mod p: its last row a combination of the others mod p
+    mats = rng.integers(-3 * p, 3 * p, size=(300, n, n))
+    coeffs = rng.integers(0, p, size=(100, n - 1))
+    mats[:100, -1] = np.einsum("bi,bij->bj", coeffs, mats[:100, :-1]) + p * rng.integers(-2, 3, size=(100, n))
+    expected = [rank_and_det_mod(m, p)[1] for m in mats.tolist()]
+    assert expected.count(0) >= 100
+    assert _dets_mod(mats, p).tolist() == expected
+    assert _dets_mod(mats.reshape(3, 100, n, n), p).tolist() == np.reshape(expected, (3, 100)).tolist()

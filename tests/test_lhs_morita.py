@@ -1,13 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pcubed import lhs_morita
-from pcubed.groups import Family
+from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import h4_model
 from pcubed.lhs_morita import (
     CASES,
@@ -130,31 +132,59 @@ def test_split_rank1_member_k_invariant_drives_its_pages(monkeypatch):
     assert failed == {prefix + "cell(0, 3)", prefix + "cell(1, 3)"}
 
 
+def _decoded(rows, p):
+    """(family, coefficients, family, coefficients) of each ``morita_edges`` row."""
+    return [
+        (FAMILIES[lf], h4_model(FAMILIES[lf], p).decode(lc), FAMILIES[rf], h4_model(FAMILIES[rf], p).decode(rc))
+        for lf, lc, rf, rc in rows.tolist()
+    ]
+
+
 def test_edge_examples():
     p = 3
-    [(left, right)] = morita_edges(CASE_IDS[0], p)
-    assert left.coeffs == (0,) and right.coeffs == (0, 1, 0)
+    [edge] = _decoded(morita_edges(CASE_IDS[0], p), p)
+    assert edge == (Family.CYCLIC, (0,), Family.P2XP, (0, 1, 0))
 
-    e6 = morita_edges(CASE_IDS[5], p)
+    e6 = _decoded(morita_edges(CASE_IDS[5], p), p)
     assert len(e6) == p
-    left, right = e6[0]
-    assert left.model.family is Family.GP and left.is_zero()
-    assert right.coeffs == (0, 0, 0, 1)  # z1z2
+    left_family, left, _, right = e6[0]
+    assert left_family is Family.GP and left == (0, 0)
+    assert right == (0, 0, 0, 1)  # z1z2
 
-    e5 = morita_edges(CASE_IDS[4], p)
-    gp_k1 = [right for left, right in e5 if left.model.family is Family.GP and left.coeffs == (0, 1)]
-    assert len(gp_k1) == 1
-    assert gp_k1[0].coeffs == (1, 0, 0, 0, 0, 1, p - 1)
+    e5 = _decoded(morita_edges(CASE_IDS[4], p), p)
+    gp_k1 = [right for fam, left, _, right in e5 if fam is Family.GP and left == (0, 1)]
+    assert gp_k1 == [(1, 0, 0, 0, 0, 1, p - 1)]
 
-    assert morita_edges(CASE_IDS[1], p) == []
+    assert morita_edges(CASE_IDS[1], p).shape == (0, 4)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_edges_lie_in_omega_spans(p):
     for case in CASES:
-        for edge in morita_edges(case.case_id, p):
-            for cls in edge:
-                assert omega(case.case_id, cls.model.family, p).contains(cls)
+        for left_family, left, right_family, right in _decoded(morita_edges(case.case_id, p), p):
+            for fam, coeffs in (left_family, left), (right_family, right):
+                assert omega(case.case_id, fam, p).contains(h4_model(fam, p).cls(coeffs))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_edge_count(p):
+    edges = all_edges(p)
+    assert edges.dtype == np.int64 and edges.shape == (p**3 + 4 * p + 2, 4)
+
+
+# sha256 of the sorted (family, coefficients, family, coefficients) edge rows,
+# written from the edge lists built as class pairs, one pair per edge
+EDGE_DIGESTS = {
+    3: "79bf7b35ab352af35160cec4ac53a87a0996964d11b8b27cf5dea976bc3cfe34",
+    5: "800044b3a97998fce9563a74c2bdc7b447cc7428558eec0b7ef84619d51ae8e7",
+    7: "6a8e4ad94d9daf9d889676fb852a17f4d26beb8785adee439d0d13e51b4d2a21",
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_edge_rows_are_pinned(p):
+    rows = sorted((lf.value, left, rf.value, right) for lf, left, rf, right in _decoded(all_edges(p), p))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == EDGE_DIGESTS[p]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -194,9 +224,14 @@ def test_consistency_checks(p, graph_for):
 def test_duplicate_edges_are_harmless(graph_for):
     p = 3
     graph = graph_for(p)
-    doubled = all_edges(p) + all_edges(p)
+    doubled = np.concatenate([all_edges(p), all_edges(p)])
     again = morita_components(p, indices=graph.indices, edges=doubled)
     assert len(again.components) == len(graph.components)
+
+
+def test_edges_of_another_prime_are_refused(indices_for):
+    with pytest.raises(ValueError, match="outside the cyclic model at p = 3"):
+        morita_components(3, indices=indices_for(3), edges=all_edges(5))
 
 
 def test_emit_markdown(graph_for):
@@ -238,7 +273,8 @@ def test_nontrivial_rows_block_structure(graph_for):
 def test_components_do_not_depend_on_edge_order(p, indices_for, graph_for):
     edges = all_edges(p)
     for seed in range(5):
-        shuffled = edges[:]
-        random.Random(seed).shuffle(shuffled)
+        order = list(range(len(edges)))
+        random.Random(seed).shuffle(order)
+        shuffled = edges[order]
         graph = morita_components(p, indices=indices_for(p), edges=shuffled)
         assert graph.components == graph_for(p).components, seed

@@ -430,3 +430,33 @@ def test_more_than_255_orbits_match_union_find(moduli, g, chunk):
     _check_against_union_find(moduli, [mat], chunk)
     ids, _, _ = enumerate_orbit_ids(moduli, [mat])
     assert ids(np.arange(math.prod(moduli))).dtype == np.int32
+
+
+def test_one_coordinate_orbits_take_log_depth(monkeypatch):
+    # the cyclic model at p = 11 has orbits of up to 605 states under one
+    # multiplier; with its repeated squares as generators each orbit is at
+    # most bit_length(11**3) levels deep, and each level is one image call
+    calls = []
+    images = orbits._Images.__call__
+    monkeypatch.setattr(orbits._Images, "__call__", lambda self, states: calls.append(1) or images(self, states))
+    index = enumerate_orbits(h4_model(Family.CYCLIC, 11))
+    assert len(index.orbits) == 7
+    assert len(calls) <= 7 * (11**3).bit_length()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclic_orbits_match_union_find(p):
+    model = h4_model(Family.CYCLIC, p)
+    _check_against_union_find(list(model.moduli), [np.array(m) for m in action_generators(Family.CYCLIC, p)],
+                              orbits._CHUNK)
+
+
+@pytest.mark.parametrize("q", [127, 131, 257, 263])
+def test_split_labels_hold_their_shifted_defects(q):
+    # a label plus q - 1 runs up to 2 (q - 1) - 1, past 255 from q = 131: at
+    # q = 131 the defect q - 5 of x -> g**(q - 5) x, shifted to 256, must not
+    # wrap to 0 and pass as a multiple of every gcd
+    g = primitive_root(q)
+    mats = [np.diag([2, pow(g, (q - 1) // 2, q)]), np.diag([1, pow(g, q - 5, q)])]
+    assert orbits._splits_off(np.array([3, q]), np.stack(mats))
+    _check_against_union_find([3, q], mats, orbits._CHUNK)
