@@ -101,9 +101,6 @@ class RingPresentation:
             raise KeyError(label)
         return GradedElement(self, {(label,): coeff})
 
-    def monomial(self, *labels, coeff: int = 1) -> "GradedElement":
-        return self.element({tuple(labels): coeff})
-
 
 class GradedElement:
     """Signed sum of sorted monomials; no coefficient that is zero on every row
@@ -125,13 +122,6 @@ class GradedElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, *labels) -> int:
-        norm = self.ring.sort_with_sign(tuple(labels))
-        if norm is None:
-            return 0
-        mon, sign = norm
-        return sign * self.terms.get(mon, 0)
 
     def degree(self) -> int | None:
         """Common degree of all monomials, None for 0, error if inhomogeneous."""

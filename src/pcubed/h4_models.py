@@ -42,7 +42,7 @@ import numpy as np
 from . import graded_ring as gr
 from .groups import Family, GroupTable, build_group
 from .modular import (
-    gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_weights,
+    gl_generators, is_automorphism, primitive_root, quadratic_substitution_matrix, radix_digits, radix_weights,
     require_odd_prime,
 )
 from .report import CheckResult
@@ -83,7 +83,7 @@ class H4Model:
         return sum(np.asarray(c, dtype=np.int64) % m * w for c, m, w in zip(coeffs, self.moduli, self.weights))
 
     def decode(self, state: int) -> tuple[int, ...]:
-        return tuple(int(state) // w % m for w, m in zip(self.weights, self.moduli))
+        return tuple(radix_digits(state, self.moduli).tolist())
 
     def cls(self, coeffs) -> "CohClass":
         if len(coeffs) != len(self.basis):
@@ -92,14 +92,6 @@ class H4Model:
 
     def zero(self) -> "CohClass":
         return CohClass(self, (0,) * len(self.basis))
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "p": self.p,
-            "basis": list(self.basis),
-            "moduli": list(self.moduli),
-        }
 
 
 @dataclass(frozen=True)
@@ -119,11 +111,6 @@ class CohClass:
                 continue
             parts.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        d = self.model.to_json()
-        d["coeffs"] = list(self.coeffs)
-        return d
 
 
 @lru_cache(maxsize=None)

@@ -207,11 +207,6 @@ class OmegaGroup:
             n *= term
         return n
 
-    def contains(self, cls: CohClass) -> bool:
-        if cls.model != self.model:
-            raise ValueError("class belongs to a different model")
-        return bool(self.contains_codes(self.model.encode(cls.coeffs)))
-
     def contains_codes(self, codes) -> np.ndarray:
         """Whether each encoded class lies in the span: each of its digits is a
         multiple of that coordinate's divisor."""
@@ -575,7 +570,7 @@ class MoritaGraph:
         return [c for c in self.components if len(c) > 1]
 
     def component_of(self, family: Family, cls: CohClass) -> tuple:
-        rep = self.indices[Family(family)].rep_of(cls)
+        rep = self.indices[Family(family)].orbit_of(cls).rep
         for comp in self.components:
             if (Family(family), rep) in comp:
                 return comp

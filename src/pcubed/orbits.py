@@ -18,13 +18,14 @@ representative contract the Morita graph relies on.
   chunk reads them as visited.  Frontiers are int32.
 - A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
   below the unvisited mark 255; the 256th orbit widens it to int32 once.
-- Images by table: a state s splits as a * P + b at a place value P near
-  sqrt(total) where its coefficient vector is the digitwise sum of those of
-  a * P and b, so each generator's image is the sum of two int64 table
-  entries.  The entries pack the image digits at radix 2 m_i, so the sum
-  has no carry between digits, and two small fold tables map its two halves
-  back to the encoded image; a chunk costs one ``divmod``, four ``np.take``
-  calls and two adds, with no floating point and no BLAS.
+- Images by table: a state s splits as a * P + b at the digit boundary P
+  nearest sqrt(total) (with one coordinate, at floor(sqrt(m)) or one above),
+  so its coefficient vector is the digitwise sum of those of a * P and b
+  and each generator's image is the sum of two int64 table entries.  The
+  entries pack the image digits at radix 2 m_i, so the sum has no carry
+  between digits, and two small fold tables map its two halves back to the
+  encoded image; a chunk costs one ``divmod``, four ``np.take`` calls and
+  two adds, with no floating point and no BLAS.
 - Exactness: the tables are built with int64 products of matrix rows
   reduced mod their modulus and digits below it, so every dot product stays
   below ``k * max(m - 1)**2``; inputs for which that or the number of states
@@ -41,7 +42,8 @@ representative contract the Morita graph relies on.
   size |O| (q - 1) / d per coset (log b - L(x)) mod d; as b is the least
   significant coordinate, seeds and numbering are those of the full BFS.
   Only the block table and the labels are stored: the id of (x, b) is
-  computed on demand from the block orbit of x, L(x) and log b.
+  computed on demand from the block orbit of x, L(x) and log b, through one
+  (distinct gcds x q - 1) table of coset offsets.
 - Label tables: the labels of an edge's target are read from a (generators x
   q - 1) shift table, (L + log chi(s)) mod (q - 1) in the labels' own dtype,
   and each defect, shifted by q - 1 into 1..2 (q - 1) - 1 (so the labels'
@@ -83,20 +85,10 @@ class OrbitIndex:
     ids: Callable[[np.ndarray], np.ndarray]  # encoded states -> int32 orbit ids
     orbits: list[Orbit]
 
-    def id_of(self, cls: CohClass) -> int:
-        """Number of the orbit holding ``cls``: its position in ``orbits``."""
+    def orbit_of(self, cls: CohClass) -> Orbit:
         if cls.model != self.model:
             raise ValueError("class belongs to a different model")
-        return int(self.ids(self.model.encode(cls.coeffs)))
-
-    def orbit_of(self, cls: CohClass) -> Orbit:
-        return self.orbits[self.id_of(cls)]
-
-    def rep_of(self, cls: CohClass) -> CohClass:
-        return self.orbit_of(cls).rep
-
-    def sizes(self) -> list[int]:
-        return [o.size for o in self.orbits]
+        return self.orbits[int(self.ids(self.model.encode(cls.coeffs)))]
 
 
 def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
@@ -121,26 +113,16 @@ def _discrete_logs(q: int) -> np.ndarray:
     return log
 
 
-def _divisors(m: int) -> list[int]:
-    small = [c for c in range(1, math.isqrt(m) + 1) if m % c == 0]
-    return small + [m // c for c in small]
-
-
 def _split_place(moduli) -> int:
     """The place value P nearest sqrt(total) at which every state splits as
     s = a * P + b with vec(s) = vec(a * P) + vec(b), digit by digit.
 
-    That holds at P = w_i * c for every divisor c of m_i (c = 1 is a digit
-    boundary), and for any c inside the leading digit, where a * c plus the
-    leading digit of b stays below m_0 with no digit above it to carry into.
+    With two coordinates or more, P is the best digit boundary.  With one,
+    any P works, and the best is floor(sqrt(m)) or floor(sqrt(m)) + 1.
     """
-    weights = radix_weights(moduli)
-    m0, w0 = int(moduli[0]), weights[0]
-    total = m0 * w0
-    c = min(max(math.isqrt(total) // w0, 1), m0)
-    places = {w0 * c, w0 * min(c + 1, m0)}
-    for w, m in zip(weights, moduli):
-        places.update(w * c for c in _divisors(int(m)))
+    total = math.prod(int(m) for m in moduli)
+    root = math.isqrt(total)
+    places = radix_weights(moduli) if len(moduli) > 1 else (root, root + 1)
     return min(places, key=lambda P: (max(-(-total // P), P), P))
 
 
@@ -301,38 +283,34 @@ def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
     ``block`` and ``labels`` hold each block state x's orbit id and L(x); the
     state (x, b) is ``x * q + b``.  Block orbit O with seed x0 and gcd d
     becomes the orbit of (x0, 0), then one orbit per coset of the index-d
-    subgroup of F_q^*, numbered by the coset's least member; ``ids`` computes
-    the id of (x, b) from these on demand, with no table of the whole space.
+    subgroup of F_q^*, numbered by the coset's least member.  ``ids`` reads
+    the id of (x, b), b != 0, as base(O) + offsets[d, (log b - L(x)) mod
+    (q - 1)] on demand, with no table of the whole space.
     """
     q = log.size
     order = q - 1
-    starts, tables, offset = {}, [], 0
-    for d in sorted(set(gcds)):
+    distinct, rows = np.unique(gcds, return_inverse=True)
+    # one row per distinct gcd d: entry t is 1 + the rank of the coset t mod d
+    offsets = np.empty((len(distinct), order), dtype=np.int32)
+    cosets = []  # each row's coset least members, in increasing order
+    for row, d in enumerate(distinct):
         least = np.full(d, q)
         np.minimum.at(least, log[1:] % d, np.arange(1, q))
-        rank = np.argsort(np.argsort(least))
-        # entry start + t is the orbit offset of (x, b) with t = log b - L(x)
-        tables.append(1 + rank[np.arange(-d, order) % d])
-        starts[d] = (offset + d, np.sort(least))
-        offset += d + order
-    table = np.concatenate(tables).astype(np.int32)
+        offsets[row] = 1 + np.argsort(np.argsort(least))[np.arange(order) % d]
+        cosets.append(np.sort(least).tolist())
 
-    seeds, sizes, bases, shifts = [], [], [], []
-    for x0, n, d in zip(block_seeds, block_sizes, gcds):
-        start, least = starts[d]
+    seeds, sizes, bases = [], [], []
+    for x0, n, d, row in zip(block_seeds, block_sizes, gcds, rows):
         bases.append(len(seeds))
-        shifts.append(start)
-        seeds += [x0 * q] + [x0 * q + int(b) for b in least]
+        seeds += [x0 * q] + [x0 * q + b for b in cosets[row]]
         sizes += [n] + [n * order // d] * d
     bases = np.array(bases, dtype=np.int32)
-    shifts = np.array(shifts, dtype=np.int32)
-    gcds = np.array(gcds, dtype=np.int32)
 
     def ids(states):
         x, b = np.divmod(states, q)
         orbit = block[x]
-        first = bases[orbit]
-        return np.where(b == 0, first, first + table[shifts[orbit] - labels[x] % gcds[orbit] + log[b]])
+        offset = offsets[rows[orbit], (log[b] - labels[x]) % order]
+        return bases[orbit] + np.where(b == 0, 0, offset)
 
     return ids, seeds, sizes
 
@@ -361,13 +339,15 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     ``ids`` maps encoded states to orbit ids.  Seeds are scanned in increasing
     state order, so each seed is the smallest encoded state of its orbit.
     Images are read from int64 tables (``_image_tables``) built with exact
-    int64 products.  Raises ``ValueError`` when ``k * max(m - 1)**2`` or the
-    number of states is at least 2**53, when the packed images could
-    overflow int64, when the state space is above ``max_states``, or, before
-    the state table is allocated, when it reaches 2**31, as the BFS frontiers
-    hold int32 states.
+    int64 products.  Raises ``ValueError`` when a modulus is below 1, when
+    ``k * max(m - 1)**2`` or the number of states is at least 2**53, when the
+    packed images could overflow int64, when the state space is above
+    ``max_states``, or, before the state table is allocated, when it reaches
+    2**31, as the BFS frontiers hold int32 states.
     """
     moduli = np.asarray(moduli, dtype=np.int64)
+    if (moduli < 1).any():
+        raise ValueError(f"moduli {moduli.tolist()} must all be at least 1")
     k = len(moduli)
     total = math.prod(int(m) for m in moduli)
     # below 2**53, far inside int64, the table products and state codes are exact
@@ -384,8 +364,8 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     split = _splits_off(moduli, mats)
     n = k - 1 if split else k  # the coordinates the BFS runs on
     images = _image_tables(moduli[:n], mats[:, :n, :n])
-    # a packing the tables refuse implies 2**31 states, so that refusal, the
-    # more specific one, comes first; both come before the state table
+    # the tables refuse a packing by its coordinate count, not its states (70
+    # moduli of 1 are one state); both refusals come before the state table
     if total >= 2**31:
         raise ValueError(f"state space {total} at or above 2^31, too large for int32 frontiers")
     q = int(moduli[-1]) if split else 1

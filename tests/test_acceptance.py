@@ -109,7 +109,7 @@ def test_criterion_3_merged_tables_match(p, graph_for):
     expected = set()
     for row in _paper_table(p):
         members = frozenset(
-            (model.family, graph.indices[model.family].rep_of(model.cls(coeffs)).coeffs)
+            (model.family, graph.indices[model.family].orbit_of(model.cls(coeffs)).rep.coeffs)
             for model, coeffs in row
         )
         expected.add(members)
@@ -126,7 +126,7 @@ def test_criterion_3_merged_tables_match(p, graph_for):
 
 def test_criterion_4_p2xp_orbit_size_multiset(indices_for):
     for p in (3, 5, 7):
-        sizes = sorted(indices_for(p)[Family.P2XP].sizes())
+        sizes = sorted(o.size for o in indices_for(p)[Family.P2XP].orbits)
         expected = sorted(
             [p * (p * p - p) * (p - 1) // 4] * 4
             + [(p - 1) // 2] * 4

@@ -31,8 +31,8 @@ def ext3():
 
 def test_koszul_sign(ext3):
     x1, x2 = ext3.gen("x1"), ext3.gen("x2")
-    assert x1 * x2 == ext3.monomial("x1", "x2")
-    assert x2 * x1 == ext3.monomial("x1", "x2", coeff=-1)
+    assert x1 * x2 == ext3.element({("x1", "x2"): 1})
+    assert x2 * x1 == ext3.element({("x1", "x2"): -1})
     assert (x1 * x1).is_zero()
 
 
@@ -59,9 +59,9 @@ def test_mixed_torsion_square():
     u, v = R.gen("u"), R.gen("v")
     k, i = 2, 4
     sq = (k * u + i * v) * (k * u + i * v)
-    assert sq.coefficient("u", "u") == k * k % p
-    assert sq.coefficient("u", "v") == 2 * i * k % p
-    assert sq.coefficient("v", "v") == i * i % (p * p)
+    assert sq.terms.get(("u", "u"), 0) == k * k % p
+    assert sq.terms.get(("u", "v"), 0) == 2 * i * k % p
+    assert sq.terms.get(("v", "v"), 0) == i * i % (p * p)
 
 
 def test_bockstein_three_term_expansion(ext3):

@@ -64,7 +64,7 @@ def test_omega_orders(p):
     # zero span for the twisted (Z/p)^2 extension of the order-p^2 group
     om = omega(CASE_IDS[5], Family.GP, p)
     assert om.order == 1
-    assert om.contains(h4_model(Family.GP, p).zero())
+    assert om.contains_codes(om.model.encode(om.model.zero().coeffs))
     # order p, quotient side only
     om = omega(CASE_IDS[0], Family.CYCLIC, p)
     assert om.order == p and om.sub_order == 1 and om.quot_order == p
@@ -73,8 +73,8 @@ def test_omega_orders(p):
     assert om.order == p * p
     assert om.sub_basis == (("s^2", p * p),) and om.quot_basis == (("s^2", p),)
     cyc = h4_model(Family.CYCLIC, p)
-    assert om.contains(cyc.cls((p,)))
-    assert not om.contains(cyc.cls((1,)))
+    assert om.contains_codes(cyc.encode(cyc.cls((p,)).coeffs))
+    assert not om.contains_codes(cyc.encode(cyc.cls((1,)).coeffs))
     # the central-extension span is the whole Heisenberg model
     om = omega(CASE_IDS[4], Family.HEISENBERG, p)
     assert om.order == p**4
@@ -82,7 +82,7 @@ def test_omega_orders(p):
     om = omega(CASE_IDS[4], Family.ELEM_ABELIAN, p)
     assert om.order == p**6
     E = h4_model(Family.ELEM_ABELIAN, p)
-    assert not om.contains(E.cls((0, 0, 1, 0, 0, 0, 0)))
+    assert not om.contains_codes(E.encode(E.cls((0, 0, 1, 0, 0, 0, 0)).coeffs))
 
 
 def test_omega_unrealized_family_rejected():
@@ -163,7 +163,7 @@ def test_edges_lie_in_omega_spans(p):
     for case in CASES:
         for left_family, left, right_family, right in _decoded(morita_edges(case.case_id, p), p):
             for fam, coeffs in (left_family, left), (right_family, right):
-                assert omega(case.case_id, fam, p).contains(h4_model(fam, p).cls(coeffs))
+                assert omega(case.case_id, fam, p).contains_codes(h4_model(fam, p).encode(coeffs))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -208,10 +208,10 @@ def test_triple_component_contents(p, graph_for):
     assert by_fam[Family.GP].is_zero()
     E = h4_model(Family.ELEM_ABELIAN, p)
     H = h4_model(Family.HEISENBERG, p)
-    assert graph.indices[Family.ELEM_ABELIAN].rep_of(
+    assert graph.indices[Family.ELEM_ABELIAN].orbit_of(
         E.cls((0, 0, 0, 0, 0, 1, 1))
-    ) == by_fam[Family.ELEM_ABELIAN]
-    assert graph.indices[Family.HEISENBERG].rep_of(H.cls((0, 0, 0, 1))) == by_fam[Family.HEISENBERG]
+    ).rep == by_fam[Family.ELEM_ABELIAN]
+    assert graph.indices[Family.HEISENBERG].orbit_of(H.cls((0, 0, 0, 1))).rep == by_fam[Family.HEISENBERG]
 
 
 @pytest.mark.parametrize("p", [3, 5])

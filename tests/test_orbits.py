@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ def test_orbit_counts(fam, p, indices_for):
 def test_partition_property(p, indices_for):
     for fam in FAMILIES:
         index = indices_for(p)[fam]
-        assert sum(index.sizes()) == index.model.total_order
+        assert sum(o.size for o in index.orbits) == index.model.total_order
 
 
 def test_zero_class_is_fixed(indices_for):
@@ -65,7 +66,7 @@ def test_named_orbit_sizes(p, indices_for):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_p2xp_orbit_size_multiset(p, indices_for):
-    sizes = sorted(indices_for(p)[Family.P2XP].sizes())
+    sizes = sorted(o.size for o in indices_for(p)[Family.P2XP].orbits)
     expected = sorted(
         [p * (p * p - p) * (p - 1) // 4] * 4
         + [(p - 1) // 2] * 4
@@ -259,27 +260,66 @@ def test_table_images_equal_the_reference_product(moduli, matrices):
     assert np.array_equal(orbits._image_tables(moduli, mats)(states), expected)
 
 
-@pytest.mark.parametrize(
-    "moduli, mats",
-    [
-        (h4_model(Family.CYCLIC, 457).moduli, np.stack(action_generators(Family.CYCLIC, 457))),
-        (h4_model(Family.ELEM_ABELIAN, 17).moduli[:-1], np.stack(action_generators(Family.ELEM_ABELIAN, 17))[:, :-1, :-1]),
-    ],
-    ids=["cyclic-p457", "elem_abelian-block-p17"],
-)
+def _bounded_cases():
+    # the five models, the (Z/p)^6 block and the congruence actions at p = 13,
+    # each whole: no coordinate is split off and no multiplier squared
+    for fam in FAMILIES:
+        yield pytest.param(h4_model(fam, 13).moduli, np.stack(action_generators(fam, 13)), id=f"{fam.value}-p13")
+    block = np.stack(action_generators(Family.ELEM_ABELIAN, 13))[:, :-1, :-1]
+    yield pytest.param((13,) * 6, block, id="elem_abelian-block-p13")
+    for n in (1, 2, 3):
+        moduli, mats = congruence_action(n, 13)
+        yield pytest.param(moduli, np.stack(mats), id=f"congruence-n{n}-p13")
+    cyclic = np.stack(action_generators(Family.CYCLIC, 457))
+    yield pytest.param(h4_model(Family.CYCLIC, 457).moduli, cyclic, id="cyclic-p457")
+    block = np.stack(action_generators(Family.ELEM_ABELIAN, 17))[:, :-1, :-1]
+    yield pytest.param((17,) * 6, block, id="elem_abelian-block-p17")
+
+
+@pytest.mark.parametrize("moduli, mats", _bounded_cases())
 def test_image_tables_are_bounded(moduli, mats):
     # builds the tables only: no state table is allocated and no BFS runs
     moduli = np.array(moduli, dtype=np.int64)
     images = orbits._image_tables(moduli, mats % moduli[:, None])
-    bound = 4 * math.sqrt(2 ** len(moduli) * math.prod(moduli.tolist()))
-    tables = [images.hi[0], images.lo[0], images.fold_hi, images.fold_lo]
-    assert all(t is None or t.size <= bound for t in tables), [None if t is None else t.size for t in tables]
+    k, total, top = len(moduli), math.prod(moduli.tolist()), int(moduli.max())
+    # the image tables split the states at the best digit boundary (anywhere,
+    # with one digit) and the fold tables the packed digits at the best cut
+    # between two of them: the two sides' product is total (2**k total for the
+    # fold tables), and moving the cut one digit changes it by at most top.
+    # An even digit count halves evenly, so its fold tables keep 4 sqrt(2**k total)
+    image_bound = math.isqrt(total) + 2 if k == 1 else math.isqrt(total * top)
+    fold_bound = 4 * math.isqrt(2**k * total) if k % 2 == 0 else math.isqrt(2**k * total * 2 * top)
+    sizes = [images.hi[0].size, images.lo[0].size]
+    assert max(sizes) <= image_bound, sizes
+    if k > 1:
+        assert max(images.fold_hi.size, images.fold_lo.size) <= fold_bound, (images.fold_hi.size, images.fold_lo.size)
+
+
+@pytest.mark.parametrize("p", [3, 13, 457])
+def test_split_places(p):
+    # the image tables cut each model where its two halves are closest to sqrt(total)
+    place = {fam: orbits._split_place(h4_model(fam, p).moduli) for fam in FAMILIES}
+    assert orbits._split_place((p,) * 6) == p**3
+    assert place[Family.HEISENBERG] == place[Family.P2XP] == p * p
+    assert place[Family.GP] == p
+    for m in (p, p**3, p**3 + 1, (p + 1) ** 2 - 1):
+        assert orbits._split_place((m,)) in (math.isqrt(m), math.isqrt(m) + 1), m
 
 
 def test_packing_that_could_overflow_int64_is_refused():
     # 3**30 states pass the 2**53 guard, but 6**29 packed block digits do not fit in int64
     with pytest.raises(ValueError, match="int64"):
         enumerate_orbit_ids([3] * 30, [np.eye(30, dtype=np.int64)], max_states=3**30)
+    # the refusal counts coordinates, not states: 70 moduli of 1 are one state,
+    # but their digits pack at radix 2, to 2**70
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_orbit_ids([1] * 70, [np.eye(70)])
+
+
+@pytest.mark.parametrize("moduli", [[0], [0, 3], [-3]])
+def test_moduli_below_one_are_refused(moduli):
+    with pytest.raises(ValueError, match=re.escape(f"moduli {moduli} must all be at least 1")):
+        enumerate_orbit_ids(moduli, [np.eye(len(moduli), dtype=np.int64)])
 
 
 # --- property tests against a plain-Python union-find reference -----------

@@ -1,7 +1,8 @@
 """Layout rules for ``src/pcubed``.
 
-Test-only code stays out of ``src``: each public function there has a caller
-in the library, the demos or the benchmark, not only in the tests.  And a
+Test-only code stays out of ``src``: each public function there, and each
+public method or property of a class there, has a caller in the library, the
+demos or the benchmark, not only in the tests.  And a
 module's private names stay its own: no module in ``src/pcubed`` imports an
 underscore-prefixed name from another (the tests and demos may)."""
 
@@ -13,7 +14,7 @@ SRC = ROOT / "src" / "pcubed"
 
 # public functions in src that only the tests call, each with its reason
 TEST_SIDE = {
-    "push_automorphism": "test-side until criterion 8 runs in verify (ROADMAP item 3)",
+    "push_automorphism": "test-side until criterion 8 runs in verify (ROADMAP item 5)",
 }
 
 
@@ -29,18 +30,24 @@ def _referenced_names() -> set[str]:
     return names
 
 
+def _public_defs(path: Path):
+    # top-level functions as (None, node), and methods of top-level classes as (class name, node)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node.name, f) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
 def test_every_public_src_function_has_a_caller_outside_the_tests():
     referenced = _referenced_names()
     uncalled = [
-        f"{path.stem}.{node.name}"
+        ".".join(filter(None, (path.stem, cls, node.name)))
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(), str(path)).body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and node.name not in referenced
-        and node.name not in TEST_SIDE
+        for cls, node in _public_defs(path)
+        if not node.name.startswith("_") and node.name not in referenced and node.name not in TEST_SIDE
     ]
-    assert uncalled == [], "move test-only functions to tests/oracles.py"
+    assert uncalled == [], "move test-only functions to tests/oracles.py and inline test-only methods"
 
 
 def test_no_module_imports_another_modules_private_names():
