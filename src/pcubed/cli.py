@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         if "max_states" in args:  # refuse a model that cannot fit
             for p in args.primes:
                 for fam in args.families:
-                    require_state_space(h4_model(fam, p).total_order, args.max_states)
+                    require_state_space(h4_model(fam, p).moduli, args.max_states)
         with _open_output(args.output) as args.out:
             return args.fn(args)
     except ValueError as exc:

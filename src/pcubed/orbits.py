@@ -22,15 +22,17 @@ representative contract the Morita graph relies on.
   nearest sqrt(total) (with one coordinate, at floor(sqrt(m)) or one above),
   so its coefficient vector is the digitwise sum of those of a * P and b
   and each generator's image is the sum of two int64 table entries.  The
-  entries pack the image digits at radix 2 m_i, so the sum has no carry
+  entries pack the image digits at radix 2 m_i - 1, so the sum has no carry
   between digits, and two small fold tables map its two halves back to the
   encoded image; a chunk costs one ``divmod``, four ``np.take`` calls and
   two adds, with no floating point and no BLAS.
-- Exactness: the tables are built with int64 products of matrix rows
-  reduced mod their modulus and digits below it, so every dot product stays
-  below ``k * max(m - 1)**2``; inputs for which that or the number of states
-  reaches 2**53 are refused with ``ValueError``, which keeps both well inside
-  int64.  A digit cut whose packed sum could overflow int64 is refused too.
+- Exactness: ``require_state_space`` refuses 2^31 states or more before any
+  work, for the int32 frontiers, and that bound keeps the tables in int64.
+  Dot products: a row reduced mod m_i times digits below m_j is at most
+  (m_i - 1) sum_j (m_j - 1) <= (m_i - 1)(states - 1) < 2^62, as prod(1 + x_j)
+  >= 1 + sum x_j.  Packed sums: below 2 prod(2 m_i - 1) <= 2 * 2^s * states
+  < 2^63, where s <= log2(states) < 31 is the number of moduli of 2 or more.
+  A modulus-1 coordinate packs at radix 1, so it adds nothing to any table.
 - Character split: when the last coordinate b has an odd prime modulus q and
   every matrix permutes the states and acts on b by a scalar chi(s) alone
   (the det on beta in the elementary-abelian model), the BFS runs on the
@@ -131,12 +133,12 @@ class _Images(NamedTuple):
 
     A state s = a * place + b has image ``hi[g, a] + lo[g, b]`` under
     generator g, packed: each entry holds the reduced image digits of a *
-    place or of b at radix 2 m_i, so the sum has every digit below 2 m_i and
-    no carry between digits.  The digits before the fold split sit above bit
-    ``shift``, the rest below it, and ``fold_hi`` and ``fold_lo`` map each
-    group back to the mixed-radix code of its digits mod m_i.  With a single
-    coordinate there are no fold tables: its sum is reduced by one
-    conditional subtraction of ``modulus``.
+    place or of b at radix 2 m_i - 1, so the sum has every digit at most
+    2 m_i - 2 and no carry between digits.  The digits before the fold split
+    sit above bit ``shift``, the rest below it, and ``fold_hi`` and
+    ``fold_lo`` map each group back to the mixed-radix code of its digits mod
+    m_i.  With a single coordinate there are no fold tables: its sum is
+    reduced by one conditional subtraction of ``modulus``.
     """
 
     place: int
@@ -169,27 +171,23 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
 
     The image tables hold about sqrt(total) entries per generator, and the
     fold tables, one per half of a balanced cut of the digits, about
-    sqrt(2**k * total).  Raises ``ValueError`` when a packed sum could
-    overflow int64.
+    sqrt(2**s * total), s the number of moduli of 2 or more.
     """
     k = len(moduli)
     weights = np.array(radix_weights(moduli), dtype=np.int64)
     total = int(weights[0] * moduli[0])
     place = _split_place(moduli)
-    radix = [2 * int(m) for m in moduli]
+    radix = [2 * int(m) - 1 for m in moduli]
     if k == 1:
         pack, shift, fold_hi, fold_lo = np.ones(1, dtype=np.int64), 0, None, None
     else:
         cut = min(range(1, k), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
         shift = (math.prod(radix[cut:]) - 1).bit_length()
-        if math.prod(radix[:cut]) << shift > 2**63:
-            raise ValueError(f"moduli {moduli.tolist()} too large for int64 packed images")
         pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
         fold_hi = _fold_table(radix[:cut], moduli[:cut], weights[:cut])
         fold_lo = _fold_table(radix[cut:], moduli[cut:], weights[cut:])
 
     def packed_images(codes):
-        # every dot product stays below k * max(m - 1)**2 < 2**53
         return pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])
 
     return _Images(
@@ -327,10 +325,18 @@ def _repeated_squares(units: list[int], m: int) -> np.ndarray:
     return np.array(list(squares), dtype=np.int64).reshape(-1, 1, 1)
 
 
-def require_state_space(total: int, max_states: int) -> None:
-    """Refuse a state space of ``total`` states above the ``max_states`` bound."""
+def require_state_space(moduli, max_states: int) -> int:
+    """The number of states mod ``moduli``, after refusing a modulus below 1,
+    then more than ``max_states`` states, then 2^31 states or more."""
+    moduli = [int(m) for m in moduli]
+    if any(m < 1 for m in moduli):
+        raise ValueError(f"moduli {moduli} must all be at least 1")
+    total = math.prod(moduli)
     if total > max_states:
         raise ValueError(f"state space {total} above the bound {max_states}")
+    if total >= 2**31:
+        raise ValueError(f"state space {total} at or above 2^31, too large for int32 frontiers")
+    return total
 
 
 def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
@@ -338,25 +344,12 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
 
     ``ids`` maps encoded states to orbit ids.  Seeds are scanned in increasing
     state order, so each seed is the smallest encoded state of its orbit.
-    Images are read from int64 tables (``_image_tables``) built with exact
-    int64 products.  Raises ``ValueError`` when a modulus is below 1, when
-    ``k * max(m - 1)**2`` or the number of states is at least 2**53, when the
-    packed images could overflow int64, when the state space is above
-    ``max_states``, or, before the state table is allocated, when it reaches
-    2**31, as the BFS frontiers hold int32 states.
     """
+    total = require_state_space(moduli, max_states)
     moduli = np.asarray(moduli, dtype=np.int64)
-    if (moduli < 1).any():
-        raise ValueError(f"moduli {moduli.tolist()} must all be at least 1")
     k = len(moduli)
-    total = math.prod(int(m) for m in moduli)
-    # below 2**53, far inside int64, the table products and state codes are exact
-    bound = max(k * (int(moduli.max()) - 1) ** 2, total)
-    if bound >= 2**53:
-        raise ValueError(f"moduli {moduli.tolist()} too large for exact int64 image tables (bound {bound} >= 2^53)")
-    require_state_space(total, max_states)
     # row i acts mod moduli[i], so reducing it there changes no image and
-    # keeps every dot product of the table build below k * max(m - 1)**2
+    # keeps every dot product of the table build below 2^62
     mats = np.stack([np.asarray(m, dtype=np.int64) for m in matrices]) % moduli[:, None]
     if k == 1:
         mats = _repeated_squares(mats[:, 0, 0].tolist(), int(moduli[0]))
@@ -364,10 +357,6 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     split = _splits_off(moduli, mats)
     n = k - 1 if split else k  # the coordinates the BFS runs on
     images = _image_tables(moduli[:n], mats[:, :n, :n])
-    # the tables refuse a packing by its coordinate count, not its states (70
-    # moduli of 1 are one state); both refusals come before the state table
-    if total >= 2**31:
-        raise ValueError(f"state space {total} at or above 2^31, too large for int32 frontiers")
     q = int(moduli[-1]) if split else 1
     table = np.full(total // q, np.iinfo(np.uint8).max, dtype=np.uint8)
     if not split:
@@ -387,6 +376,7 @@ def enumerate_orbits(
 ) -> OrbitIndex:
     """BFS closure from each unvisited state, deterministic orbit numbering;
     ``generators`` are model matrices, the family's ``action_generators`` by default."""
+    require_state_space(model.moduli, max_states)
     if generators is None:
         generators = action_generators(model.family, model.p)
     ids, seeds, sizes = enumerate_orbit_ids(model.moduli, generators, max_states)

@@ -19,7 +19,7 @@ from .modular import (
     gl_generators, inverse_mod, least_nonsquare, legendre, quadratic_substitution_matrix, rank_and_det_mod,
     require_odd_prime,
 )
-from .orbits import enumerate_orbit_ids
+from .orbits import DEFAULT_MAX_STATES, enumerate_orbit_ids, require_state_space
 
 SQUARE = "square"
 NONSQUARE = "nonsquare"
@@ -114,6 +114,7 @@ def count_congruence_classes(n: int, p: int) -> int:
     through p = 13 in dimension 3.
     """
     require_odd_prime(p)
+    require_state_space([p] * (n * (n + 1) // 2), DEFAULT_MAX_STATES)  # before the GL(n, p) generators
     _, seeds, _ = enumerate_orbit_ids(*congruence_action(n, p))
     return len(seeds)
 

@@ -222,16 +222,25 @@ def test_a_state_space_above_the_bound_is_refused_before_any_work(capsys, monkey
     assert captured.err == f"pcubed: state space {total} above the bound 100000000\n"
 
 
-def test_a_state_space_past_int32_frontiers_is_a_usage_error(capsys, monkeypatch):
-    def bfs(*args, **kwargs):
-        raise AssertionError("the BFS ran before the state space was checked")
+def test_a_state_space_past_int32_frontiers_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def computed(*args, **kwargs):
+        raise AssertionError("the computation ran before the state space was checked")
 
-    # 23**7 classes pass a raised bound but reach 2**31, past the BFS's int32 frontiers
-    monkeypatch.setattr(orbits, "_bfs", bfs)
-    assert main(["classify", "-p", "23", "--family", "elem_abelian", "--max-states", str(23**7)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"pcubed: state space {23**7} at or above 2^31, too large for int32 frontiers\n"
+    # both pass a raised bound but reach 2**31, past the BFS's int32 frontiers; the
+    # second would first spend minutes on a primitive root of p**3
+    monkeypatch.setattr(orbits, "_bfs", computed)
+    monkeypatch.setattr(cli, "enumerate_orbits", computed)
+    for prime, family, bound, total in [
+        (23, "elem_abelian", 23**7, 23**7),
+        (1000000007, "cyclic", 10**30, 1000000007**3),
+    ]:
+        out = tmp_path / f"{family}.txt"
+        argv = ["classify", "-p", str(prime), "--family", family, "--max-states", str(bound), "-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pcubed: state space {total} at or above 2^31, too large for int32 frontiers\n"
+        assert not out.exists()  # refused before the -o file is opened
 
 
 BIG_PRIME = 1000000000000000003

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import orbits
+from pcubed import orbits, quadforms
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import action_generators, h4_model
 from pcubed.modular import primitive_root, radix_weights
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
-from pcubed.quadforms import congruence_action
+from pcubed.quadforms import congruence_action, count_congruence_classes
 
 COUNTS = {
     Family.CYCLIC: lambda p: 7,
@@ -163,20 +163,31 @@ def test_orbit_rows_shape(indices_for):
     assert sum(r["size"] for r in rows) == 9
 
 
-def test_exactness_guard_refuses_oversized_moduli():
+@pytest.mark.parametrize("moduli", [[2**31 - 1], [46337, 46337], [65536, 32767]])
+def test_images_at_the_state_bound_are_exact(moduli):
+    # just below 2**31 states, the largest the state bound lets through: the
+    # dot products and packed sums reach their widest, and must stay exact
+    rng = np.random.default_rng(sum(moduli))
+    k, total = len(moduli), math.prod(moduli)
+    mats = np.stack([rng.integers(0, m, size=(3, k)) for m in moduli], axis=1)  # row i reduced mod moduli[i]
+    states = np.concatenate([[0, total - 1], rng.integers(0, total, size=2000)])
+    weights = radix_weights(moduli)
+    expected = [[_apply(mat.tolist(), moduli, weights, s) for s in states.tolist()] for mat in mats]
+    images = orbits._image_tables(np.array(moduli, dtype=np.int64), mats)
+    assert images(states).tolist() == expected
+
+
+def test_state_spaces_above_the_bound_are_refused_first():
     eye = np.eye(2, dtype=np.int64)
-    with pytest.raises(ValueError, match="2\\^53"):
+    with pytest.raises(ValueError, match=re.escape(f"state space {2**54} above the bound 100000000")):
         enumerate_orbit_ids([2**27, 2**27], [eye])
-    # the first modulus with (m - 1)**2 >= 2**53 is refused before any table is
-    # allocated; the one below it reaches the state bound instead
-    with pytest.raises(ValueError, match="2\\^53"):
-        enumerate_orbit_ids([94906267], [[[1]]], max_states=1)
-    with pytest.raises(ValueError, match="state space"):
-        enumerate_orbit_ids([94906266], [[[1]]], max_states=1)
+    for m in (94906267, 94906266):
+        with pytest.raises(ValueError, match=re.escape(f"state space {m} above the bound 1")):
+            enumerate_orbit_ids([m], [[[1]]], max_states=1)
 
 
 def test_rows_are_reduced_before_the_product():
-    # entries far above 2**53 act as their residues, so they pass the guard
+    # entries near the int64 limit act as their residues: rows are reduced first
     moduli = [9, 3, 3]
     reduced = [[[2, 3, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 2]]]
     unreduced = [
@@ -208,12 +219,30 @@ def test_only_permutations_with_a_scalar_last_coordinate_split():
 
 
 def test_a_state_space_past_int32_frontiers_is_refused():
-    # 2**31 states pass the 2**53 guard and a raised bound, but not the int32
-    # frontiers; the refusal comes before the state table and the BFS
+    # 2**31 states pass a raised bound, but not the int32 frontiers; the
+    # refusal comes before the image tables, the state table and the BFS
     eye = np.eye(2, dtype=np.int64)
-    with patch.object(orbits, "_bfs", side_effect=AssertionError("the BFS ran")):
+    with patch.object(orbits, "_image_tables", side_effect=AssertionError("the tables were built")):
         with pytest.raises(ValueError, match="2\\^31"):
             enumerate_orbit_ids([2**16, 2**15], [eye], max_states=2**31)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_orbits(h4_model(Family.CYCLIC, 1000000007)),
+        lambda: count_congruence_classes(1, 1000000000000000003),
+    ],
+    ids=["cyclic-model", "congruence-n1"],
+)
+def test_a_large_prime_is_refused_before_its_generators(call):
+    # the generators need a primitive root of p**3 or p, found by trial division
+    def built(*args, **kwargs):
+        raise AssertionError("the generators were built before the state space was checked")
+
+    with patch.object(orbits, "action_generators", built), patch.object(quadforms, "congruence_action", built):
+        with pytest.raises(ValueError, match="above the bound 100000000"):
+            call()
 
 
 def test_the_congruence_closure_costs_under_four_bytes_per_state():
@@ -260,6 +289,15 @@ def test_table_images_equal_the_reference_product(moduli, matrices):
     assert np.array_equal(orbits._image_tables(moduli, mats)(states), expected)
 
 
+def _padded(moduli, mats, count):
+    """``moduli`` and ``mats`` with ``count`` trailing coordinates of modulus 1, acted on by the identity."""
+    k = len(moduli)
+    padded = np.zeros((len(mats), k + count, k + count), dtype=np.int64)
+    padded[:, :k, :k] = mats
+    padded[:, k:, k:] = np.eye(count, dtype=np.int64)
+    return list(moduli) + [1] * count, padded
+
+
 def _bounded_cases():
     # the five models, the (Z/p)^6 block and the congruence actions at p = 13,
     # each whole: no coordinate is split off and no multiplier squared
@@ -274,6 +312,8 @@ def _bounded_cases():
     yield pytest.param(h4_model(Family.CYCLIC, 457).moduli, cyclic, id="cyclic-p457")
     block = np.stack(action_generators(Family.ELEM_ABELIAN, 17))[:, :-1, :-1]
     yield pytest.param((17,) * 6, block, id="elem_abelian-block-p17")
+    heisenberg = np.stack(action_generators(Family.HEISENBERG, 13))
+    yield pytest.param(*_padded(h4_model(Family.HEISENBERG, 13).moduli, heisenberg, 36), id="heisenberg-padded-p13")
 
 
 @pytest.mark.parametrize("moduli, mats", _bounded_cases())
@@ -282,13 +322,15 @@ def test_image_tables_are_bounded(moduli, mats):
     moduli = np.array(moduli, dtype=np.int64)
     images = orbits._image_tables(moduli, mats % moduli[:, None])
     k, total, top = len(moduli), math.prod(moduli.tolist()), int(moduli.max())
+    s = int((moduli > 1).sum())  # a modulus-1 digit packs at radix 1 and counts for nothing
     # the image tables split the states at the best digit boundary (anywhere,
     # with one digit) and the fold tables the packed digits at the best cut
-    # between two of them: the two sides' product is total (2**k total for the
-    # fold tables), and moving the cut one digit changes it by at most top.
-    # An even digit count halves evenly, so its fold tables keep 4 sqrt(2**k total)
+    # between two of them: the two sides' product is total (at most 2**s total
+    # for the fold tables), and moving the cut one digit changes it by at most
+    # 2 top.  An even digit count halves evenly, so its fold tables keep
+    # 4 sqrt(2**s total)
     image_bound = math.isqrt(total) + 2 if k == 1 else math.isqrt(total * top)
-    fold_bound = 4 * math.isqrt(2**k * total) if k % 2 == 0 else math.isqrt(2**k * total * 2 * top)
+    fold_bound = 4 * math.isqrt(2**s * total) if s % 2 == 0 else math.isqrt(2**s * total * 2 * top)
     sizes = [images.hi[0].size, images.lo[0].size]
     assert max(sizes) <= image_bound, sizes
     if k > 1:
@@ -306,14 +348,20 @@ def test_split_places(p):
         assert orbits._split_place((m,)) in (math.isqrt(m), math.isqrt(m) + 1), m
 
 
-def test_packing_that_could_overflow_int64_is_refused():
-    # 3**30 states pass the 2**53 guard, but 6**29 packed block digits do not fit in int64
-    with pytest.raises(ValueError, match="int64"):
+def test_modulus_one_padding_changes_nothing():
+    # a modulus-1 coordinate packs at radix 1: many of them make one state and tiny tables
+    for k in (62, 70):
+        ids, seeds, sizes = enumerate_orbit_ids([1] * k, [np.eye(k, dtype=np.int64)])
+        assert (seeds, sizes, ids(np.arange(1)).tolist()) == ([0], [1], [0])
+    # the padding leaves every code as it was, so ids, seeds and sizes are the unpadded ones
+    moduli, mats = h4_model(Family.HEISENBERG, 5).moduli, np.stack(action_generators(Family.HEISENBERG, 5))
+    states = np.arange(math.prod(moduli))
+    ids, seeds, sizes = enumerate_orbit_ids(moduli, mats)
+    ids2, seeds2, sizes2 = enumerate_orbit_ids(*_padded(moduli, mats, 36))
+    assert np.array_equal(ids(states), ids2(states))
+    assert (seeds, sizes) == (seeds2, sizes2)
+    with pytest.raises(ValueError, match=re.escape(f"state space {3**30} at or above 2^31")):
         enumerate_orbit_ids([3] * 30, [np.eye(30, dtype=np.int64)], max_states=3**30)
-    # the refusal counts coordinates, not states: 70 moduli of 1 are one state,
-    # but their digits pack at radix 2, to 2**70
-    with pytest.raises(ValueError, match="int64"):
-        enumerate_orbit_ids([1] * 70, [np.eye(70)])
 
 
 @pytest.mark.parametrize("moduli", [[0], [0, 3], [-3]])
