@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 
 from .graded_ring import verify_identity_suite
 from .groups import FAMILIES, Family, build_group, center, enumerate_automorphisms, normal_abelian_subgroup_classes
@@ -40,6 +41,9 @@ def _parse_primes(text: str) -> list[int]:
     bad = [p for p in primes if p == 2 or not is_prime(p)]
     if bad:
         raise ValueError(f"-p takes odd primes only, got {', '.join(map(str, bad))}")
+    repeated = sorted(p for p, count in Counter(primes).items() if count > 1)
+    if repeated:
+        raise ValueError(f"-p takes each prime once, got {', '.join(map(str, repeated))} more than once")
     return primes
 
 

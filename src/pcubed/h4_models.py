@@ -255,6 +255,13 @@ def action_generators(family: Family, p: int) -> tuple[tuple[tuple[int, ...], ..
     return tuple(_action(model, gen.params, gen.name) for gen in aut_generators(family, p))
 
 
+def scalar_action(p: int) -> tuple[tuple[int, ...], ...]:
+    """The (Z/p)^3 model matrix of the scalar g I_3 of GL(3, p), g the
+    primitive root: diag(g^2 I_6, g^3), a scalar on the quadratic block."""
+    g = primitive_root(p)
+    return _action(h4_model(Family.ELEM_ABELIAN, p), g * np.eye(3, dtype=np.int64), f"{g} I_3")
+
+
 # ---------------------------------------------------------------------------
 # pushing brute-force automorphisms into the models (used for cross-checks)
 

@@ -47,10 +47,35 @@ representative contract the Morita graph relies on.
   computed on demand from the block orbit of x, L(x) and log b, through one
   (distinct gcds x q - 1) table of coset offsets.
 - Label tables: the labels of an edge's target are read from a (generators x
-  q - 1) shift table, (L + log chi(s)) mod (q - 1) in the labels' own dtype,
+  |S| x q - 1) shift table, (L + log chi(s) + j log chi_s) mod (q - 1) for
+  the scalar quotient's step j (below; 0 without one), in the labels' dtype,
   and each defect, shifted by q - 1 into 1..2 (q - 1) - 1 (so the labels'
   dtype holds it), is tested against the current gcd d in a "multiple of d"
   table; ``np.gcd.reduce`` runs only on a chunk with a defect that is not.
+- Scalar quotient: when the BFS runs on two coordinates or more, all mod one
+  odd prime p, and a generator acts on them as f I, f not 0 or 1, that
+  generator is no edge, provided the |S|-row fold tables below hold no more
+  entries than there are states (or than a chunk): with two or three
+  coordinates and a large p they would outgrow the state table.  S = <f>
+  commutes with every generator, so orbits are unions of S-classes, and
+  each image y is replaced by canon(y) = f^j y, the j making y's leading
+  nonzero digit c the least of its coset c S; canon(y) is the least state
+  of S y, as every s y has its leading digit in the same place.  The lookup
+  is two lead tables, one per packed fold half, and fold tables of |S|
+  rows, row j for the digits times f^j.  Each orbit's least state is
+  canonical, so the seed scan reads only the canonical ranges 0 and
+  [c p^e, (c + 1) p^e), c the least of its coset, and finds the same seeds
+  in the same order; an orbit's size is |S| times its canonical states (1
+  for the zero orbit, which every scalar fixes), and ``ids`` canonicalises
+  a state before its lookup.  On a character split the scalar also acts on
+  b by chi_s, and Schreier's lemma runs on the quotient graph: canonicalising
+  by f^j adds j log chi_s to a label, so the edge defects come out as
+  before, and the loop f^|S|, which fixes every block state, adds |S| log
+  chi_s to each stabiliser's image (log chi_s for the zero block state,
+  which f itself fixes).  Each orbit's gcd therefore starts at
+  gcd(q - 1, |S| log chi_s), or gcd(q - 1, log chi_s), and ``ids`` reads
+  (x, b) as (f^j x, chi_s^j b).  Without such a generator S = {1}, and
+  everything above is the plain BFS.
 - One coordinate: a 1x1 multiplier u is replaced by its distinct repeated
   squares u, u^2, u^4, ..., ``m.bit_length()`` of them.  They are words in
   u, so orbits, seeds and sizes do not change, and u^e s is popcount(e)
@@ -66,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import Family
-from .h4_models import CohClass, H4Model, action_generators
+from .h4_models import CohClass, H4Model, action_generators, scalar_action
 from .modular import is_automorphism, is_prime, primitive_root, radix_digits, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
@@ -137,7 +162,11 @@ class _Images(NamedTuple):
     2 m_i - 2 and no carry between digits.  The digits before the fold split
     sit above bit ``shift``, the rest below it, and ``fold_hi`` and
     ``fold_lo`` map each group back to the mixed-radix code of its digits mod
-    m_i.  With a single coordinate there are no fold tables: its sum is
+    m_i.  With a scalar quotient by S = <f>, the fold tables hold |S| rows,
+    row j for the digits times f^j, and ``lead_hi`` and ``lead_lo`` give each
+    group the step j that makes its leading nonzero digit the least of its
+    S-coset (-1 and 0 where every digit is 0 mod p), so each image comes out
+    canonical.  With a single coordinate there are no fold tables: its sum is
     reduced by one conditional subtraction of ``modulus``.
     """
 
@@ -145,47 +174,81 @@ class _Images(NamedTuple):
     hi: np.ndarray  # (generators, ceil(total / place)) int64
     lo: np.ndarray  # (generators, place) int64
     shift: int
-    fold_hi: np.ndarray | None
-    fold_lo: np.ndarray | None
+    fold_hi: np.ndarray | None  # flat (|S|, lead_hi.size)
+    fold_lo: np.ndarray | None  # flat (|S|, lead_lo.size)
+    lead_hi: np.ndarray | None  # None without a scalar quotient
+    lead_lo: np.ndarray | None
     modulus: int  # the single coordinate's modulus; 0 when there are fold tables
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        """Encoded images, one row per generator, of the integer ``states``."""
+    def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Encoded images, one row per generator, of the integer ``states``, and
+        the steps j that canonicalised them (None without a scalar quotient)."""
         a, b = np.divmod(states, self.place)
         packed = np.take(self.hi, a, axis=1)
         packed += np.take(self.lo, b, axis=1)
         if self.modulus:
-            return np.subtract(packed, self.modulus, out=packed, where=packed >= self.modulus)
-        images = np.take(self.fold_hi, packed >> self.shift)
-        images += np.take(self.fold_lo, packed & ((1 << self.shift) - 1))
-        return images
+            return np.subtract(packed, self.modulus, out=packed, where=packed >= self.modulus), None
+        high, low = packed >> self.shift, packed & ((1 << self.shift) - 1)
+        steps = None
+        if self.lead_hi is not None:
+            steps = np.take(self.lead_hi, high)
+            steps = np.where(steps >= 0, steps, np.take(self.lead_lo, low))
+            high += steps * self.lead_hi.size
+            low += steps * self.lead_lo.size
+        images = np.take(self.fold_hi, high)
+        images += np.take(self.fold_lo, low)
+        return images, steps
 
 
-def _fold_table(radix, moduli, weights) -> np.ndarray:
-    """Mixed-radix code of the digits mod ``moduli`` of every number at ``radix``."""
-    return radix_digits(np.arange(math.prod(radix)), radix) % moduli @ weights
+def _fold_table(radix, moduli, weights, powers) -> np.ndarray:
+    """Mixed-radix code of the digits mod ``moduli`` of every number at
+    ``radix``, times each of ``powers``: one row per power, flattened."""
+    digits = radix_digits(np.arange(math.prod(radix)), radix) % moduli
+    rows = np.zeros((len(powers), len(digits)), dtype=np.int64)
+    for column, m, w in zip(digits.T, moduli.tolist(), weights.tolist()):
+        # (f^j d mod m) w for every power f^j and digit d, looked up per digit
+        rows += np.take(np.outer(powers, np.arange(m)) % m * w, column, axis=1)
+    return rows.ravel()
 
 
-def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
-    """The ``_Images`` of row-reduced ``mats``, built with exact int64 products.
+def _lead_table(radix, p: int, powers, zero: int) -> np.ndarray:
+    """The index j of the power f^j that makes the leading nonzero digit mod
+    ``p`` of every number at ``radix`` the least of its coset, ``zero`` where
+    there is none."""
+    digits = radix_digits(np.arange(math.prod(radix)), radix) % p
+    lead = digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
+    step = (np.arange(p)[:, None] * np.asarray(powers) % p).argmin(axis=1)
+    step[0] = zero
+    return step[lead]
+
+
+def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
+    """The ``_Images`` of row-reduced ``mats``, built with exact int64 products,
+    canonical under the scalars ``powers`` (the powers f^j of f, all moduli
+    the prime p) when there is more than one.
 
     The image tables hold about sqrt(total) entries per generator, and the
     fold tables, one per half of a balanced cut of the digits, about
-    sqrt(2**s * total), s the number of moduli of 2 or more.
+    |S| sqrt(2**s * total), s the number of moduli of 2 or more.
     """
     k = len(moduli)
     weights = np.array(radix_weights(moduli), dtype=np.int64)
     total = int(weights[0] * moduli[0])
     place = _split_place(moduli)
     radix = [2 * int(m) - 1 for m in moduli]
+    fold_hi = fold_lo = lead_hi = lead_lo = None
     if k == 1:
-        pack, shift, fold_hi, fold_lo = np.ones(1, dtype=np.int64), 0, None, None
+        pack, shift = np.ones(1, dtype=np.int64), 0
     else:
         cut = min(range(1, k), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
         shift = (math.prod(radix[cut:]) - 1).bit_length()
         pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
-        fold_hi = _fold_table(radix[:cut], moduli[:cut], weights[:cut])
-        fold_lo = _fold_table(radix[cut:], moduli[cut:], weights[cut:])
+        fold_hi = _fold_table(radix[:cut], moduli[:cut], weights[:cut], powers)
+        fold_lo = _fold_table(radix[cut:], moduli[cut:], weights[cut:], powers)
+        if len(powers) > 1:
+            p = int(moduli[0])
+            lead_hi = _lead_table(radix[:cut], p, powers, -1)
+            lead_lo = _lead_table(radix[cut:], p, powers, 0)
 
     def packed_images(codes):
         return pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])
@@ -197,91 +260,107 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray) -> _Images:
         shift=shift,
         fold_hi=fold_hi,
         fold_lo=fold_lo,
+        lead_hi=lead_hi,
+        lead_lo=lead_lo,
         modulus=int(moduli[0]) if k == 1 else 0,
     )
 
 
-def _bfs(images_of: _Images, orbit_id: np.ndarray, character=None):
-    """Seed scan and chunked BFS over the uint8 ``orbit_id`` (all 255 on entry).
+def _bfs(images_of: _Images, orbit_id: np.ndarray, ranges, scalars: int, character=None):
+    """Seed scan over ``ranges`` and chunked BFS over the uint8 ``orbit_id``.
 
+    The scan reads only the [start, stop) ``ranges`` of states, where the
+    canonical states lie; ``images_of`` returns canonical images, and an
+    orbit's size is ``scalars`` per state reached, except the zero orbit's.
     Returns the seeds, sizes and gcds of the orbits and the table it ends
     with: ``orbit_id`` itself, or its int32 widening once a 256th orbit
-    needs an id.  With ``character = (labels, log_chi, order)`` it also
-    labels each state of an orbit with ``log chi`` of a path from the seed,
-    mod ``order``, and the gcds are, per orbit, those of ``order`` and every
-    edge's label defect.
+    needs an id.  With ``character = (labels, log_chi, order, log_scalar)``
+    it also labels each state of an orbit with ``log chi`` of a path from
+    the seed, mod ``order``, canonicalising by f^j adding j ``log_scalar``,
+    and the gcds are, per orbit, those of ``order``, the scalar's loop
+    defect and every edge's label defect.
     """
-    total = orbit_id.size
     unvisited = np.iinfo(orbit_id.dtype).max
     if character is not None:
-        labels, log_chi, order = character
-        # shift[g, l] = (l + log chi(g)) mod order, and divisible[order + t]
-        # whether t is 0 mod d: defects are looked up, not reduced
-        shift = ((np.arange(order) + log_chi[:, None]) % order).astype(labels.dtype)
+        labels, log_chi, order, log_scalar = character
+        # shift[g, j, l] = (l + log chi(g) + j log_scalar) mod order, flat, and
+        # divisible[order + t] whether t is 0 mod d: defects are looked up, not reduced
+        steps = np.arange(scalars) * log_scalar
+        shift = ((np.arange(order) + (log_chi[:, None] + steps)[..., None]) % order).astype(labels.dtype).ravel()
+        firsts = np.arange(len(log_chi))[:, None] * scalars * order  # each generator's first shift entry
         multiples = np.arange(2 * order)
 
     seeds: list[int] = []
     sizes: list[int] = []
     gcds: list[int] = []
-    ptr = 0
-    while ptr < total:
-        free = np.flatnonzero(orbit_id[ptr : ptr + _CHUNK] == unvisited)
-        if not free.size:
-            ptr += _CHUNK
-            continue
-        ptr += int(free[0])
-        oid = len(seeds)
-        if oid == unvisited:  # the 256th orbit: widen the table to int32, once
-            wide = np.iinfo(np.int32).max
-            orbit_id = np.where(orbit_id == unvisited, np.int32(wide), orbit_id)
-            unvisited = wide
-        orbit_id[ptr] = oid
-        frontier = np.array([ptr], dtype=np.int32)
-        size = 1
-        d = order if character is not None else 1
-        if d > 1:
-            divisible = multiples % d == 0
-        while frontier.size:
-            new_parts = []
-            for lo in range(0, frontier.size, _CHUNK):
-                states = frontier[lo : lo + _CHUNK]
-                images = images_of(states).ravel()
-                fresh = np.take(orbit_id, images) == unvisited
-                cand = np.compress(fresh, images)
-                new = cand.astype(np.int32)
-                new.sort()
-                first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
-                np.not_equal(new[1:], new[:-1], out=first[1:])
-                new = new[first]
-                orbit_id[new] = oid
-                new_parts.append(new)
-                if d > 1:
-                    # any edge into a new state gives it a valid label; once
-                    # the gcd is 1 the labels are no longer needed
-                    proposed = np.take(shift, np.take(labels, states), axis=1).ravel()
-                    labels[cand] = np.compress(fresh, proposed)
-                    # each defect, shifted by order, is in 1..2 order - 1
-                    defects = proposed + order
-                    defects -= np.take(labels, images)
-                    if not np.take(divisible, defects).all():
-                        d = math.gcd(d, int(np.gcd.reduce(defects)))
-                        divisible = multiples % d == 0
-            frontier = np.concatenate(new_parts)
-            size += frontier.size
-        seeds.append(ptr)
-        sizes.append(size)
-        gcds.append(d)
-        ptr += 1
+    for start, stop in ranges:
+        ptr = start
+        while ptr < stop:
+            free = np.flatnonzero(orbit_id[ptr : min(ptr + _CHUNK, stop)] == unvisited)
+            if not free.size:
+                ptr += _CHUNK
+                continue
+            ptr += int(free[0])
+            oid = len(seeds)
+            if oid == unvisited:  # the 256th orbit: widen the table to int32, once
+                wide = np.iinfo(np.int32).max
+                orbit_id = np.where(orbit_id == unvisited, np.int32(wide), orbit_id)
+                unvisited = wide
+            orbit_id[ptr] = oid
+            frontier = np.array([ptr], dtype=np.int32)
+            size = 1
+            d = 1
+            if character is not None:
+                # every scalar power fixes the zero state; any other comes back after |S| of them
+                d = math.gcd(order, log_scalar if ptr == 0 else scalars * log_scalar)
+                divisible = multiples % d == 0
+            while frontier.size:
+                new_parts = []
+                for lo in range(0, frontier.size, _CHUNK):
+                    states = frontier[lo : lo + _CHUNK]
+                    images, steps = images_of(states)
+                    images = images.ravel()
+                    fresh = np.take(orbit_id, images) == unvisited
+                    cand = np.compress(fresh, images)
+                    new = cand.astype(np.int32)
+                    new.sort()
+                    first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
+                    np.not_equal(new[1:], new[:-1], out=first[1:])
+                    new = new[first]
+                    orbit_id[new] = oid
+                    new_parts.append(new)
+                    if d > 1:
+                        # any edge into a new state gives it a valid label; once
+                        # the gcd is 1 the labels are no longer needed
+                        at = np.take(labels, states) + firsts
+                        if steps is not None:
+                            at += steps * order
+                        proposed = np.take(shift, at).ravel()
+                        labels[cand] = np.compress(fresh, proposed)
+                        # each defect, shifted by order, is in 1..2 order - 1
+                        defects = proposed + order
+                        defects -= np.take(labels, images)
+                        if not np.take(divisible, defects).all():
+                            d = math.gcd(d, int(np.gcd.reduce(defects)))
+                            divisible = multiples % d == 0
+                frontier = np.concatenate(new_parts)
+                size += frontier.size
+            seeds.append(ptr)
+            sizes.append(size * scalars if ptr else size)
+            gcds.append(d)
+            ptr += 1
     return seeds, sizes, gcds, orbit_id
 
 
-def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
+def _split_character(block, labels, block_seeds, block_sizes, gcds, log, canonical, log_scalar):
     """Orbit ids, seeds and sizes of the whole space from its block orbits.
 
-    ``block`` and ``labels`` hold each block state x's orbit id and L(x); the
-    state (x, b) is ``x * q + b``.  Block orbit O with seed x0 and gcd d
-    becomes the orbit of (x0, 0), then one orbit per coset of the index-d
-    subgroup of F_q^*, numbered by the coset's least member.  ``ids`` reads
+    ``block`` and ``labels`` hold each canonical block state x's orbit id and
+    L(x); the state (x, b) is ``x * q + b``.  Block orbit O with seed x0 and
+    gcd d becomes the orbit of (x0, 0), then one orbit per coset of the
+    index-d subgroup of F_q^*, numbered by the coset's least member.  ``ids``
+    moves (x, b) to (f^j x, chi_s^j b) in the same orbit, f^j x canonical,
+    through ``canonical`` (x and j = 0 without a scalar quotient), then reads
     the id of (x, b), b != 0, as base(O) + offsets[d, (log b - L(x)) mod
     (q - 1)] on demand, with no table of the whole space.
     """
@@ -306,8 +385,9 @@ def _split_character(block, labels, block_seeds, block_sizes, gcds, log):
 
     def ids(states):
         x, b = np.divmod(states, q)
+        x, steps = canonical(x)
         orbit = block[x]
-        offset = offsets[rows[orbit], (log[b] - labels[x]) % order]
+        offset = offsets[rows[orbit], (log[b] + steps * log_scalar - labels[x]) % order]
         return bases[orbit] + np.where(b == 0, 0, offset)
 
     return ids, seeds, sizes
@@ -323,6 +403,36 @@ def _repeated_squares(units: list[int], m: int) -> np.ndarray:
     """
     squares = dict.fromkeys(pow(u, 1 << t, m) for u in units for t in range(m.bit_length()))
     return np.array(list(squares), dtype=np.int64).reshape(-1, 1, 1)
+
+
+def _scalar_quotient(moduli, block):
+    """The index of the first generator whose ``block`` is f I, f not 0 or 1,
+    and the powers f^0, f^1, ... of S = <f>, when the block has two
+    coordinates or more, all mod one odd prime p, and the |S|-row fold
+    tables hold no more entries than there are states (or than a chunk, for
+    a small block); None otherwise."""
+    p, n = int(moduli[0]), len(moduli)
+    if n < 2 or (moduli != p).any() or p == 2 or not is_prime(p):
+        return None
+    eye = np.eye(n, dtype=np.int64)
+    for index, mat in enumerate(block):
+        f = int(mat[0, 0])
+        if f > 1 and np.array_equal(mat, f * eye):
+            powers = [1]
+            while powers[-1] * f % p != 1:
+                powers.append(powers[-1] * f % p)
+            # the fold halves cover ceil(n / 2) and floor(n / 2) digits at radix 2p - 1
+            fold = (2 * p - 1) ** (n - n // 2) + (2 * p - 1) ** (n // 2)
+            return (index, powers) if len(powers) * fold <= max(p**n, _CHUNK) else None
+    return None
+
+
+def _canonical_ranges(p: int, n: int, powers) -> list[tuple[int, int]]:
+    """The [start, stop) ranges, in increasing order, of the canonical states
+    of n coordinates mod p: 0, and those whose leading nonzero digit c is the
+    least of its coset c S, that is [c p^e, (c + 1) p^e)."""
+    least = [c for c in range(1, p) if min(c * s % p for s in powers) == c]
+    return [(0, 1)] + [(c * p**e, (c + 1) * p**e) for e in range(n) for c in least]
 
 
 def require_state_space(moduli, max_states: int) -> int:
@@ -356,17 +466,38 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
 
     split = _splits_off(moduli, mats)
     n = k - 1 if split else k  # the coordinates the BFS runs on
-    images = _image_tables(moduli[:n], mats[:, :n, :n])
     q = int(moduli[-1]) if split else 1
     table = np.full(total // q, np.iinfo(np.uint8).max, dtype=np.uint8)
+    quotient = _scalar_quotient(moduli[:n], mats[:, :n, :n])
+    powers, ranges, chi_scalar, block = [1], [(0, table.size)], 1, mats[:, :n, :n]
+    if quotient is not None:
+        index, powers = quotient
+        # the scalar leaves the edges (its last entry is chi_s on a split); the
+        # identity's row of the tables, last, canonicalises the states of ``ids``
+        chi_scalar, mats = mats[index, -1, -1], np.delete(mats, index, axis=0)
+        ranges = _canonical_ranges(int(moduli[0]), n, powers)
+        block = np.concatenate([mats[:, :n, :n], np.eye(n, dtype=np.int64)[None]])
+    tables = _image_tables(moduli[:n], block, powers)
+    edges = len(mats)
+    images = tables._replace(hi=tables.hi[:edges], lo=tables.lo[:edges])
+    identity = tables._replace(hi=tables.hi[edges:], lo=tables.lo[edges:])
+
+    def canonical(states):
+        if quotient is None:
+            return states, 0
+        codes, steps = identity(states)
+        return codes[0], steps[0]
+
     if not split:
-        seeds, sizes, _, table = _bfs(images, table)
-        return lambda states: table[states].astype(np.int32), seeds, sizes
+        seeds, sizes, _, table = _bfs(images, table, ranges, len(powers))
+        return lambda states: table[canonical(states)[0]].astype(np.int32), seeds, sizes
     log = _discrete_logs(q)
+    log_scalar = int(log[chi_scalar])
     # the labels' dtype also holds the shifted defects, up to 2 (q - 1) - 1
     labels = np.zeros(table.size, dtype=np.min_scalar_type(2 * (q - 1) - 1))
-    seeds, sizes, gcds, table = _bfs(images, table, (labels, log[mats[:, -1, -1]], q - 1))
-    return _split_character(table, labels, seeds, sizes, gcds, log)
+    seeds, sizes, gcds, table = _bfs(images, table, ranges, len(powers),
+                                     (labels, log[mats[:, -1, -1]], q - 1, log_scalar))
+    return _split_character(table, labels, seeds, sizes, gcds, log, canonical, log_scalar)
 
 
 def enumerate_orbits(
@@ -375,10 +506,13 @@ def enumerate_orbits(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OrbitIndex:
     """BFS closure from each unvisited state, deterministic orbit numbering;
-    ``generators`` are model matrices, the family's ``action_generators`` by default."""
+    ``generators`` are model matrices, the family's ``action_generators`` by
+    default, with the scalar g I_3 appended for (Z/p)^3 so the BFS quotients by it."""
     require_state_space(model.moduli, max_states)
     if generators is None:
         generators = action_generators(model.family, model.p)
+        if model.family is Family.ELEM_ABELIAN:
+            generators += (scalar_action(model.p),)
     ids, seeds, sizes = enumerate_orbit_ids(model.moduli, generators, max_states)
     orbits = [
         Orbit(rep=model.cls(model.decode(seed)), size=size)

@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .modular import (
-    gl_generators, inverse_mod, least_nonsquare, legendre, quadratic_substitution_matrix, rank_and_det_mod,
-    require_odd_prime,
+    gl_generators, inverse_mod, least_nonsquare, legendre, primitive_root, quadratic_substitution_matrix,
+    rank_and_det_mod, require_odd_prime,
 )
 from .orbits import DEFAULT_MAX_STATES, enumerate_orbit_ids, require_state_space
 
@@ -110,8 +110,8 @@ def count_congruence_classes(n: int, p: int) -> int:
     """Exact class count: vectorized orbit closure over all n x n symmetric forms.
 
     The congruence action of GL(n, p) is linearized on the n(n+1)/2 polynomial
-    coefficients by the quadratic substitution z -> g z and closed with the shared BFS engine, so this stays feasible
-    through p = 13 in dimension 3.
+    coefficients by the quadratic substitution z -> g z and closed with the
+    shared BFS engine, which quotients by the scalar g I_n.
     """
     require_odd_prime(p)
     require_state_space([p] * (n * (n + 1) // 2), DEFAULT_MAX_STATES)  # before the GL(n, p) generators
@@ -121,9 +121,12 @@ def count_congruence_classes(n: int, p: int) -> int:
 
 def congruence_action(n: int, p: int) -> tuple[list[int], list[np.ndarray]]:
     """Moduli and generator matrices of GL(n, p) acting on the n(n+1)/2
-    coefficients of a quadratic form by the substitution z -> g z."""
+    coefficients of a quadratic form by the substitution z -> g z, then the
+    scalar g I_n for the primitive root g, which multiplies every form by g^2
+    and so lets the BFS quotient by the scalars g^(2j)."""
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return [p] * len(pairs), [quadratic_substitution_matrix(np.array(g), pairs, p) for g in gl_generators(n, p)]
+    subs = list(gl_generators(n, p)) + [primitive_root(p) * np.eye(n, dtype=np.int64)]
+    return [p] * len(pairs), [quadratic_substitution_matrix(np.array(g), pairs, p) for g in subs]
 
 
 def representatives(n: int, p: int) -> list[QuadForm]:

@@ -179,6 +179,16 @@ def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):
     assert captured.err == f"pcubed: -p takes odd primes only, got {prime}\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
+@pytest.mark.parametrize("primes, repeated", [("3,3", "3"), ("3,5,3", "3"), ("7,5,7,5,11", "5, 7")])
+def test_a_repeated_prime_is_a_one_line_usage_error(capsys, command, primes, repeated):
+    # each prime's tables would be computed and printed once per mention
+    assert main([command, "-p", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: -p takes each prime once, got {repeated} more than once\n"
+
+
 @pytest.mark.parametrize(
     "spec", ["heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2", ""]
 )

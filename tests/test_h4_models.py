@@ -18,8 +18,9 @@ from pcubed.h4_models import (
     h4_model,
     pullbacks,
     push_automorphism,
+    scalar_action,
 )
-from pcubed.modular import is_automorphism, rank_and_det_mod, units
+from pcubed.modular import is_automorphism, primitive_root, rank_and_det_mod, units
 from pcubed.quadforms import QuadForm, congruence_invariant
 
 from oracles import matrix_group_closure
@@ -339,3 +340,16 @@ def test_cofactor_determinants_match_elimination(n, p):
     assert expected.count(0) >= 100
     assert _dets_mod(mats, p).tolist() == expected
     assert _dets_mod(mats.reshape(3, 100, n, n), p).tolist() == np.reshape(expected, (3, 100)).tolist()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scalar_action_is_the_pullback_of_g_times_the_identity(p):
+    # g I_3 multiplies each quadratic class by g^2 and beta by det = g^3, equal
+    # to its symbolic pullback and central among the generators
+    g = primitive_root(p)
+    mat = np.array(scalar_action(p))
+    assert np.array_equal(mat, np.diag([g * g % p] * 6 + [g**3 % p]))
+    pb = pullbacks(Family.ELEM_ABELIAN, p, [g * np.eye(3, dtype=np.int64)])
+    assert pb.agree.all() and np.array_equal(pb.model[0], mat)
+    for gen in map(np.array, action_generators(Family.ELEM_ABELIAN, p)):
+        assert np.array_equal(mat @ gen % p, gen @ mat % p)

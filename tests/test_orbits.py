@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pcubed import orbits, quadforms
 from pcubed.groups import FAMILIES, Family
-from pcubed.h4_models import action_generators, h4_model
+from pcubed.h4_models import action_generators, h4_model, scalar_action
 from pcubed.modular import primitive_root, radix_weights
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 from pcubed.quadforms import congruence_action, count_congruence_classes
@@ -174,7 +174,7 @@ def test_images_at_the_state_bound_are_exact(moduli):
     weights = radix_weights(moduli)
     expected = [[_apply(mat.tolist(), moduli, weights, s) for s in states.tolist()] for mat in mats]
     images = orbits._image_tables(np.array(moduli, dtype=np.int64), mats)
-    assert images(states).tolist() == expected
+    assert images(states)[0].tolist() == expected
 
 
 def test_state_spaces_above_the_bound_are_refused_first():
@@ -286,7 +286,7 @@ def test_table_images_equal_the_reference_product(moduli, matrices):
     states = np.arange(math.prod(moduli.tolist()), dtype=np.int64)
     digits = states[:, None] // weights % moduli
     expected = (mats @ digits.T % moduli[:, None]).transpose(0, 2, 1) @ weights
-    assert np.array_equal(orbits._image_tables(moduli, mats)(states), expected)
+    assert np.array_equal(orbits._image_tables(moduli, mats)(states)[0], expected)
 
 
 def _padded(moduli, mats, count):
@@ -499,11 +499,127 @@ def test_character_split_matches_union_find(action, chunk):
     _check_against_union_find(moduli, mats, chunk)
 
 
+@st.composite
+def _scalar_actions(draw):
+    """Moduli (p,) * k with ``_generator`` moves and one scalar f I, f any unit
+    mod p, 1 and p - 1 included.  When ``split``, a trailing prime q is added
+    on which every generator, the scalar too, acts by a random unit, so the
+    block BFS quotients by f and carries the scalar's character."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.sampled_from([2, 3]))
+    f = draw(st.integers(1, p - 1))
+    mats = [_generator(draw, [p] * k) for _ in range(draw(st.integers(1, 2)))] + [f * np.eye(k, dtype=np.int64)]
+    split = draw(st.booleans())
+    moduli = [p] * k
+    if split:
+        q = draw(st.sampled_from([3, 5, 7]))
+        g = primitive_root(q)
+        moduli.append(q)
+        padded = []
+        for mat in mats:
+            full = np.zeros((k + 1, k + 1), dtype=np.int64)
+            full[:k, :k] = mat
+            full[k, k] = pow(g, draw(st.integers(0, q - 2)), q)
+            padded.append(full)
+        mats = padded
+    return moduli, _with_repeats(draw, mats), f, split
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalar_actions(), st.sampled_from([1, 2, 5, 64, orbits._CHUNK]))
+def test_scalar_quotient_matches_union_find(action, chunk):
+    moduli, mats, f, split = action
+    reduced = np.stack(mats) % np.array(moduli)[:, None]
+    # diagonal generators may split the last coordinate off an unsplit shape too
+    split_off = orbits._splits_off(np.array(moduli), reduced)
+    assert split_off or not split
+    n = len(moduli) - split_off  # the BFS coordinates; the quotient needs two or more
+    if f != 1 and n >= 2:
+        assert orbits._scalar_quotient(np.array(moduli[:n]), reduced[:, :n, :n]) is not None
+    _check_against_union_find(moduli, mats, chunk)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_scalar_changes_only_speed(p):
+    # the default (Z/p)^3 generators carry the scalar g I_3, the congruence
+    # actions g I_n; without it the BFS expands every state, with the same result
+    for fam in FAMILIES:
+        model = h4_model(fam, p)
+        quick, plain = enumerate_orbits(model), enumerate_orbits(model, generators=action_generators(fam, p))
+        states = np.arange(model.total_order)
+        assert np.array_equal(quick.ids(states), plain.ids(states))
+        assert quick.orbits == plain.orbits
+    for n in (1, 2, 3):
+        moduli, mats = congruence_action(n, p)
+        ids, seeds, sizes = enumerate_orbit_ids(moduli, mats)
+        ids2, seeds2, sizes2 = enumerate_orbit_ids(moduli, mats[:-1])
+        states = np.arange(math.prod(moduli))
+        assert np.array_equal(ids(states), ids2(states))
+        assert (seeds, sizes) == (seeds2, sizes2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_canonical_ranges_hold_the_least_of_each_scalar_class(p, n):
+    weights = np.array(radix_weights([p] * n))
+    states = np.arange(p**n)
+    digits = states[:, None] // weights % p
+    for f in range(2, p):
+        _, powers = orbits._scalar_quotient(np.array([p] * n), f * np.eye(n, dtype=np.int64)[None])
+        assert sorted({pow(f, j, p) for j in range(p)}) == sorted(powers)
+        least = np.min([(s * digits % p) @ weights for s in powers], axis=0)
+        ranges = orbits._canonical_ranges(p, n, powers)
+        assert [start for start, _ in ranges] == sorted(start for start, _ in ranges)
+        canonical = np.concatenate([np.arange(start, stop) for start, stop in ranges])
+        assert np.array_equal(canonical, np.flatnonzero(least == states)), f
+
+
+def test_the_quotient_tables_stay_within_the_states():
+    # with three coordinates the larger fold half has (2p - 1)^2 entries per
+    # scalar, about 2 p^3 entries in all for S the squares: past the state
+    # count, so large primes keep the plain BFS
+    for n, p, taken in [(2, 5, True), (2, 13, True), (2, 31, False), (2, 101, False),
+                        (3, 5, True), (3, 13, True), (3, 31, True), (3, 101, True)]:
+        moduli, mats = congruence_action(n, p)
+        moduli, mats = np.array(moduli), np.stack(mats) % p
+        quotient = orbits._scalar_quotient(moduli, mats)
+        assert (quotient is not None) == taken, (n, p)
+        if taken and p <= 13:
+            images = orbits._image_tables(moduli, mats, quotient[1])
+            assert images.fold_hi.size + images.fold_lo.size <= max(p ** len(moduli), orbits._CHUNK), (n, p)
+
+
+def _quotient_cases():
+    for p in (5, 7):
+        for n in (2, 3):
+            yield pytest.param(*congruence_action(n, p), id=f"congruence-n{n}-p{p}")
+        model = h4_model(Family.ELEM_ABELIAN, p)
+        gens = np.stack(action_generators(Family.ELEM_ABELIAN, p) + (scalar_action(p),))
+        yield pytest.param(model.moduli[:-1], gens[:, :-1, :-1], id=f"elem_abelian-block-p{p}")
+
+
+@pytest.mark.parametrize("moduli, matrices", _quotient_cases())
+def test_quotient_images_are_canonical(moduli, matrices):
+    # each image is the least of its scalar class, and f**step times the plain image
+    moduli = np.array(moduli, dtype=np.int64)
+    p, mats = int(moduli[0]), np.stack(matrices) % moduli[:, None]
+    _, powers = orbits._scalar_quotient(moduli, mats)
+    states = np.arange(math.prod(moduli.tolist()))
+    plain, no_steps = orbits._image_tables(moduli, mats)(states)
+    images, steps = orbits._image_tables(moduli, mats, powers)(states)
+    assert no_steps is None
+    weights = np.array(radix_weights(moduli))
+    digits = plain[..., None] // weights % p
+    classes = np.stack([(s * digits % p) @ weights for s in powers])
+    assert np.array_equal(images, classes.min(axis=0))
+    assert np.array_equal(images, np.take_along_axis(classes, steps[None], axis=0)[0])
+
+
 @pytest.mark.parametrize("states, widened", [(255, False), (256, True)])
 def test_the_256th_orbit_widens_the_table(states, widened):
     # the identity on Z/n has n orbits; ids 0..254 fit below the uint8 mark 255
     images = orbits._image_tables(np.array([states]), np.ones((1, 1, 1), dtype=np.int64))
-    seeds, _, _, table = orbits._bfs(images, np.full(states, 255, dtype=np.uint8))
+    seeds, _, _, table = orbits._bfs(images, np.full(states, 255, dtype=np.uint8), [(0, states)], 1)
     assert seeds == list(range(states))
     assert table.dtype == (np.int32 if widened else np.uint8)
     assert np.array_equal(table, np.arange(states))

@@ -101,6 +101,11 @@ def test_class_counts_up_to_p13(class_count_for):
             assert class_count_for(n, p) == 2 * n + 1
 
 
+def test_class_count_at_p17():
+    # 17**6 = 24.1M forms, the first class count past p = 13
+    assert count_congruence_classes(3, 17) == 7
+
+
 def test_invariants_agree_with_closure_oracle_all_pairs_n2(congruence_ids_for):
     for p in (3, 5):
         ids = congruence_ids_for(2, p)
