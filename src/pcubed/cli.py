@@ -1,8 +1,8 @@
-"""Command-line front end: classification tables, orbit dumps, verification.
+"""Command-line front end: orbit tables, Morita tables, quadratic forms, verification.
 
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
-2 on usage errors (argparse's convention) and on an -o path that cannot be
-written.
+2 on every usage error, argparse's included, and on an -o path that cannot be
+written; each usage error is one ``pcubed: <message>`` line on stderr.
 """
 
 import argparse
@@ -111,6 +111,15 @@ def cmd_classify(args) -> int:
             out.append(f"p={p}  total         {total:>4} = 6*{p}+43{mark}")
     if args.format == "json":
         _write(args, json.dumps(payload, indent=2))
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["family", "p", "orbit", "rep_coeffs", "rep_label", "size"])
+        for r in (row for entry in payload for row in entry["orbits"]):
+            writer.writerow(
+                [r["family"], r["p"], r["orbit"], " ".join(map(str, r["rep_coeffs"])), r["rep_label"], r["size"]]
+            )
+        _write(args, buf.getvalue())
     else:
         _write(args, "\n".join(out))
     if args.check and failures:
@@ -156,26 +165,6 @@ def cmd_quadforms(args) -> int:
             lines.append(f"  diag{tuple(diag)}  rank={inv.rank}  disc={inv.disc_class}")
         blocks.append("\n".join(lines))
     _write(args, ("\n" if args.which_h else "\n\n").join(blocks))
-    return 0
-
-
-def cmd_orbits_dump(args) -> int:
-    rows = []
-    for p in args.primes:
-        for fam in args.families:
-            index = enumerate_orbits(h4_model(fam, p), max_states=args.max_states)
-            rows.extend(orbit_rows(index))
-    if args.format == "json":
-        _write(args, json.dumps(rows, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "p", "orbit", "rep_coeffs", "rep_label", "size"])
-        for r in rows:
-            writer.writerow(
-                [r["family"], r["p"], r["orbit"], " ".join(map(str, r["rep_coeffs"])), r["rep_label"], r["size"]]
-            )
-        _write(args, buf.getvalue())
     return 0
 
 
@@ -238,11 +227,11 @@ def _group_oracles(p: int):
     """Brute-force group checks at p = 3, where Aut(G) is enumerated in full."""
     checks = []
     expected_aut = {
-        Family.CYCLIC: 18,
-        Family.P2XP: 108,
-        Family.ELEM_ABELIAN: 11232,
-        Family.HEISENBERG: 432,
-        Family.GP: 54,
+        Family.CYCLIC: p**2 * (p - 1),
+        Family.P2XP: p**3 * (p - 1) ** 2,
+        Family.ELEM_ABELIAN: (p**3 - 1) * (p**3 - p) * (p**3 - p**2),
+        Family.HEISENBERG: p**2 * (p**2 - 1) * (p**2 - p),
+        Family.GP: p**3 * (p - 1),
     }
     auts = {fam: enumerate_automorphisms(build_group(fam, p)) for fam in FAMILIES}
     for fam in FAMILIES:
@@ -284,8 +273,15 @@ def _group_oracles(p: int):
     return checks
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors leave through main's one-line path, not a usage banner."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcubed",
         description="Classify pointed fusion categories of global dimension p^3.",
     )
@@ -298,8 +294,8 @@ def main(argv=None) -> int:
             sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         sp.add_argument("-o", "--output", help="write output to a file instead of stdout")
 
-    sp = sub.add_parser("classify", help="per-family orbit counts and totals")
-    common(sp, "md", "json")
+    sp = sub.add_parser("classify", help="per-family orbit counts and totals (md), or one row per orbit (json, csv)")
+    common(sp, "md", "json", "csv")
     sp.add_argument("--family", help="restrict to one family")
     sp.add_argument("--check", action="store_true", help="exit nonzero on count mismatches")
     sp.set_defaults(fn=cmd_classify)
@@ -323,18 +319,13 @@ def main(argv=None) -> int:
     sp.add_argument("--which-h", action="store_true", help="print the h selection")
     sp.set_defaults(fn=cmd_quadforms)
 
-    sp = sub.add_parser("orbits-dump", help="one row per orbit, csv or json")
-    common(sp, "csv", "json")
-    sp.add_argument("--family", help="restrict to one family")
-    sp.set_defaults(fn=cmd_orbits_dump)
-
-    for name in ("classify", "morita", "verify", "orbits-dump"):  # the subcommands that enumerate orbits
+    for name in ("classify", "morita", "verify"):  # the subcommands that enumerate orbits
         sub.choices[name].add_argument(
             "--max-states", type=int, default=DEFAULT_MAX_STATES, help="orbit state-space bound"
         )
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # every usage check, then the -o file, then the work; an empty option value is a value
         args.primes = _parse_primes(args.primes)
         family = getattr(args, "family", None)
@@ -348,7 +339,8 @@ def main(argv=None) -> int:
         with _open_output(args.output) as args.out:
             return args.fn(args)
     except ValueError as exc:
-        print(f"pcubed: {exc}", file=sys.stderr)
+        # argparse echoes unknown arguments, and the -o message its path, as given: escape their newlines
+        print("pcubed: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ monomial is kept while any entry of its coefficient is nonzero, and ``==`` and
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -316,17 +316,15 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     def add(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    def sample(seq):
-        seq = list(seq)
-        if len(seq) <= MAX_TUPLES:
-            return seq
-        stride = len(seq) // MAX_TUPLES + 1
-        return seq[::stride]
+    def sample(items, length):
+        """Every stride-th of the ``length`` items, all of them when there are
+        at most MAX_TUPLES; the sweep is never held whole."""
+        stride = 1 if length <= MAX_TUPLES else length // MAX_TUPLES + 1
+        return list(islice(items, 0, None, stride))
 
     # -- product group Z/p^2 x Z/p: pullbacks on u^2, uv, v^2 ---------------
-    tuples = sample(
-        [(i, j, k, l) for i in units(p * p) for j in range(p) for k in range(p) for l in units(p)]
-    )
+    # (i, j, k, l) with i a unit mod p^2, j, k mod p and l a unit mod p
+    tuples = sample(product(units(p * p), range(p), range(p), units(p)), p * (p - 1) * p * p * (p - 1))
     basis = h4_model(Family.P2XP, p).basis
     agree = pullbacks(Family.P2XP, p, tuples).agree
     for col in reversed(range(len(basis))):
@@ -338,7 +336,7 @@ def verify_identity_suite(p: int = 3) -> list[CheckResult]:
     H = rank2_extension_ring(p, "w", "z", "t")
     w1, w2, z1, z2, t = (H.gen(l) for l in ("w1", "w2", "z1", "z2", "t"))
     kappa = w1 * w2
-    mats = sample(list(_gl2(p)))
+    mats = sample(_gl2(p), (p * p - 1) * (p * p - p))
     pb = pullbacks(Family.HEISENBERG, p, mats)
     for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, pb.agree.T):
         add(f"heisenberg.pullback.{label}", ok.all(), f"{len(mats)} matrices")

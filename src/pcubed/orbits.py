@@ -131,12 +131,19 @@ def _splits_off(moduli: np.ndarray, mats: np.ndarray) -> bool:
 
 
 def _discrete_logs(q: int) -> np.ndarray:
-    """``log[b]`` to the base ``primitive_root(q)`` for b in 1..q-1; ``log[0]`` is 0."""
+    """``log[b]`` to the base ``primitive_root(q)`` for b in 1..q-1; ``log[0]`` is 0.
+
+    The powers g^0 .. g^(q-2) fill in by doubling, powers[n:2n] = powers[:n] * g^n,
+    in log2(q) array steps; the products stay exact in int64 as q < 2^31."""
+    g = primitive_root(q)
+    powers = np.ones(q - 1, dtype=np.int64)
+    n = 1
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        powers[n:n + m] = powers[:m] * pow(g, n, q) % q
+        n += m
     log = np.zeros(q, dtype=np.int32)
-    g, x = primitive_root(q), 1
-    for i in range(q - 1):
-        log[x] = i
-        x = x * g % q
+    log[powers] = np.arange(q - 1, dtype=np.int32)
     return log
 
 

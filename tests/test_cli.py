@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcubed import cli, orbits
 from pcubed.cli import main
@@ -81,8 +86,8 @@ def test_quadforms_prints_every_prime(capsys):
     assert out == "p=5: h = 2\np=3: h = 1\n"
 
 
-def test_orbits_dump_csv(capsys):
-    code, out = run(capsys, "orbits-dump", "-p", "3", "--family", "gp")
+def test_classify_csv(capsys):
+    code, out = run(capsys, "classify", "-p", "3", "--family", "gp", "--format", "csv")
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 1 + 9
@@ -111,11 +116,18 @@ def test_verify_detects_elementary_abelian_corruption(capsys, spec):
 
 
 def test_usage_error_exit_code(capsys):
-    # quadforms enumerates no orbits and verify has one output format, so neither takes these flags
-    for argv in (["no-such-command"], ["quadforms", "--max-states", "5"], ["verify", "--format", "md"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    # quadforms enumerates no orbits and verify has one output format, so neither takes these flags;
+    # and orbits-dump is no subcommand: classify --format csv writes its orbit rows
+    for argv in (
+        ["no-such-command"],
+        ["orbits-dump", "-p", "3"],
+        ["quadforms", "--max-states", "5"],
+        ["verify", "--format", "md"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pcubed: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_invalid_prime_exit_code(capsys):
@@ -170,7 +182,7 @@ def test_usage_error_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, 
     assert not new.exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
+@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms"])
 @pytest.mark.parametrize("prime", ["9", "2", "1"])
 def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):
     assert main([command, "-p", prime]) == 2
@@ -179,7 +191,7 @@ def test_non_odd_prime_is_a_one_line_usage_error(capsys, command, prime):
     assert captured.err == f"pcubed: -p takes odd primes only, got {prime}\n"
 
 
-@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms", "orbits-dump"])
+@pytest.mark.parametrize("command", ["classify", "morita", "verify", "quadforms"])
 @pytest.mark.parametrize("primes, repeated", [("3,3", "3"), ("3,5,3", "3"), ("7,5,7,5,11", "5, 7")])
 def test_a_repeated_prime_is_a_one_line_usage_error(capsys, command, primes, repeated):
     # each prime's tables would be computed and printed once per mention
@@ -203,10 +215,9 @@ def test_verify_bad_corrupt_spec_is_a_one_line_usage_error(capsys, spec):
     "argv, err",
     [
         (["classify", "-p", "3", "--family="], "pcubed: unknown family ''\n"),
-        (["orbits-dump", "-p", "3", "--family="], "pcubed: unknown family ''\n"),
         (["classify", "-p", "3", "-o", ""], "pcubed: cannot write : No such file or directory\n"),
     ],
-    ids=["classify-family", "orbits-dump-family", "output"],
+    ids=["classify-family", "output"],
 )
 def test_an_empty_option_value_is_a_one_line_usage_error(capsys, argv, err):
     # an empty value is a value: it must not fall back to every family or to stdout
@@ -251,6 +262,42 @@ def test_a_state_space_past_int32_frontiers_is_a_usage_error(capsys, monkeypatch
         assert captured.out == ""
         assert captured.err == f"pcubed: state space {total} at or above 2^31, too large for int32 frontiers\n"
         assert not out.exists()  # refused before the -o file is opened
+
+
+# every flag of every subcommand, so most draws pair a flag with a subcommand that lacks it
+FUZZ_FLAGS = ["-p", "--primes", "--format", "-o", "--output", "--family", "--check", "--max-states",
+              "--corrupt", "-n", "--which-h", "--bogus", "-z"]
+FUZZ_VALUES = ["3", "5", "3,5", "5,3", "3,3", "2", "9", "", "x", "-1", "0", "1", "200", "100000",
+               "md", "json", "csv", "gp", "bogus", "heisenberg:1:2", "heisenberg:9:9", "out.txt", "missing/out.txt",
+               "a\nb"]
+FUZZ_ITEM = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_FLAGS), st.sampled_from(FUZZ_VALUES)).map(list),
+    st.tuples(st.sampled_from([f for f in FUZZ_FLAGS if f.startswith("--")]), st.sampled_from(FUZZ_VALUES))
+    .map(lambda fv: ["=".join(fv)]),
+    st.sampled_from(FUZZ_FLAGS + FUZZ_VALUES).map(lambda tok: [tok]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from([[], ["classify"], ["morita"], ["verify"], ["quadforms"], ["orbits-dump"], ["nope"]]),
+    items=st.lists(FUZZ_ITEM, max_size=5),
+)
+def test_every_argv_exits_0_1_or_2_and_a_usage_error_is_one_line(command, items):
+    argv = command + [tok for item in items for tok in item]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # any value can follow -o, so every -o path is relative to the temp dir
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("pcubed: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 BIG_PRIME = 1000000000000000003

@@ -1,12 +1,7 @@
 """CLI output pinned byte for byte against files under tests/golden/.
 
-The json and orbits-dump files were written by the CLI before the orbit
-engine split the elementary-abelian det character off its BFS, the verify and
-morita tables before the extension cases became the one CASES table, the
-quadforms files before the congruence invariant moved onto the shared mod-p
-elimination, and verify-p7 before the page checks moved onto one rank-2
-walker that reads each k-invariant from CASES; regenerate one only for a deliberate change of output, with the
-command in GOLDEN below.
+Regenerate a file only for a deliberate change of output, with its command in
+GOLDEN below.
 """
 
 from pathlib import Path
@@ -18,7 +13,7 @@ from pcubed.cli import main
 GOLDEN = {
     "morita-p3.json": ["morita", "-p", "3", "--format", "json"],
     "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
-    "orbits-dump-p3-5-7.csv": ["orbits-dump", "-p", "3,5,7"],
+    "classify-p3-5-7.csv": ["classify", "-p", "3,5,7", "--format", "csv"],
     "verify-p5.md": ["verify", "-p", "5"],
     "verify-p7.md": ["verify", "-p", "7"],
     "morita-p3.md": ["morita", "-p", "3"],

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pcubed import orbits, quadforms
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import action_generators, h4_model, scalar_action
-from pcubed.modular import primitive_root, radix_weights
+from pcubed.modular import is_prime, primitive_root, radix_weights
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 from pcubed.quadforms import congruence_action, count_congruence_classes
 
@@ -664,3 +664,18 @@ def test_split_labels_hold_their_shifted_defects(q):
     mats = [np.diag([2, pow(g, (q - 1) // 2, q)]), np.diag([1, pow(g, q - 5, q)])]
     assert orbits._splits_off(np.array([3, q]), np.stack(mats))
     _check_against_union_find([3, q], mats, orbits._CHUNK)
+
+
+def _logs_one_step_at_a_time(q):
+    """The definition: log[g**i mod q] = i, walking the powers of g one multiplication at a time."""
+    log, g, x = [0] * q, primitive_root(q), 1
+    for i in range(q - 1):
+        log[x] = i
+        x = x * g % q
+    return np.array(log, dtype=np.int32)
+
+
+def test_discrete_logs_by_doubling_match_the_definition():
+    for q in [q for q in range(3, 2000) if is_prime(q)] + [1_000_003]:
+        logs = orbits._discrete_logs(q)
+        assert logs.dtype == np.int32 and np.array_equal(logs, _logs_one_step_at_a_time(q)), q
