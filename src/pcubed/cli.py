@@ -1,5 +1,11 @@
 """Command-line front end: orbit tables, Morita tables, quadratic forms, verification.
 
+classify, morita and verify build their orbit indices in ``_orbit_indices``
+(under --max-states, with verify's --corrupt applied), and every pass or fail
+is a ``CheckResult``.  ``_count_checks`` judges each family's orbit count
+against the published one: verify prints those checks, and classify marks a
+failed one MISMATCH and, under --check, exits 1 on it.
+
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
 2 on every usage error, argparse's included, and on an -o path that cannot be
 written; each usage error is one ``pcubed: <message>`` line on stderr.
@@ -25,9 +31,16 @@ from .lhs_morita import (
     verify_pages,
 )
 from .modular import is_prime
-from .orbits import DEFAULT_MAX_STATES, enumerate_orbits, expected_orbit_count, orbit_rows, require_state_space
+from .orbits import (
+    DEFAULT_MAX_STATES,
+    OrbitIndex,
+    enumerate_orbits,
+    expected_orbit_count,
+    orbit_rows,
+    require_state_space,
+)
 from .quadforms import congruence_invariant, representatives, select_h
-from .report import CheckResult, Report
+from .report import CheckResult, render
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -81,33 +94,21 @@ def _write(args, text: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    failures = 0
+    checks = []
     out = []
     payload = []
     for p in args.primes:
-        counts = {}
-        for fam in args.families:
-            index = enumerate_orbits(h4_model(fam, p), max_states=args.max_states)
-            counts[fam] = len(index.orbits)
-            payload.append(
-                {
-                    "p": p,
-                    "family": fam.value,
-                    "orbits": orbit_rows(index),
-                }
-            )
-        total = sum(counts.values())
-        for fam, n in counts.items():
-            expected = expected_orbit_count(fam, p)
-            mark = "" if n == expected else f"  MISMATCH (expected {expected})"
-            if n != expected:
-                failures += 1
-            out.append(f"p={p}  {fam.value:<13} {n:>4} orbits{mark}")
-        if len(counts) == len(FAMILIES):
-            expected_total = sum(expected_orbit_count(fam, p) for fam in FAMILIES)
-            mark = "" if total == expected_total else "  MISMATCH"
-            if total != expected_total:
-                failures += 1
+        indices = _orbit_indices(args, p)
+        counts = _count_checks(p, indices)
+        checks += counts
+        payload += [{"p": p, "family": fam.value, "orbits": orbit_rows(index)} for fam, index in indices.items()]
+        for (fam, index), check in zip(indices.items(), counts):
+            mark = "" if check.ok else f"  MISMATCH (expected {expected_orbit_count(fam, p)})"
+            out.append(f"p={p}  {fam.value:<13} {len(index.orbits):>4} orbits{mark}")
+        if len(indices) == len(FAMILIES):
+            # the total is wrong only when a family's count is, so it adds no check of its own
+            total = sum(len(index.orbits) for index in indices.values())
+            mark = "" if total == sum(expected_orbit_count(fam, p) for fam in FAMILIES) else "  MISMATCH"
             out.append(f"p={p}  total         {total:>4} = 6*{p}+43{mark}")
     if args.format == "json":
         _write(args, json.dumps(payload, indent=2))
@@ -122,16 +123,14 @@ def cmd_classify(args) -> int:
         _write(args, buf.getvalue())
     else:
         _write(args, "\n".join(out))
-    if args.check and failures:
-        return 1
-    return 0
+    return int(args.check and not all(c.ok for c in checks))
 
 
 def cmd_morita(args) -> int:
-    failures = 0
+    checks = []
     chunks = []
     for p in args.primes:
-        graph = morita_components(p, max_states=args.max_states)
+        graph = morita_components(p, indices=_orbit_indices(args, p))
         table = emit_table(graph, fmt=args.format)
         n = len(graph.components)
         hist = graph.size_histogram()
@@ -143,11 +142,9 @@ def cmd_morita(args) -> int:
             chunks.append(f"## p = {p}\n\n{table}\n{summary}\n")
         else:
             chunks.append(table)
-        failures += sum(not check.ok for check in morita_count_checks(graph))
+        checks += morita_count_checks(graph)
     _write(args, "\n".join(chunks))
-    if args.check and failures:
-        return 1
-    return 0
+    return int(args.check and not all(c.ok for c in checks))
 
 
 def cmd_quadforms(args) -> int:
@@ -176,56 +173,56 @@ def _corrupt_generators(fam: Family, p: int, row: int, col: int):
     return (tuple(map(tuple, mat)),) + gens[1:]
 
 
-def _orbit_checks(p: int, indices) -> list[CheckResult]:
-    """What verify checks on the orbit indices: the per-family orbit counts, then
-    the Morita class counts and the consistency checks of their graph."""
-    checks = [
+def _orbit_indices(args, p: int) -> dict[Family, OrbitIndex]:
+    """The orbit index at p of each selected family, under --max-states; verify's
+    --corrupt family is built from its perturbed action generators."""
+    corrupt = getattr(args, "corrupt", None)  # (family, row, col), parsed in main, or None
+    indices = {}
+    for fam in args.families:
+        gens = _corrupt_generators(fam, p, *corrupt[1:]) if corrupt and fam is corrupt[0] else None
+        indices[fam] = enumerate_orbits(h4_model(fam, p), gens, max_states=args.max_states)
+    return indices
+
+
+def _count_checks(p: int, indices) -> list[CheckResult]:
+    """Each family's orbit count against the published one."""
+    return [
         CheckResult(f"counts.{fam.value}.p{p}", len(index.orbits) == expected_orbit_count(fam, p),
                     f"{len(index.orbits)} orbits")
         for fam, index in indices.items()
     ]
+
+
+def _orbit_checks(p: int, indices) -> list[CheckResult]:
+    """What verify checks on the orbit indices: the per-family orbit counts, then
+    the Morita class counts and the consistency checks of their graph."""
     graph = morita_components(p, indices=indices)
-    return checks + morita_count_checks(graph) + consistency_checks(graph)
+    return _count_checks(p, indices) + morita_count_checks(graph) + consistency_checks(graph)
 
 
 def cmd_verify(args) -> int:
-    corrupt = args.corrupt  # (family, row, col), parsed in main, or None
-    reports = []
+    blocks, ok = [], True
     for p in args.primes:
-        rep = Report(f"verification at p = {p}")
-
-        rep.extend(verify_identity_suite(p))
+        checks = list(verify_identity_suite(p))
         for fam in FAMILIES:
-            rep.extend(cross_check_actions(fam, p))
-        rep.extend(verify_pages(p))
-
-        indices = {}
-        for fam in FAMILIES:
-            gens = _corrupt_generators(fam, p, *corrupt[1:]) if corrupt and fam is corrupt[0] else None
-            indices[fam] = enumerate_orbits(h4_model(fam, p), gens, max_states=args.max_states)
-        rep.extend(_orbit_checks(p, indices))
-
+            checks += cross_check_actions(fam, p)
+        checks += verify_pages(p)
+        checks += _orbit_checks(p, _orbit_indices(args, p))
         for n in (1, 2, 3):
             reps_n = representatives(n, p)
             invs = {congruence_invariant(q) for q in reps_n}
-            rep.add(
-                f"quadforms.classes.n{n}.p{p}",
-                len(reps_n) == 2 * n + 1 and len(invs) == 2 * n + 1,
-                f"{len(reps_n)} representatives",
-            )
-
+            checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", len(reps_n) == len(invs) == 2 * n + 1,
+                                      f"{len(reps_n)} representatives"))
         if p == 3:
-            rep.extend(_group_oracles(p))
-        reports.append(rep)
+            checks += _group_oracles(p)
+        blocks.append(render(f"verification at p = {p}", checks))
+        ok &= all(c.ok for c in checks)
+    _write(args, "\n\n".join(blocks))
+    return 0 if ok else 1
 
-    text = "\n\n".join(r.render() for r in reports)
-    _write(args, text)
-    return 0 if all(r.ok for r in reports) else 1
 
-
-def _group_oracles(p: int):
+def _group_oracles(p: int) -> list[CheckResult]:
     """Brute-force group checks at p = 3, where Aut(G) is enumerated in full."""
-    checks = []
     expected_aut = {
         Family.CYCLIC: p**2 * (p - 1),
         Family.P2XP: p**3 * (p - 1) ** 2,
@@ -234,42 +231,20 @@ def _group_oracles(p: int):
         Family.GP: p**3 * (p - 1),
     }
     auts = {fam: enumerate_automorphisms(build_group(fam, p)) for fam in FAMILIES}
-    for fam in FAMILIES:
-        checks.append(
-            CheckResult(
-                f"groups.aut_order.{fam.value}.p{p}",
-                len(auts[fam]) == expected_aut[fam],
-                f"|Aut| = {len(auts[fam])}",
-            )
-        )
+    checks = [
+        CheckResult(f"groups.aut_order.{fam.value}.p{p}", len(auts[fam]) == expected_aut[fam],
+                    f"|Aut| = {len(auts[fam])}")
+        for fam in FAMILIES
+    ]
     H = build_group(Family.HEISENBERG, p)
     zc = center(H)
-    c_gen = H.gen_names["C"]
-    checks.append(
-        CheckResult(
-            "groups.center.heisenberg.p3",
-            zc == H.closure([c_gen]),
-            f"|Z| = {len(zc)}",
-        )
-    )
-    expected_classes = {
-        Family.CYCLIC: 2,
-        Family.P2XP: 4,
-        Family.ELEM_ABELIAN: 2,
-        Family.HEISENBERG: 2,
-        Family.GP: 3,
-    }
+    checks.append(CheckResult("groups.center.heisenberg.p3", zc == H.closure([H.gen_names["C"]]), f"|Z| = {len(zc)}"))
+    expected_classes = {Family.CYCLIC: 2, Family.P2XP: 4, Family.ELEM_ABELIAN: 2, Family.HEISENBERG: 2, Family.GP: 3}
     for fam in FAMILIES:
         classes = normal_abelian_subgroup_classes(build_group(fam, p), automorphisms=auts[fam])
-        checks.append(
-            CheckResult(
-                f"groups.subgroup_classes.{fam.value}.p{p}",
-                len(classes) == expected_classes[fam],
-                f"{len(classes)} classes: " + "; ".join(
-                    ",".join(c.generator_words) for c in classes
-                ),
-            )
-        )
+        words = "; ".join(",".join(c.generator_words) for c in classes)
+        checks.append(CheckResult(f"groups.subgroup_classes.{fam.value}.p{p}", len(classes) == expected_classes[fam],
+                                  f"{len(classes)} classes: {words}"))
     return checks
 
 

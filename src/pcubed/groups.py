@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .modular import radix_weights, require_odd_prime
+from .modular import radix_digits, radix_weights, require_odd_prime
 
 GROUP_TABLE_MAX_P = 13
 BRUTE_FORCE_MAX_ORDER = 343
@@ -218,8 +218,7 @@ def build_group(family: Family, p: int) -> GroupTable:
     family = Family(family)
     radices = _radices(family, p)
     order = int(np.prod(radices))
-    grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in radices], indexing="ij")
-    exps = np.stack([g.ravel() for g in grids], axis=1)
+    exps = radix_digits(np.arange(order), radices)
     weights = np.array(radix_weights(radices), dtype=np.int64)
 
     mul = np.empty((order, order), dtype=np.int32)
@@ -277,12 +276,14 @@ def center(G: GroupTable) -> frozenset:
 
 
 def _isomorphisms(G: GroupTable, H: GroupTable):
-    """Image arrays of the isomorphisms G -> H, in lexicographic order of the
-    searched generator images (each running over the elements of H of its order).
+    """The isomorphisms G -> H as int32 arrays of element images, one row each,
+    in lexicographic order of the searched generator images (each running over
+    the elements of H of its order).
 
     One batch per image of the first searched generator holds every choice of
     the other images (a one-generator G is a single batch); each row of the
-    batch is extended by normal form and tested as a whole array."""
+    batch is extended by normal form and tested as a whole array, and the
+    batch's isomorphisms are yielded together, unless there are none."""
     # the Heisenberg C = [A, B] is derived, the other generators are searched
     heisenberg = G.family is Family.HEISENBERG
     labels = tuple(label for label in G.gen_labels if not (heisenberg and label == "C"))
@@ -306,7 +307,9 @@ def _isomorphisms(G: GroupTable, H: GroupTable):
         hom = np.all(H.mul[img[:, gens][:, :, None], img[:, None, :]] == img[:, G.mul[gens]], axis=(1, 2))
         ordered = np.sort(img, axis=1)
         bijective = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-        yield from img[hom & bijective]
+        found = img[hom & bijective]
+        if len(found):
+            yield found.astype(np.int32, copy=False)
 
 
 def enumerate_automorphisms(G: GroupTable) -> np.ndarray:
@@ -314,7 +317,7 @@ def enumerate_automorphisms(G: GroupTable) -> np.ndarray:
     deterministic order of the generator-image search."""
     if G.order > BRUTE_FORCE_MAX_ORDER:
         raise ValueError(f"order {G.order} above brute-force bound {BRUTE_FORCE_MAX_ORDER}")
-    return np.array(list(_isomorphisms(G, G)), dtype=np.int32).reshape(-1, G.order)
+    return np.concatenate(list(_isomorphisms(G, G)))
 
 
 @dataclass(frozen=True)

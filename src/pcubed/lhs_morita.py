@@ -24,7 +24,7 @@ from . import graded_ring as gr
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, H4Model, h4_model
 from .modular import least_nonsquare, radix_digits, rank_and_det_mod, units
-from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits, expected_orbit_count
+from .orbits import OrbitIndex, enumerate_orbits, expected_orbit_count
 from .quadforms import select_h
 from .report import CheckResult
 
@@ -595,22 +595,23 @@ class MoritaGraph:
         }
 
 
-def build_orbit_indices(p: int, max_states: int = DEFAULT_MAX_STATES) -> dict[Family, OrbitIndex]:
-    return {fam: enumerate_orbits(h4_model(fam, p), max_states=max_states) for fam in FAMILIES}
+def build_orbit_indices(p: int) -> dict[Family, OrbitIndex]:
+    return {fam: enumerate_orbits(h4_model(fam, p)) for fam in FAMILIES}
 
 
 def morita_components(
     p: int,
     indices: dict[Family, OrbitIndex] | None = None,
     edges: np.ndarray | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> MoritaGraph:
     """Canonicalize every edge endpoint and merge; components are Morita classes.
 
-    ``edges`` holds rows laid out as ``all_edges(p)`` lays them out; a code
-    outside its model at p raises ``ValueError``."""
+    ``indices`` are the five families' orbit indices at p, built at the default
+    state bound when not given; the CLI passes its own, built under
+    ``--max-states``.  ``edges`` holds rows laid out as ``all_edges(p)`` lays
+    them out; a code outside its model at p raises ``ValueError``."""
     if indices is None:
-        indices = build_orbit_indices(p, max_states=max_states)
+        indices = build_orbit_indices(p)
     if edges is None:
         edges = all_edges(p)
     offset, nodes = {}, []

@@ -1,6 +1,6 @@
 """Check-result records shared by the verification entry points."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -14,32 +14,7 @@ class CheckResult:
         return f"{status}  {self.name}" + (f"  [{self.detail}]" if self.detail else "")
 
 
-@dataclass
-class Report:
-    """A named batch of checks, renderable one line per check."""
-
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> CheckResult:
-        r = CheckResult(name, bool(ok), detail)
-        self.checks.append(r)
-        return r
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def render(self) -> str:
-        lines = [f"== {self.title} =="]
-        lines += [c.line() for c in self.checks]
-        n_fail = len(self.failures)
-        lines.append(f"-- {len(self.checks)} checks, {n_fail} failed")
-        return "\n".join(lines)
+def render(title: str, checks: list[CheckResult]) -> str:
+    """A titled block, one line per check, closed by the number of checks and of failures."""
+    failed = sum(not c.ok for c in checks)
+    return "\n".join([f"== {title} ==", *(c.line() for c in checks), f"-- {len(checks)} checks, {failed} failed"])

@@ -72,37 +72,39 @@ def congruence_orbit_ids(n: int, p: int) -> dict[tuple, int]:
     Closes the whole space under A -> G^T A G for a generating set of GL(n,p);
     the resulting partition is exactly the congruence relation.  Serves as the
     brute-force oracle in dimensions where per-pair search is too slow.
+
+    A form's code reads its upper triangle, row by row, as base-p digits.  Each
+    generator moves every form at once into a table of image codes, and a
+    depth-first walk over those tables, seeded from the least unvisited code,
+    numbers the orbits; the forms are keyed in the order the walk reaches them.
     """
-    gens = [np.array(g, dtype=np.int64) for g in gl_generators(n, p)]
-    ids: dict[tuple, int] = {}
-    all_forms = [
-        tuple(map(tuple, _sym_from_upper(upper, n, p)))
-        for upper in product(range(p), repeat=n * (n + 1) // 2)
-    ]
+    rows, cols = np.triu_indices(n)
+    upper = np.stack(np.unravel_index(np.arange(p ** len(rows)), (p,) * len(rows)), axis=1)
+    mats = np.zeros((len(upper), n, n), dtype=np.int64)
+    mats[:, rows, cols] = mats[:, cols, rows] = upper
+    weights = p ** np.arange(len(rows) - 1, -1, -1)
+    images = []
+    for g in gl_generators(n, p):
+        g = np.array(g, dtype=np.int64)
+        moved = g.T @ mats @ g % p
+        images.append((moved[:, rows, cols] @ weights).tolist())
+    orbit = [-1] * len(mats)
+    reached = []
     next_id = 0
-    for form in all_forms:
-        if form in ids:
+    for seed in range(len(mats)):
+        if orbit[seed] >= 0:
             continue
-        oid = next_id
-        next_id += 1
-        stack = [form]
-        ids[form] = oid
+        orbit[seed] = next_id
+        reached.append(seed)
+        stack = [seed]
         while stack:
-            cur = np.array(stack.pop(), dtype=np.int64)
-            for g in gens:
-                moved = (g.T @ cur @ g) % p
-                nxt = tuple(tuple(int(v) for v in row) for row in moved)
-                if nxt not in ids:
-                    ids[nxt] = oid
+            cur = stack.pop()
+            for image in images:
+                nxt = image[cur]
+                if orbit[nxt] < 0:
+                    orbit[nxt] = next_id
+                    reached.append(nxt)
                     stack.append(nxt)
-    return ids
-
-
-def _sym_from_upper(upper, n, p):
-    mat = [[0] * n for _ in range(n)]
-    it = iter(upper)
-    for i in range(n):
-        for j in range(i, n):
-            v = next(it)
-            mat[i][j] = mat[j][i] = v % p
-    return mat
+        next_id += 1
+    forms = [tuple(map(tuple, m)) for m in mats.tolist()]
+    return {forms[code]: orbit[code] for code in reached}

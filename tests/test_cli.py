@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import cli, orbits
+from pcubed import Family, cli, lhs_morita, orbits
 from pcubed.cli import main
 
 # written by the CLI before the Aut(G) generators became one record each; they
@@ -113,6 +113,26 @@ def test_verify_detects_elementary_abelian_corruption(capsys, spec):
     code, out = run(capsys, "verify", "-p", "3", "--corrupt", spec)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_a_count_mismatch_fails_check_and_verify(capsys, monkeypatch):
+    # one family's published orbit count and the Morita histogram, each off by one
+    expected_orbits, expected_histogram = cli.expected_orbit_count, lhs_morita.expected_morita_histogram
+    monkeypatch.setattr(cli, "expected_orbit_count", lambda fam, p: expected_orbits(fam, p) + (fam is Family.GP))
+    monkeypatch.setattr(lhs_morita, "expected_morita_histogram", lambda p: {**expected_histogram(p), 3: 2})
+    code, out = run(capsys, "classify", "-p", "3,5", "--check")
+    assert code == 1
+    marked = [line for line in out.splitlines() if "MISMATCH" in line]
+    assert [line.split()[1] for line in marked] == ["gp", "total", "gp", "total"]
+    assert "MISMATCH (expected 10)" in marked[0]
+    assert run(capsys, "classify", "-p", "3,5") == (0, out)
+    code, out = run(capsys, "morita", "-p", "3", "--check")
+    assert code == 1
+    assert "47 Morita classes (expected 48)" in out
+    assert run(capsys, "morita", "-p", "3") == (0, out)
+    code, out = run(capsys, "verify", "-p", "3")
+    assert code == 1
+    assert "FAIL  counts.gp.p3  [9 orbits]" in out.splitlines()
 
 
 def test_usage_error_exit_code(capsys):

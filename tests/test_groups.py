@@ -214,7 +214,7 @@ def test_search_alone_rejects_same_element_orders():
     assert sorted(G5.element_orders.tolist()) == sorted(P5.element_orders.tolist())
     assert next(_isomorphisms(G5, P5), None) is None
     assert next(_isomorphisms(P5, G5), None) is None
-    assert np.array_equal(next(_isomorphisms(H5, H5)), enumerate_automorphisms(H5)[0])
+    assert np.array_equal(next(_isomorphisms(H5, H5))[0], enumerate_automorphisms(H5)[0])
 
 
 def test_subgroup_classes_cyclic():
