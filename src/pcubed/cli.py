@@ -7,8 +7,9 @@ against the published one: verify prints those checks, and classify marks a
 failed one MISMATCH and, under --check, exits 1 on it.
 
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
-2 on every usage error, argparse's included, and on an -o path that cannot be
-written; each usage error is one ``pcubed: <message>`` line on stderr.
+2 on every usage error, argparse's included, and on an -o path or stdout that
+cannot be opened, written or closed; each is one ``pcubed: <message>`` line on
+stderr.
 """
 
 import argparse
@@ -39,7 +40,7 @@ from .orbits import (
     orbit_rows,
     require_state_space,
 )
-from .quadforms import congruence_invariant, representatives, select_h
+from .quadforms import congruence_invariant, count_congruence_classes, representatives, select_h
 from .report import CheckResult, render
 
 
@@ -74,23 +75,18 @@ def _parse_corrupt(spec: str, p: int) -> tuple[Family, int, int]:
 
 
 def _open_output(path: str | None):
-    """The -o file, opened before any computation so a bad path fails at once;
-    stdout without -o.  It is opened after every other usage check, and for
-    appending, so a usage error leaves no new file and an existing one as it was."""
+    """The -o file, opened for writing after every usage check and before any
+    computation, so a usage error leaves no new file and an existing one as it
+    was, and a bad path fails at once; stdout without -o."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "a")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    return open(path, "w")
 
 
 def _write(args, text: str) -> None:
-    """Write the text, newline-terminated, to stdout or in place of the -o file's
-    contents.  Each command writes once, after its input has been validated."""
-    if args.output is not None:
-        args.out.truncate(0)
+    """Write the text, newline-terminated, and flush it; each command writes once."""
     args.out.write(text if text.endswith("\n") else text + "\n")
+    args.out.flush()
 
 
 def cmd_classify(args) -> int:
@@ -211,8 +207,9 @@ def cmd_verify(args) -> int:
         for n in (1, 2, 3):
             reps_n = representatives(n, p)
             invs = {congruence_invariant(q) for q in reps_n}
-            checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", len(reps_n) == len(invs) == 2 * n + 1,
-                                      f"{len(reps_n)} representatives"))
+            # the representatives are 2n + 1 by construction; the orbit count of all forms is not
+            ok = len(reps_n) == len(invs) == count_congruence_classes(n, p) == 2 * n + 1
+            checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", ok, f"{len(reps_n)} representatives"))
         if p == 3:
             checks += _group_oracles(p)
         blocks.append(render(f"verification at p = {p}", checks))
@@ -311,8 +308,12 @@ def main(argv=None) -> int:
             for p in args.primes:
                 for fam in args.families:
                     require_state_space(h4_model(fam, p).moduli, args.max_states)
-        with _open_output(args.output) as args.out:
-            return args.fn(args)
+        try:
+            with _open_output(args.output) as args.out:
+                return args.fn(args)
+        except OSError as exc:  # opening, writing or closing the output
+            where = "stdout" if args.output is None else args.output
+            raise ValueError(f"cannot write {where}: {exc.strerror}") from None
     except ValueError as exc:
         # argparse echoes unknown arguments, and the -o message its path, as given: escape their newlines
         print("pcubed: " + str(exc).replace("\n", "\\n"), file=sys.stderr)

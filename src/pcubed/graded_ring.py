@@ -298,7 +298,7 @@ def _gl2(p: int):
             yield (a, b), (c, d)
 
 
-def verify_identity_suite(p: int = 3) -> list[CheckResult]:
+def verify_identity_suite(p: int) -> list[CheckResult]:
     """Re-derive every printed pullback/differential identity symbolically.
 
     Each automorphism pullback is compared with its model matrix, column by

@@ -215,7 +215,6 @@ def build_group(family: Family, p: int) -> GroupTable:
     require_odd_prime(p)
     if p > GROUP_TABLE_MAX_P:
         raise ValueError(f"p={p} above the group-table bound {GROUP_TABLE_MAX_P}")
-    family = Family(family)
     radices = _radices(family, p)
     order = int(np.prod(radices))
     exps = radix_digits(np.arange(order), radices)
@@ -331,20 +330,13 @@ class SubgroupClass:
 
 
 def _abelian_type(G: GroupTable, S: frozenset) -> tuple[int, ...]:
+    # S is a proper nontrivial subgroup of a group of order p^3: order p or p^2
     size = len(S)
     p = G.p
     exponent = max(G.element_order(s) for s in S)
     if size == p:
         return (p,)
-    if size == p**2:
-        return (p**2,) if exponent == p**2 else (p, p)
-    if size == p**3:
-        if exponent == p**3:
-            return (p**3,)
-        if exponent == p**2:
-            return (p**2, p)
-        return (p, p, p)
-    raise ValueError(f"unexpected subgroup size {size}")
+    return (p**2,) if exponent == p**2 else (p, p)
 
 
 def _minimal_generators(G: GroupTable, S: frozenset) -> tuple[int, ...]:

@@ -90,9 +90,6 @@ class H4Model:
             raise ValueError("coefficient vector has wrong length")
         return CohClass(self, tuple(int(c) % m for c, m in zip(coeffs, self.moduli)))
 
-    def zero(self) -> "CohClass":
-        return CohClass(self, (0,) * len(self.basis))
-
 
 @dataclass(frozen=True)
 class CohClass:
@@ -100,9 +97,6 @@ class CohClass:
 
     model: H4Model
     coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def label(self) -> str:
         parts = []
@@ -117,7 +111,6 @@ class CohClass:
 def h4_model(family: Family, p: int) -> H4Model:
     """The degree-4 integral cohomology model for one family at an odd prime."""
     require_odd_prime(p)
-    family = Family(family)
     moduli = {
         Family.CYCLIC: (p**3,),
         Family.P2XP: (p**2, p, p),
@@ -167,7 +160,6 @@ class AutGenerator:
 
 def aut_generators(family: Family, p: int) -> tuple[AutGenerator, ...]:
     """The paper's generating set of Aut(G), one record per generator."""
-    family = Family(family)
     g = primitive_root(p)
     if family is Family.CYCLIC:
         g3 = primitive_root(p**3)
@@ -388,7 +380,6 @@ def pullbacks(family: Family, p: int, params_seq) -> Pullback:
     """Compare the symbolic pullback of each record's parameters with its model
     matrix, reduced mod the moduli, column by column.  Batched: one ring map,
     whose coefficients are arrays over the records, carries the whole sequence."""
-    family = Family(family)
     ring, basis = _ring_and_basis(family, p)
     params = np.array(params_seq, dtype=np.int64)
     pullback = gr.ring_map(ring, _ring_images(family, params, p))
@@ -402,7 +393,6 @@ def pullbacks(family: Family, p: int, params_seq) -> Pullback:
 
 def cross_check_actions(family: Family, p: int) -> list[CheckResult]:
     """Compare every action-generator matrix against the symbolic pullback."""
-    family = Family(family)
     recs = aut_generators(family, p)
     pb = pullbacks(family, p, [rec.params for rec in recs])
     checks = []

@@ -215,7 +215,6 @@ class OmegaGroup:
 
 def omega(case_id: str, family: Family, p: int) -> OmegaGroup:
     """The Omega span for a family realized in the given extension case."""
-    family = Family(family)
     realized = {r.family: r for c in CASES if c.case_id == case_id for r in c.realized}
     if family not in realized:
         raise ValueError(f"{family.value} is not realized in case {case_id}")
@@ -570,9 +569,9 @@ class MoritaGraph:
         return [c for c in self.components if len(c) > 1]
 
     def component_of(self, family: Family, cls: CohClass) -> tuple:
-        rep = self.indices[Family(family)].orbit_of(cls).rep
+        rep = self.indices[family].orbit_of(cls).rep
         for comp in self.components:
-            if (Family(family), rep) in comp:
+            if (family, rep) in comp:
                 return comp
         raise KeyError((family, cls))
 
@@ -595,25 +594,16 @@ class MoritaGraph:
         }
 
 
-def build_orbit_indices(p: int) -> dict[Family, OrbitIndex]:
-    return {fam: enumerate_orbits(h4_model(fam, p)) for fam in FAMILIES}
-
-
-def morita_components(
-    p: int,
-    indices: dict[Family, OrbitIndex] | None = None,
-    edges: np.ndarray | None = None,
-) -> MoritaGraph:
-    """Canonicalize every edge endpoint and merge; components are Morita classes.
+def morita_components(p: int, indices: dict[Family, OrbitIndex] | None = None) -> MoritaGraph:
+    """Canonicalize the endpoints of every edge of ``all_edges(p)`` and merge;
+    components are Morita classes.
 
     ``indices`` are the five families' orbit indices at p, built at the default
     state bound when not given; the CLI passes its own, built under
-    ``--max-states``.  ``edges`` holds rows laid out as ``all_edges(p)`` lays
-    them out; a code outside its model at p raises ``ValueError``."""
+    ``--max-states``."""
     if indices is None:
-        indices = build_orbit_indices(p)
-    if edges is None:
-        edges = all_edges(p)
+        indices = {fam: enumerate_orbits(h4_model(fam, p)) for fam in FAMILIES}
+    edges = all_edges(p)
     offset, nodes = {}, []
     for fam in FAMILIES:
         offset[fam] = len(nodes)
@@ -624,10 +614,7 @@ def morita_components(
     ends = np.empty(fams.size, dtype=np.int64)
     for f, fam in enumerate(FAMILIES):
         rows = fams == f
-        mine = codes[rows]
-        if mine.size and (mine.min() < 0 or mine.max() >= indices[fam].model.total_order):
-            raise ValueError(f"edge codes outside the {fam.value} model at p = {p}")
-        ends[rows] = offset[fam] + indices[fam].ids(mine)
+        ends[rows] = offset[fam] + indices[fam].ids(codes[rows])
     uf = _UnionFind(len(nodes))
     for left, right in ends.reshape(-1, 2).tolist():
         uf.union(left, right)
@@ -682,12 +669,6 @@ def _entry(graph: MoritaGraph, family: Family, rep: CohClass) -> str:
     return "{" + txt + "}" if orbit.size == 1 else f"O({txt})"
 
 
-def nontrivial_rows(graph: MoritaGraph) -> list[dict[Family, CohClass]]:
-    """Nontrivial components as family -> representative rows, in table order
-    (the component order: by families present, then by representatives)."""
-    return [dict(comp) for comp in graph.nontrivial()]
-
-
 def emit_table(graph: MoritaGraph, fmt: str = "md") -> str:
     """Render the merged nontrivial-component table (md or csv) or the full JSON."""
     p = graph.p
@@ -695,7 +676,8 @@ def emit_table(graph: MoritaGraph, fmt: str = "md") -> str:
         payload = graph.to_json()
         payload["h"] = select_h(p)
         return json.dumps(payload, indent=2)
-    rows = nontrivial_rows(graph)
+    # one family -> representative row per nontrivial component, in component order
+    rows = [dict(comp) for comp in graph.nontrivial()]
     headers = [_family_heading(fam, p) for fam in FAMILIES]
     cells = [
         [(_entry(graph, fam, row[fam]) if fam in row else "") for fam in FAMILIES]

@@ -536,7 +536,7 @@ def expected_orbit_count(family: Family, p: int) -> int:
         Family.ELEM_ABELIAN: p + 11,
         Family.HEISENBERG: 2 * p + 9,
         Family.GP: 3 * p,
-    }[Family(family)]
+    }[family]
 
 
 def orbit_rows(index: OrbitIndex) -> list[dict]:

@@ -2,7 +2,10 @@ from functools import lru_cache
 
 import pytest
 
-from pcubed.lhs_morita import build_orbit_indices, morita_components
+from pcubed.groups import FAMILIES
+from pcubed.h4_models import h4_model
+from pcubed.lhs_morita import morita_components
+from pcubed.orbits import enumerate_orbits
 from pcubed.quadforms import count_congruence_classes
 
 from oracles import congruence_orbit_ids
@@ -10,7 +13,7 @@ from oracles import congruence_orbit_ids
 
 @lru_cache(maxsize=None)
 def _indices(p):
-    return build_orbit_indices(p)
+    return {fam: enumerate_orbits(h4_model(fam, p)) for fam in FAMILIES}
 
 
 @lru_cache(maxsize=None)

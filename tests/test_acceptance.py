@@ -30,7 +30,6 @@ from pcubed.h4_models import (
 from pcubed.lhs_morita import (
     consistency_checks,
     morita_components,
-    nontrivial_rows,
     verify_pages,
 )
 from pcubed.orbits import enumerate_orbits
@@ -118,7 +117,7 @@ def test_criterion_3_merged_tables_match(p, graph_for):
     # and the emitted rows are exactly these components
     emitted = {
         frozenset((fam, rep.coeffs) for fam, rep in row.items())
-        for row in nontrivial_rows(graph)
+        for row in (dict(comp) for comp in graph.nontrivial())
     }
     assert emitted == expected
     print(f"PASS criterion 3: p={p} merged table matches row-for-row after canonicalization")

@@ -135,6 +135,17 @@ def test_a_count_mismatch_fails_check_and_verify(capsys, monkeypatch):
     assert "FAIL  counts.gp.p3  [9 orbits]" in out.splitlines()
 
 
+def test_a_congruence_class_count_mismatch_fails_verify(capsys, monkeypatch):
+    # the representatives are 2n + 1 by construction, so the check must also read the orbit count of all forms
+    counted = cli.count_congruence_classes
+    monkeypatch.setattr(cli, "count_congruence_classes", lambda n, p: counted(n, p) + (n == 2))
+    code, out = run(capsys, "verify", "-p", "3")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  quadforms.classes.n2.p3  [5 representatives]"
+    ]
+
+
 def test_usage_error_exit_code(capsys):
     # quadforms enumerates no orbits and verify has one output format, so neither takes these flags;
     # and orbits-dump is no subcommand: classify --format csv writes its orbit rows
@@ -323,11 +334,12 @@ def test_every_argv_exits_0_1_or_2_and_a_usage_error_is_one_line(command, items)
 BIG_PRIME = 1000000000000000003
 
 
-def _cli_in_subprocess(*argv):
+def _cli_in_subprocess(*argv, stdout=subprocess.PIPE):
     # a child with a timeout, so a -p that hangs the parser fails the test instead of hanging it
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "pcubed.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "pcubed.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
 
 
@@ -347,3 +359,28 @@ def test_quadforms_of_a_large_prime():
         "  diag(1,)  rank=1  disc=square\n"
         "  diag(2,)  rank=1  disc=nonsquare\n"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_a_pipe_named_by_its_path():
+    # -o /dev/stdout opens the capturing pipe, which cannot be truncated or sought
+    proc = _cli_in_subprocess("classify", "-p", "3", "-o", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _cli_in_subprocess("classify", "-p", "3").stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+def test_a_failed_write_is_a_one_line_error_with_exit_2(to_file):
+    # /dev/full opens, then fails every write with ENOSPC: through -o, or as the child's stdout
+    with open("/dev/full", "w") as full:
+        if to_file:
+            proc = _cli_in_subprocess("classify", "-p", "3", "-o", "/dev/full")
+        else:
+            proc = _cli_in_subprocess("classify", "-p", "3", stdout=full)
+    assert proc.returncode == 2
+    where = "/dev/full" if to_file else "stdout"
+    assert proc.stderr == f"pcubed: cannot write {where}: No space left on device\n"
+    if to_file:
+        assert proc.stdout == ""

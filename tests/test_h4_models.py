@@ -40,7 +40,7 @@ def test_model_shapes(fam, p):
     model = h4_model(fam, p)
     assert model.total_order == TOTALS[fam](p)
     assert all(m % p == 0 for m in model.moduli)
-    z = model.zero()
+    z = model.cls((0,) * len(model.basis))
     assert z.label() == "0"
     assert model.decode(model.encode((1,) + (0,) * (len(model.basis) - 1))) == (1,) + (0,) * (
         len(model.basis) - 1

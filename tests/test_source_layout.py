@@ -4,9 +4,10 @@ Test-only code stays out of ``src``: each public function there, and each
 public method or property of a class there, has a caller in the library, the
 demos or the benchmark, not only in the tests; a method that overrides one of
 a base class, such as an ``argparse.ArgumentParser.error``, has that class as
-its caller.  And a
-module's private names stay its own: no module in ``src/pcubed`` imports an
-underscore-prefixed name from another (the tests and demos may)."""
+its caller.  Since that rule matches names, each public function or method
+name is defined in one module only.  And a module's private names stay its
+own: no module in ``src/pcubed`` imports an underscore-prefixed name from
+another (the tests and demos may)."""
 
 import ast
 import importlib
@@ -57,6 +58,19 @@ def test_every_public_src_function_has_a_caller_outside_the_tests():
         and not (cls and _overrides_a_base_method(path, cls, node.name))
     ]
     assert uncalled == [], "move test-only functions to tests/oracles.py and inline test-only methods"
+
+
+def test_each_public_name_is_defined_in_one_module():
+    # a name defined in two modules could be called in one and dead in the other,
+    # and the caller rule above, which matches names, would not tell them apart;
+    # a module may define a name twice, as graded_ring's two degree methods
+    modules: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for _, node in _public_defs(path):
+            if not node.name.startswith("_"):
+                modules.setdefault(node.name, set()).add(path.stem)
+    shared = {name: sorted(stems) for name, stems in modules.items() if len(stems) > 1}
+    assert shared == {}, "rename one of the definitions, or delete the one without a caller"
 
 
 def test_no_module_imports_another_modules_private_names():
