@@ -17,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 
@@ -75,9 +76,9 @@ def _parse_corrupt(spec: str, p: int) -> tuple[Family, int, int]:
 
 
 def _open_output(path: str | None):
-    """The -o file, opened for writing after every usage check and before any
+    """The -o file, opened (and emptied) after every usage check and before any
     computation, so a usage error leaves no new file and an existing one as it
-    was, and a bad path fails at once; stdout without -o."""
+    was, a bad path fails at once, and a run that fails later leaves it empty."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w")
@@ -128,11 +129,9 @@ def cmd_morita(args) -> int:
     for p in args.primes:
         graph = morita_components(p, indices=_orbit_indices(args, p))
         table = emit_table(graph, fmt=args.format)
-        n = len(graph.components)
-        hist = graph.size_histogram()
         summary = (
-            f"p={p}: {n} Morita classes (expected {expected_component_count(p)}), "
-            f"size histogram {dict(sorted(hist.items()))}"
+            f"p={p}: {len(graph.components)} Morita classes (expected {expected_component_count(p)}), "
+            f"size histogram {dict(sorted(graph.size_histogram().items()))}"
         )
         if args.format == "md":
             chunks.append(f"## p = {p}\n\n{table}\n{summary}\n")
@@ -312,6 +311,8 @@ def main(argv=None) -> int:
             with _open_output(args.output) as args.out:
                 return args.fn(args)
         except OSError as exc:  # opening, writing or closing the output
+            if args.output is None:  # stdout's buffer keeps the text, and its flush at exit would fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             where = "stdout" if args.output is None else args.output
             raise ValueError(f"cannot write {where}: {exc.strerror}") from None
     except ValueError as exc:

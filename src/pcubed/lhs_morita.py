@@ -16,6 +16,7 @@ the orbit indices into a union-find whose components are the Morita classes.
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -560,10 +561,7 @@ class MoritaGraph:
     components: list[tuple[tuple[Family, CohClass], ...]]
 
     def size_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for comp in self.components:
-            hist[len(comp)] = hist.get(len(comp), 0) + 1
-        return hist
+        return dict(Counter(len(comp) for comp in self.components))
 
     def nontrivial(self) -> list[tuple[tuple[Family, CohClass], ...]]:
         return [c for c in self.components if len(c) > 1]

@@ -335,8 +335,10 @@ BIG_PRIME = 1000000000000000003
 
 
 def _cli_in_subprocess(*argv, stdout=subprocess.PIPE):
-    # a child with a timeout, so a -p that hangs the parser fails the test instead of hanging it
+    # a child with a timeout, so a -p that hangs the parser fails the test instead of hanging it;
+    # its stdout is block-buffered, as when run from a shell, whatever PYTHONUNBUFFERED says here
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-m", "pcubed.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
@@ -370,17 +372,28 @@ def test_output_to_a_pipe_named_by_its_path():
     assert proc.stderr == ""
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
-def test_a_failed_write_is_a_one_line_error_with_exit_2(to_file):
-    # /dev/full opens, then fails every write with ENOSPC: through -o, or as the child's stdout
-    with open("/dev/full", "w") as full:
-        if to_file:
-            proc = _cli_in_subprocess("classify", "-p", "3", "-o", "/dev/full")
-        else:
-            proc = _cli_in_subprocess("classify", "-p", "3", stdout=full)
-    assert proc.returncode == 2
-    where = "/dev/full" if to_file else "stdout"
-    assert proc.stderr == f"pcubed: cannot write {where}: No space left on device\n"
-    if to_file:
+@pytest.mark.parametrize(
+    ("target", "reason"),
+    [("-o /dev/full", "No space left on device"), ("/dev/full", "No space left on device"), ("pipe", "Broken pipe")],
+    ids=["output", "stdout", "closed-pipe"],
+)
+def test_a_failed_write_is_a_one_line_error_with_exit_2(target, reason):
+    # /dev/full opens, then fails every write with ENOSPC: through -o, or as the child's stdout;
+    # a pipe whose read end is closed fails them with EPIPE. Nothing may be left to fail at exit.
+    if "/dev/full" in target and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if target == "-o /dev/full":
+        proc = _cli_in_subprocess("classify", "-p", "3", "-o", "/dev/full")
         assert proc.stdout == ""
+    elif target == "/dev/full":
+        with open("/dev/full", "w") as full:
+            proc = _cli_in_subprocess("classify", "-p", "3", stdout=full)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_in_subprocess("classify", "-p", "3", stdout=write_end)
+        finally:
+            os.close(write_end)
+    where = "/dev/full" if target == "-o /dev/full" else "stdout"
+    assert (proc.returncode, proc.stderr) == (2, f"pcubed: cannot write {where}: {reason}\n")
