@@ -18,16 +18,17 @@ representative contract the Morita graph relies on.
   chunk reads them as visited.  Frontiers are int32.
 - A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
   below the unvisited mark 255; the 256th orbit widens it to int32 once.
-- Images by table: a state s splits as a * P + b at the digit boundary P
-  nearest sqrt(total) (with one coordinate, at floor(sqrt(m)) or one above),
-  so its coefficient vector is the digitwise sum of those of a * P and b
-  and each generator's image is the sum of two int64 table entries.  The
+- Images by table: with two coordinates or more, a state s splits as
+  a * P + b at the digit boundary P nearest sqrt(total), so its coefficient
+  vector is the digitwise sum of those of a * P and b, and each generator's
+  image is the sum of two int64 table entries.  The
   entries pack the image digits at radix 2 m_i - 1, so the sum has no carry
   between digits, and two small fold tables map its two halves back to the
   encoded image; a chunk costs one ``divmod``, four ``np.take`` calls and
   two adds, with no floating point and no BLAS.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
-  work, for the int32 frontiers, and that bound keeps the tables in int64.
+  work, for the int32 frontiers, and that bound keeps every image in int64.
+  One coordinate: u s < m^2 < 2^62 for a multiplier u and a state s below m.
   Dot products: a row reduced mod m_i times digits below m_j is at most
   (m_i - 1) sum_j (m_j - 1) <= (m_i - 1)(states - 1) < 2^62, as prod(1 + x_j)
   >= 1 + sum x_j.  Packed sums: below 2 prod(2 m_i - 1) <= 2 * 2^s * states
@@ -76,11 +77,13 @@ representative contract the Morita graph relies on.
   gcd(q - 1, |S| log chi_s), or gcd(q - 1, log chi_s), and ``ids`` reads
   (x, b) as (f^j x, chi_s^j b).  Without such a generator S = {1}, and
   everything above is the plain BFS.
-- One coordinate: a 1x1 multiplier u is replaced by its distinct repeated
-  squares u, u^2, u^4, ..., ``m.bit_length()`` of them.  They are words in
-  u, so orbits, seeds and sizes do not change, and u^e s is popcount(e)
-  levels from s, not e: the cyclic model at p = 11 takes 27 levels in all,
-  not 1331.
+- One coordinate: a BFS on one coordinate mod m (the cyclic model, the
+  n = 1 congruence action, the G_p block once gamma^2 splits off) builds no
+  tables: each image is u s mod m.  On a one-coordinate model each 1x1
+  multiplier u is replaced by its distinct repeated squares u, u^2, u^4, ...,
+  ``m.bit_length()`` of them.  They are words in u, so orbits, seeds and
+  sizes do not change, and u^e s is popcount(e) levels from s, not e: the
+  cyclic model at p = 11 takes 27 levels in all, not 1331.
 """
 
 import math
@@ -148,16 +151,10 @@ def _discrete_logs(q: int) -> np.ndarray:
 
 
 def _split_place(moduli) -> int:
-    """The place value P nearest sqrt(total) at which every state splits as
-    s = a * P + b with vec(s) = vec(a * P) + vec(b), digit by digit.
-
-    With two coordinates or more, P is the best digit boundary.  With one,
-    any P works, and the best is floor(sqrt(m)) or floor(sqrt(m)) + 1.
-    """
+    """The digit boundary P nearest sqrt(total), at which every state splits
+    as s = a * P + b with vec(s) = vec(a * P) + vec(b), digit by digit."""
     total = math.prod(int(m) for m in moduli)
-    root = math.isqrt(total)
-    places = radix_weights(moduli) if len(moduli) > 1 else (root, root + 1)
-    return min(places, key=lambda P: (max(-(-total // P), P), P))
+    return min(radix_weights(moduli), key=lambda P: (max(-(-total // P), P), P))
 
 
 class _Images(NamedTuple):
@@ -173,19 +170,17 @@ class _Images(NamedTuple):
     row j for the digits times f^j, and ``lead_hi`` and ``lead_lo`` give each
     group the step j that makes its leading nonzero digit the least of its
     S-coset (-1 and 0 where every digit is 0 mod p), so each image comes out
-    canonical.  With a single coordinate there are no fold tables: its sum is
-    reduced by one conditional subtraction of ``modulus``.
+    canonical.
     """
 
     place: int
     hi: np.ndarray  # (generators, ceil(total / place)) int64
     lo: np.ndarray  # (generators, place) int64
     shift: int
-    fold_hi: np.ndarray | None  # flat (|S|, lead_hi.size)
-    fold_lo: np.ndarray | None  # flat (|S|, lead_lo.size)
+    fold_hi: np.ndarray  # flat (|S|, lead_hi.size)
+    fold_lo: np.ndarray  # flat (|S|, lead_lo.size)
     lead_hi: np.ndarray | None  # None without a scalar quotient
     lead_lo: np.ndarray | None
-    modulus: int  # the single coordinate's modulus; 0 when there are fold tables
 
     def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Encoded images, one row per generator, of the integer ``states``, and
@@ -193,8 +188,6 @@ class _Images(NamedTuple):
         a, b = np.divmod(states, self.place)
         packed = np.take(self.hi, a, axis=1)
         packed += np.take(self.lo, b, axis=1)
-        if self.modulus:
-            return np.subtract(packed, self.modulus, out=packed, where=packed >= self.modulus), None
         high, low = packed >> self.shift, packed & ((1 << self.shift) - 1)
         steps = None
         if self.lead_hi is not None:
@@ -230,32 +223,26 @@ def _lead_table(radix, p: int, powers, zero: int) -> np.ndarray:
 
 
 def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
-    """The ``_Images`` of row-reduced ``mats``, built with exact int64 products,
-    canonical under the scalars ``powers`` (the powers f^j of f, all moduli
-    the prime p) when there is more than one.
+    """The ``_Images`` of row-reduced ``mats`` on two coordinates or more,
+    built with exact int64 products, canonical under the scalars ``powers``
+    (the powers f^j of f, all moduli the prime p) when there is more than one.
 
     The image tables hold about sqrt(total) entries per generator, and the
     fold tables, one per half of a balanced cut of the digits, about
     |S| sqrt(2**s * total), s the number of moduli of 2 or more.
     """
-    k = len(moduli)
     weights = np.array(radix_weights(moduli), dtype=np.int64)
     total = int(weights[0] * moduli[0])
     place = _split_place(moduli)
     radix = [2 * int(m) - 1 for m in moduli]
-    fold_hi = fold_lo = lead_hi = lead_lo = None
-    if k == 1:
-        pack, shift = np.ones(1, dtype=np.int64), 0
-    else:
-        cut = min(range(1, k), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
-        shift = (math.prod(radix[cut:]) - 1).bit_length()
-        pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
-        fold_hi = _fold_table(radix[:cut], moduli[:cut], weights[:cut], powers)
-        fold_lo = _fold_table(radix[cut:], moduli[cut:], weights[cut:], powers)
-        if len(powers) > 1:
-            p = int(moduli[0])
-            lead_hi = _lead_table(radix[:cut], p, powers, -1)
-            lead_lo = _lead_table(radix[cut:], p, powers, 0)
+    cut = min(range(1, len(moduli)), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
+    shift = (math.prod(radix[cut:]) - 1).bit_length()
+    pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
+    lead_hi = lead_lo = None
+    if len(powers) > 1:
+        p = int(moduli[0])
+        lead_hi = _lead_table(radix[:cut], p, powers, -1)
+        lead_lo = _lead_table(radix[cut:], p, powers, 0)
 
     def packed_images(codes):
         return pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])
@@ -265,15 +252,14 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
         hi=packed_images(np.arange(-(-total // place)) * place),
         lo=packed_images(np.arange(place)),
         shift=shift,
-        fold_hi=fold_hi,
-        fold_lo=fold_lo,
+        fold_hi=_fold_table(radix[:cut], moduli[:cut], weights[:cut], powers),
+        fold_lo=_fold_table(radix[cut:], moduli[cut:], weights[cut:], powers),
         lead_hi=lead_hi,
         lead_lo=lead_lo,
-        modulus=int(moduli[0]) if k == 1 else 0,
     )
 
 
-def _bfs(images_of: _Images, orbit_id: np.ndarray, ranges, scalars: int, character=None):
+def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, character=None):
     """Seed scan over ``ranges`` and chunked BFS over the uint8 ``orbit_id``.
 
     The scan reads only the [start, stop) ``ranges`` of states, where the
@@ -484,10 +470,14 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
         chi_scalar, mats = mats[index, -1, -1], np.delete(mats, index, axis=0)
         ranges = _canonical_ranges(int(moduli[0]), n, powers)
         block = np.concatenate([mats[:, :n, :n], np.eye(n, dtype=np.int64)[None]])
-    tables = _image_tables(moduli[:n], block, powers)
-    edges = len(mats)
-    images = tables._replace(hi=tables.hi[:edges], lo=tables.lo[:edges])
-    identity = tables._replace(hi=tables.hi[edges:], lo=tables.lo[edges:])
+    if n == 1:  # u s mod m for each multiplier u, with no tables
+        units, m = mats[:, 0, :1], int(moduli[0])
+        images = lambda states: (units * states % m, None)
+    else:
+        tables = _image_tables(moduli[:n], block, powers)
+        edges = len(mats)
+        images = tables._replace(hi=tables.hi[:edges], lo=tables.lo[:edges])
+        identity = tables._replace(hi=tables.hi[edges:], lo=tables.lo[edges:])
 
     def canonical(states):
         if quotient is None:

@@ -124,6 +124,8 @@ def congruence_action(n: int, p: int) -> tuple[list[int], list[np.ndarray]]:
     coefficients of a quadratic form by the substitution z -> g z, then the
     scalar g I_n for the primitive root g, which multiplies every form by g^2
     and so lets the BFS quotient by the scalars g^(2j)."""
+    if n < 1:
+        raise ValueError(f"dimension {n} must be at least 1")
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     subs = list(gl_generators(n, p)) + [primitive_root(p) * np.eye(n, dtype=np.int64)]
     return [p] * len(pairs), [quadratic_substitution_matrix(np.array(g), pairs, p) for g in subs]
@@ -131,8 +133,8 @@ def congruence_action(n: int, p: int) -> tuple[list[int], list[np.ndarray]]:
 
 def representatives(n: int, p: int) -> list[QuadForm]:
     """The 2n+1 diagonal congruence representatives 0, z1^2, g*z1^2, ..."""
-    if n > 3:
-        raise ValueError("dimensions above 3 not supported")
+    if not 1 <= n <= 3:
+        raise ValueError(f"dimension {n} outside 1..3")
     g = least_nonsquare(p)
     reps = [QuadForm.diagonal([0] * n, p)]
     for r in range(1, n + 1):

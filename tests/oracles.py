@@ -7,15 +7,13 @@ from itertools import product
 
 import numpy as np
 
-from pcubed.groups import BRUTE_FORCE_MAX_ORDER, GroupTable, _isomorphisms, center
+from pcubed.groups import GroupTable, _isomorphisms, center
 from pcubed.modular import gl_generators
 from pcubed.quadforms import QuadForm
 
 
 def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
     """Invariant filters, then the first isomorphism of the generator-image search."""
-    if G.order > BRUTE_FORCE_MAX_ORDER or H.order > BRUTE_FORCE_MAX_ORDER:
-        raise ValueError("order above brute-force bound")
     if G.order != H.order:
         return False
     if sorted(G.element_orders.tolist()) != sorted(H.element_orders.tolist()):

@@ -4,11 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pcubed import quadforms
 from pcubed.quadforms import (
     NONSQUARE,
     SQUARE,
     QuadForm,
     are_congruent,
+    congruence_action,
     congruence_invariant,
     count_congruence_classes,
     representatives,
@@ -157,3 +159,27 @@ def test_non_prime_modulus_rejected(p):
         representatives(2, p)
     with pytest.raises(ValueError):
         select_h(p)
+
+
+def _no_generators(*args, **kwargs):
+    raise AssertionError("the GL(n, p) generators were built")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_count_refuses_a_dimension_below_one(n, monkeypatch):
+    monkeypatch.setattr(quadforms, "gl_generators", _no_generators)
+    with pytest.raises(ValueError, match=f"dimension {n} must be at least 1"):
+        count_congruence_classes(n, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_congruence_action_refuses_a_dimension_below_one(n, monkeypatch):
+    monkeypatch.setattr(quadforms, "gl_generators", _no_generators)
+    with pytest.raises(ValueError, match=f"dimension {n} must be at least 1"):
+        congruence_action(n, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1, 4])
+def test_representatives_refuse_a_dimension_outside_one_to_three(n):
+    with pytest.raises(ValueError, match=f"dimension {n} outside 1..3"):
+        representatives(n, 3)
