@@ -107,6 +107,7 @@ def cmd_classify(args) -> int:
             total = sum(len(index.orbits) for index in indices.values())
             mark = "" if total == sum(expected_orbit_count(fam, p) for fam in FAMILIES) else "  MISMATCH"
             out.append(f"p={p}  total         {total:>4} = 6*{p}+43{mark}")
+        del indices, index  # this prime's orbit indices, before the next prime's BFS
     if args.format == "json":
         _write(args, json.dumps(payload, indent=2))
     elif args.format == "csv":
@@ -138,6 +139,7 @@ def cmd_morita(args) -> int:
         else:
             chunks.append(table)
         checks += morita_count_checks(graph)
+        del graph  # this prime's orbit indices, before the next prime's BFS
     _write(args, "\n".join(chunks))
     return int(args.check and not all(c.ok for c in checks))
 

@@ -8,15 +8,16 @@ for the mixed-torsion shapes the first and last displayed spectral-sequence
 pages, all with orders written as p-exponents so the table is
 prime-independent.  The page data is re-verified mechanically (symbolically
 where the cells are p-torsion spans, by order bookkeeping where the torsion
-is mixed); the explicit class-level equivalences the analysis derives are
-data too, instantiated over their parameter ranges and canonicalized through
-the orbit indices into a union-find whose components are the Morita classes.
+is mixed).  Each case also holds the class-level equivalences derived from
+it, as edge records instantiated over their parameter ranges, whose endpoints,
+canonicalized through the orbit indices, join into the Morita classes.
 """
 
 import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +46,33 @@ class RealizedExtension:
 
 
 @dataclass(frozen=True)
+class MoritaEdge:
+    """One parametrized family of derived equivalences: ``coeffs(p, *params)``
+    gives the left and the right class's coefficients, each entry an int or an
+    array over the parameters, every parameter running through 0..p-1."""
+
+    left: Family
+    right: Family
+    params: tuple[str, ...]
+    coeffs: Callable
+
+    def rows(self, p: int) -> np.ndarray:
+        """One int64 row (left family, left code, right family, right code) per parameter
+        value, in lexicographic order; families index ``FAMILIES``, codes are ``H4Model.encode``."""
+        grid = np.meshgrid(*(np.arange(p),) * len(self.params), indexing="ij")
+        left, right = self.coeffs(p, *(axis.ravel() for axis in grid))
+        columns = np.broadcast_arrays(
+            FAMILIES.index(self.left), h4_model(self.left, p).encode(left),
+            FAMILIES.index(self.right), h4_model(self.right, p).encode(right),
+        )
+        return np.stack(columns, axis=-1).reshape(-1, 4)
+
+
+@dataclass(frozen=True)
 class ExtensionCase:
     case_id: str
     realized: tuple[RealizedExtension, ...]
+    edges: tuple[MoritaEdge, ...] = ()
 
 
 # E_2 pages shared by the split and the nonsplit member of one case
@@ -89,6 +114,12 @@ _E2_H_TWISTED = {
     (4, 0): (("z1^2", 1),),
 }
 
+# the two edges of CASES that the consistency checks read again
+# k p² s² <-> uv + k v², from k = 0
+_SCALED_SQUARE_EDGE = MoritaEdge(Family.CYCLIC, Family.P2XP, ("k",), lambda p, k: ((k * p * p,), (k, 1, 0)))
+# k gamma² <-> y2y3 - b(x1x2x3) + k y1², from k = 0
+_TRIPLE_EDGE = MoritaEdge(Family.GP, Family.ELEM_ABELIAN, ("k",), lambda p, k: ((0, k), (k, 0, 0, 0, 0, 1, p - 1)))
+
 CASES = (
     # A = Z/p^2, K = Z/p, trivial action; A = <x> in the product, <x^p> in the cyclic group
     ExtensionCase("A=Zp2.K=Zp.trivial", (
@@ -101,6 +132,9 @@ CASES = (
             (2, 0): (("p*s", 1),),
             (4, 0): (),
         })),
+    ), (
+        # 0 <-> uv
+        MoritaEdge(Family.CYCLIC, Family.P2XP, (), lambda p: ((0,), (0, 1, 0))),
     )),
     # A = Z/p^2, K = Z/p acting by b -> b^(p+1); A = <b>
     ExtensionCase("A=Zp2.K=Zp.twisted", (
@@ -117,11 +151,14 @@ CASES = (
             (2, 0): (("v", 2),),
             (4, 0): (("p^2*s^2", 1),),
         })),
-    )),
+    ), (_SCALED_SQUARE_EDGE,)),
     # A = Z/p x Z/p, K = Z/p, trivial action; A = <x2, x3> in (Z/p)^3, <x^p, y> in the product
     ExtensionCase("A=ZpZp.K=Zp.trivial", (
         RealizedExtension(Family.ELEM_ABELIAN, "0", ((("y1^2", 0),), (("y1y2", 0), ("y1y3", 0)))),
         RealizedExtension(Family.P2XP, "y1", ((), (("v^2", 1),))),
+    ), (
+        # 0 <-> y1y2
+        MoritaEdge(Family.P2XP, Family.ELEM_ABELIAN, (), lambda p: ((0, 0, 0), (0, 0, 0, 1, 0, 0, 0))),
     )),
     # A = Z/p, K = Z/p x Z/p, trivial action; A = <x3>, <x^p>, <C> and <b^p> in the four groups
     ExtensionCase("A=Zp.K=ZpZp.trivial", (
@@ -132,6 +169,15 @@ CASES = (
         RealizedExtension(Family.P2XP, "y1", ((("u^2", 0),), (("uv", 0), ("v^2", 1)))),
         RealizedExtension(Family.HEISENBERG, "x1x2", ((("z1^2", 0), ("z2^2", 0), ("z1z2", 0)), (("chi", 0),))),
         RealizedExtension(Family.GP, "y2+x1x2", ((("gamma^2", 0),), (("delta", 0),))),
+    ), (
+        # k u² <-> y1y3 + k y2², from k = 0
+        MoritaEdge(Family.P2XP, Family.ELEM_ABELIAN, ("k",), lambda p, k: ((0, 0, k), (0, k, 0, 0, 1, 0, 0))),
+        # a z1² + c z2² + m z1z2 <-> a y1² + c y2² + m y1y2 + b(x1x2x3)
+        MoritaEdge(
+            Family.HEISENBERG, Family.ELEM_ABELIAN, ("a", "m", "c"),
+            lambda p, a, m, c: ((0, a, c, m), (a, c, 0, m, 0, 0, 1)),
+        ),
+        _TRIPLE_EDGE,
     )),
     # A = Z/p x Z/p, K = Z/p acting by B -> B*C; A = <B, C> in H_p, <a, b^p> in G_p
     ExtensionCase("A=ZpZp.K=Zp.twisted", (
@@ -155,6 +201,9 @@ CASES = (
             (2, 0): (("u20", 1),),
             (4, 0): (),
         })),
+    ), (
+        # 0 <-> z1z2 + l z1²
+        MoritaEdge(Family.GP, Family.HEISENBERG, ("l",), lambda p, l: ((0, 0), (0, l, 0, 1))),
     )),
 )
 
@@ -214,11 +263,11 @@ class OmegaGroup:
         return (radix_digits(codes, self.model.moduli) % self.divisors == 0).all(axis=-1)
 
 
-def omega(case_id: str, family: Family, p: int) -> OmegaGroup:
+def omega(case: ExtensionCase, family: Family, p: int) -> OmegaGroup:
     """The Omega span for a family realized in the given extension case."""
-    realized = {r.family: r for c in CASES if c.case_id == case_id for r in c.realized}
+    realized = {r.family: r for r in case.realized}
     if family not in realized:
-        raise ValueError(f"{family.value} is not realized in case {case_id}")
+        raise ValueError(f"{family.value} is not realized in case {case.case_id}")
     sub, quot = realized[family].omega
     scale = lambda pairs: tuple((label, p**e) for label, e in pairs)
     return OmegaGroup(h4_model(family, p), scale(sub), scale(quot))
@@ -330,10 +379,9 @@ def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives
     )
 
 
-def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
+def _verify_rank2_base_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
     """Symbolic page-4 verification for the extensions over a rank-2 base, then
     for the Heisenberg member again as the centre of H_p in w/z names."""
-    case = CASES[4]
     R = gr.rank2_extension_ring(p, "x", "y", "y3")
     base = tuple(R.gen(l) for l in ("x1", "x2", "y1", "y2"))
     for realized in case.realized:
@@ -346,7 +394,7 @@ def _verify_rank2_base_pages(p: int, checks: list[CheckResult]) -> None:
     )
 
 
-def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
+def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
     """Symbolic page verification for fiber (Z/p)^2 over base Z/p."""
     R = gr.exterior_bockstein_ring(3, p)
     x1, x2, x3 = (R.gen(f"x{i}") for i in (1, 2, 3))
@@ -364,11 +412,11 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     }
     # d2 is the derivation x2 -> kappa of each member's k-invariant
     kappa = gr.k_invariants(x1, x2, y1, y2)
-    d2_of = {r.family: gr.derivation(R, {"x2": kappa[r.k_invariant]}) for r in CASES[3].realized}
+    d2_of = {r.family: gr.derivation(R, {"x2": kappa[r.k_invariant]}) for r in case.realized}
     # split member: kappa = 0, so d2 = 0 and every cell survives
     for cell, domain in page2.items():
         _cell_check(
-            f"pages.{CASES[3].case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
+            f"pages.{case.case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
             domain, d2_of[Family.ELEM_ABELIAN], domain, [], p, checks,
         )
     # product member: d2(x2) = kappa, then d3(x1 y2) = y1^2
@@ -389,7 +437,7 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     }
     for cell, want in page3_expected.items():
         _cell_check(
-            f"pages.{CASES[3].case_id}.{fam}.page3.cell{cell}",
+            f"pages.{case.case_id}.{fam}.page3.cell{cell}",
             page2[cell], d2, want, incoming3.get(cell, []), p, checks,
         )
     # the only nonzero third differential: x1 y2 -> y1^2, x1 y3 -> 0
@@ -397,11 +445,11 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
         return [y1 * y1, R.zero()][page3_expected[(1, 2)].index(el)]
 
     _cell_check(
-        f"pages.{CASES[3].case_id}.{fam}.page4.cell(1, 2)",
+        f"pages.{case.case_id}.{fam}.page4.cell(1, 2)",
         page3_expected[(1, 2)], d3, [x1 * y3], [], p, checks,
     )
     _cell_check(
-        f"pages.{CASES[3].case_id}.{fam}.page4.cell(4, 0)",
+        f"pages.{case.case_id}.{fam}.page4.cell(4, 0)",
         [y1 * y1], None, [], [y1 * y1], p, checks,
     )
     # order bookkeeping: with the stated d3 the degree-4 orders multiply to
@@ -409,7 +457,7 @@ def _verify_rank1_base_pages(p: int, checks: list[CheckResult]) -> None:
     degree4 = p ** (len(page3_expected[(0, 4)]) + len(page3_expected[(2, 2)]))
     checks.append(
         CheckResult(
-            f"pages.{CASES[3].case_id}.{fam}.order_bookkeeping",
+            f"pages.{case.case_id}.{fam}.order_bookkeeping",
             degree4 == h4_model(Family.P2XP, p).total_order
             and degree4 * p != h4_model(Family.P2XP, p).total_order,
             f"E_infinity degree-4 order {degree4}",
@@ -463,15 +511,15 @@ def verify_pages(p: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for case in CASES:
         if case is CASES[3]:
-            _verify_rank1_base_pages(p, checks)
+            _verify_rank1_base_pages(case, p, checks)
         elif case is CASES[4]:
-            _verify_rank2_base_pages(p, checks)
+            _verify_rank2_base_pages(case, p, checks)
         else:
             _verify_mixed_pages(case, p, checks)
     # Omega orders must factor as |sub| * |quot| through the coordinate spans
     for case in CASES:
         for realized in case.realized:
-            om = omega(case.case_id, realized.family, p)
+            om = omega(case, realized.family, p)
             checks.append(
                 CheckResult(
                     f"omega.{case.case_id}.{realized.family.value}.order",
@@ -486,70 +534,13 @@ def verify_pages(p: int) -> list[CheckResult]:
 # the derived equivalences, as explicit class pairs
 
 
-def morita_edges(case_id: str, p: int) -> np.ndarray:
-    """All parametrized equivalences of one extension case, as an ``(E, 4)``
-    int64 array: one row (left family, left code, right family, right code)
-    per edge, a family being its index in ``FAMILIES`` and a code its class's
-    ``H4Model.encode``."""
-    k = np.arange(p)
-
-    def edges(left: Family, left_coeffs, right: Family, right_coeffs) -> np.ndarray:
-        columns = np.broadcast_arrays(
-            FAMILIES.index(left), h4_model(left, p).encode(left_coeffs),
-            FAMILIES.index(right), h4_model(right, p).encode(right_coeffs),
-        )
-        return np.stack(columns, axis=-1).reshape(-1, 4)
-
-    if case_id == CASES[0].case_id:
-        # 0 <-> uv
-        return edges(Family.CYCLIC, (0,), Family.P2XP, (0, 1, 0))
-    if case_id == CASES[2].case_id:
-        # k p² s² <-> uv + k v², from k = 0
-        return edges(Family.CYCLIC, (k * p * p,), Family.P2XP, (k, 1, 0))
-    if case_id == CASES[3].case_id:
-        # 0 <-> y1y2
-        return edges(Family.P2XP, (0, 0, 0), Family.ELEM_ABELIAN, (0, 0, 0, 1, 0, 0, 0))
-    if case_id == CASES[4].case_id:
-        a, m, c = np.indices((p, p, p)).reshape(3, -1)
-        return np.concatenate([
-            # k u² <-> y1y3 + k y2², from k = 0
-            edges(Family.P2XP, (0, 0, k), Family.ELEM_ABELIAN, (0, k, 0, 0, 1, 0, 0)),
-            # a z1² + c z2² + m z1z2 <-> a y1² + c y2² + m y1y2 + b(x1x2x3)
-            edges(Family.HEISENBERG, (0, a, c, m), Family.ELEM_ABELIAN, (a, c, 0, m, 0, 0, 1)),
-            # k gamma² <-> y2y3 - b(x1x2x3) + k y1², from k = 0
-            edges(Family.GP, (0, k), Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, p - 1)),
-        ])
-    if case_id == CASES[5].case_id:
-        # 0 <-> z1z2 + l z1²
-        return edges(Family.GP, (0, 0), Family.HEISENBERG, (0, k, 0, 1))
-    return np.empty((0, 4), dtype=np.int64)
-
-
 def all_edges(p: int) -> np.ndarray:
-    """The ``morita_edges`` rows of every case, one ``(E, 4)`` array in case order."""
-    return np.concatenate([morita_edges(case.case_id, p) for case in CASES])
+    """The rows of every edge family of every case, one ``(E, 4)`` array in case order."""
+    return np.concatenate([edge.rows(p) for case in CASES for edge in case.edges])
 
 
 # ---------------------------------------------------------------------------
-# union-find over canonical orbit representatives
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# components over canonical orbit representatives
 
 
 @dataclass
@@ -593,8 +584,8 @@ class MoritaGraph:
 
 
 def morita_components(p: int, indices: dict[Family, OrbitIndex] | None = None) -> MoritaGraph:
-    """Canonicalize the endpoints of every edge of ``all_edges(p)`` and merge;
-    components are Morita classes.
+    """Canonicalize the endpoints of every edge of ``all_edges(p)`` and join
+    them; the components are the Morita classes.
 
     ``indices`` are the five families' orbit indices at p, built at the default
     state bound when not given; the CLI passes its own, built under
@@ -613,12 +604,17 @@ def morita_components(p: int, indices: dict[Family, OrbitIndex] | None = None) -
     for f, fam in enumerate(FAMILIES):
         rows = fams == f
         ends[rows] = offset[fam] + indices[fam].ids(codes[rows])
-    uf = _UnionFind(len(nodes))
-    for left, right in ends.reshape(-1, 2).tolist():
-        uf.union(left, right)
+    # each node takes the least label of itself and its neighbours until none
+    # changes; then every node holds the least node of its component
+    left, right = ends.reshape(-1, 2).T
+    label, before = np.arange(len(nodes)), None
+    while not np.array_equal(label, before):
+        before = label.copy()
+        np.minimum.at(label, left, label[right])
+        np.minimum.at(label, right, label[left])
     groups: dict[int, list[int]] = {}
-    for i in range(len(nodes)):
-        groups.setdefault(uf.find(i), []).append(i)
+    for i, least in enumerate(label.tolist()):
+        groups.setdefault(least, []).append(i)
     # members come in node order, which is (family, representative) order
     # because orbit ids follow the order of their seeds; components are
     # sorted by their members' families, then by their representatives,
@@ -715,19 +711,21 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
         """Orbit ids of the classes with these coefficients, one ids call."""
         return indices[family].ids(indices[family].model.encode(coeffs)).tolist()
 
-    # every edge endpoint lies inside the Omega span of its case and family
-    ok = True
-    for case in CASES:
-        edges = morita_edges(case.case_id, p)
-        fams, codes = edges[:, 0::2].ravel(), edges[:, 1::2].ravel()
-        for f in set(fams.tolist()):
-            ok &= bool(omega(case.case_id, FAMILIES[f], p).contains_codes(codes[fams == f]).all())
-    checks.append(CheckResult("consistency.edges_in_omega", ok))
+    # every edge endpoint lies inside the Omega span of its case and family;
+    # a failure names the first case and family with an endpoint outside it
+    outside = [
+        f"{fam.value} endpoint outside Omega in {case.case_id}"
+        for case in CASES for edge in case.edges
+        for fam, codes in zip((edge.left, edge.right), edge.rows(p)[:, 1::2].T)
+        if not omega(case, fam, p).contains_codes(codes).all()
+    ]
+    checks.append(CheckResult("consistency.edges_in_omega", not outside, outside[0] if outside else ""))
 
     # the unit-parameter reading mod p^2 produces the same canonical edge set
     def unit_pairs(modulus):
-        k = np.array(units(modulus))
-        return set(zip(orbit_ids(Family.CYCLIC, (k * p * p,)), orbit_ids(Family.P2XP, (k, 1, 0))))
+        edge = _SCALED_SQUARE_EDGE
+        left, right = edge.coeffs(p, np.array(units(modulus)))
+        return set(zip(orbit_ids(edge.left, left), orbit_ids(edge.right, right)))
 
     narrow, wide = unit_pairs(p), unit_pairs(p * p)
     checks.append(
@@ -747,10 +745,10 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     )
 
     # both signs of the triple-product class land in the same orbit
-    k = np.arange(p)
-    plus = orbit_ids(Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, 1))
-    minus = orbit_ids(Family.ELEM_ABELIAN, (k, 0, 0, 0, 0, 1, p - 1))
-    checks.append(CheckResult("consistency.triple_product_sign", plus == minus))
+    _, minus = _TRIPLE_EDGE.coeffs(p, np.arange(p))
+    plus = minus[:-1] + (-minus[-1] % p,)
+    right = _TRIPLE_EDGE.right
+    checks.append(CheckResult("consistency.triple_product_sign", orbit_ids(right, plus) == orbit_ids(right, minus)))
 
     # the sixteen listed product-group representatives are pairwise disjoint
     # orbits and exhaust the classification; g is also the least nonsquare unit

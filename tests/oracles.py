@@ -106,3 +106,20 @@ def congruence_orbit_ids(n: int, p: int) -> dict[tuple, int]:
         next_id += 1
     forms = [tuple(map(tuple, m)) for m in mats.tolist()]
     return {forms[code]: orbit[code] for code in reached}
+
+
+def least_members(n: int, pairs) -> list[int]:
+    """The least node of each node's class, for nodes 0..n-1 joined by the
+    pairs, by union-find with path halving."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)  # the root is the least member
+    return [find(x) for x in range(n)]

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcubed import lhs_morita
 from pcubed.groups import FAMILIES, Family
@@ -18,10 +20,11 @@ from pcubed.lhs_morita import (
     emit_table,
     expected_component_count,
     morita_components,
-    morita_edges,
     omega,
     verify_pages,
 )
+
+from oracles import least_members
 
 CASE_IDS = (
     "A=Zp2.K=Zp.trivial",
@@ -61,24 +64,24 @@ def test_case_k_invariants():
 @pytest.mark.parametrize("p", [3, 5])
 def test_omega_orders(p):
     # zero span for the twisted (Z/p)^2 extension of the order-p^2 group
-    om = omega(CASE_IDS[5], Family.GP, p)
+    om = omega(CASES[5], Family.GP, p)
     assert om.order == 1
     assert om.contains_codes(om.model.encode((0,) * len(om.model.basis)))
     # order p, quotient side only
-    om = omega(CASE_IDS[0], Family.CYCLIC, p)
+    om = omega(CASES[0], Family.CYCLIC, p)
     assert om.order == p and om.sub_order == 1 and om.quot_order == p
     # order p^2 with bases p^2 s^2 and p s^2
-    om = omega(CASE_IDS[2], Family.CYCLIC, p)
+    om = omega(CASES[2], Family.CYCLIC, p)
     assert om.order == p * p
     assert om.sub_basis == (("s^2", p * p),) and om.quot_basis == (("s^2", p),)
     cyc = h4_model(Family.CYCLIC, p)
     assert om.contains_codes(cyc.encode(cyc.cls((p,)).coeffs))
     assert not om.contains_codes(cyc.encode(cyc.cls((1,)).coeffs))
     # the central-extension span is the whole Heisenberg model
-    om = omega(CASE_IDS[4], Family.HEISENBERG, p)
+    om = omega(CASES[4], Family.HEISENBERG, p)
     assert om.order == p**4
     # and the (Z/p)^3 span misses exactly the y3^2 coordinate
-    om = omega(CASE_IDS[4], Family.ELEM_ABELIAN, p)
+    om = omega(CASES[4], Family.ELEM_ABELIAN, p)
     assert om.order == p**6
     E = h4_model(Family.ELEM_ABELIAN, p)
     assert not om.contains_codes(E.encode(E.cls((0, 0, 1, 0, 0, 0, 0)).coeffs))
@@ -86,14 +89,14 @@ def test_omega_orders(p):
 
 def test_omega_unrealized_family_rejected():
     with pytest.raises(ValueError):
-        omega(CASE_IDS[1], Family.HEISENBERG, 3)
+        omega(CASES[1], Family.HEISENBERG, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_omega_order_factors(p):
     for case in CASES:
         for realized in case.realized:
-            om = omega(case.case_id, realized.family, p)
+            om = omega(case, realized.family, p)
             assert om.order == om.sub_order * om.quot_order
 
 
@@ -131,8 +134,13 @@ def test_split_rank1_member_k_invariant_drives_its_pages(monkeypatch):
     assert failed == {prefix + "cell(0, 3)", prefix + "cell(1, 3)"}
 
 
+def _case_rows(case, p):
+    """The rows of every edge family of one case, ``(0, 4)`` for a case without edges."""
+    return np.concatenate([np.empty((0, 4), dtype=np.int64), *(edge.rows(p) for edge in case.edges)])
+
+
 def _decoded(rows, p):
-    """(family, coefficients, family, coefficients) of each ``morita_edges`` row."""
+    """(family, coefficients, family, coefficients) of each edge row."""
     return [
         (FAMILIES[lf], h4_model(FAMILIES[lf], p).decode(lc), FAMILIES[rf], h4_model(FAMILIES[rf], p).decode(rc))
         for lf, lc, rf, rc in rows.tolist()
@@ -141,28 +149,28 @@ def _decoded(rows, p):
 
 def test_edge_examples():
     p = 3
-    [edge] = _decoded(morita_edges(CASE_IDS[0], p), p)
+    [edge] = _decoded(_case_rows(CASES[0], p), p)
     assert edge == (Family.CYCLIC, (0,), Family.P2XP, (0, 1, 0))
 
-    e6 = _decoded(morita_edges(CASE_IDS[5], p), p)
+    e6 = _decoded(_case_rows(CASES[5], p), p)
     assert len(e6) == p
     left_family, left, _, right = e6[0]
     assert left_family is Family.GP and left == (0, 0)
     assert right == (0, 0, 0, 1)  # z1z2
 
-    e5 = _decoded(morita_edges(CASE_IDS[4], p), p)
+    e5 = _decoded(_case_rows(CASES[4], p), p)
     gp_k1 = [right for fam, left, _, right in e5 if fam is Family.GP and left == (0, 1)]
     assert gp_k1 == [(1, 0, 0, 0, 0, 1, p - 1)]
 
-    assert morita_edges(CASE_IDS[1], p).shape == (0, 4)
+    assert _case_rows(CASES[1], p).shape == (0, 4)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_edges_lie_in_omega_spans(p):
     for case in CASES:
-        for left_family, left, right_family, right in _decoded(morita_edges(case.case_id, p), p):
+        for left_family, left, right_family, right in _decoded(_case_rows(case, p), p):
             for fam, coeffs in (left_family, left), (right_family, right):
-                assert omega(case.case_id, fam, p).contains_codes(h4_model(fam, p).encode(coeffs))
+                assert omega(case, fam, p).contains_codes(h4_model(fam, p).encode(coeffs))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -218,6 +226,41 @@ def test_consistency_checks(p, graph_for):
     checks = consistency_checks(graph_for(p))
     failures = [c for c in checks if not c.ok]
     assert not failures, "\n".join(c.line() for c in failures)
+
+
+def test_edges_in_omega_failure_names_its_case_and_family(graph_for, monkeypatch):
+    # y3² lies outside the (Z/p)^3 span of the central extension over a rank-2 base
+    case = CASES[4]
+    moved = replace(case.edges[0], coeffs=lambda p, k: ((0, 0, k), (0, k, 1, 0, 1, 0, 0)))
+    patched = replace(case, edges=(moved, *case.edges[1:]))
+    monkeypatch.setattr(lhs_morita, "CASES", CASES[:4] + (patched,) + CASES[5:])
+    [check] = [c for c in consistency_checks(graph_for(3)) if c.name == "consistency.edges_in_omega"]
+    assert not check.ok
+    assert case.case_id in check.detail and Family.ELEM_ABELIAN.value in check.detail, check.detail
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6 * 5 + 42), min_size=1, max_size=12), max_size=8))
+def test_components_match_union_find(indices_for, chains):
+    # chains of random orbit representatives at p = 5: the real edge graphs have
+    # components of at most 3 nodes, these have paths long enough to need many rounds
+    p = 5
+    indices = indices_for(p)
+    nodes = [(fam, orbit.rep) for fam in FAMILIES for orbit in indices[fam].orbits]
+    assert len(nodes) == 6 * p + 43
+    pairs = [(a, b) for chain in chains for a, b in zip(chain, chain[1:])]
+
+    def end(i):
+        fam, rep = nodes[i]
+        return [FAMILIES.index(fam), rep.model.encode(rep.coeffs)]
+
+    rows = np.array([end(a) + end(b) for a, b in pairs], dtype=np.int64).reshape(-1, 4)
+    least = least_members(len(nodes), pairs)
+    expected = {frozenset(nodes[i] for i in range(len(nodes)) if least[i] == root) for root in set(least)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhs_morita, "all_edges", lambda q: rows)
+        graph = morita_components(p, indices=indices)
+    assert {frozenset(comp) for comp in graph.components} == expected
 
 
 def test_duplicate_edges_are_harmless(graph_for, monkeypatch):

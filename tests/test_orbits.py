@@ -19,6 +19,8 @@ from pcubed.modular import is_prime, primitive_root, radix_weights
 from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
 from pcubed.quadforms import congruence_action, count_congruence_classes
 
+from oracles import least_members
+
 COUNTS = {
     Family.CYCLIC: lambda p: 7,
     Family.P2XP: lambda p: 16,
@@ -379,19 +381,7 @@ def _union_find_orbits(moduli, mats):
     """Smallest state of each state's orbit, by union-find over generator edges."""
     weights = [math.prod(moduli[i + 1 :]) for i in range(len(moduli))]
     total = math.prod(moduli)
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for state in range(total):
-        for mat in mats:
-            a, b = find(state), find(_apply(mat, moduli, weights, state))
-            parent[max(a, b)] = min(a, b)  # the root is the smallest member
-    return [find(s) for s in range(total)]
+    return least_members(total, ((s, _apply(mat, moduli, weights, s)) for s in range(total) for mat in mats))
 
 
 def _generator(draw, moduli):
