@@ -14,6 +14,7 @@ GOLDEN = {
     "morita-p3.json": ["morita", "-p", "3", "--format", "json"],
     "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
     "classify-p3-5-7.csv": ["classify", "-p", "3,5,7", "--format", "csv"],
+    "classify-p11-13.csv": ["classify", "-p", "11,13", "--format", "csv"],
     "verify-p5.md": ["verify", "-p", "5"],
     "verify-p7.md": ["verify", "-p", "7"],
     "morita-p3.md": ["morita", "-p", "3"],

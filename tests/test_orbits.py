@@ -110,8 +110,10 @@ def test_determinism():
     assert [(o.rep.coeffs, o.size) for o in a.orbits] == [(o.rep.coeffs, o.size) for o in b.orbits]
 
 
-# sha256 of every state's orbit id as int32 bytes, in state order, written by
-# the engine that still stored one id per state; they pin the orbit numbering
+# sha256 of every state's orbit id as int32 bytes, in state order; they pin the
+# orbit numbering.  The rows to p = 7 were written by the engine that still
+# stored one id per state, the p = 11 row by the one that held every state of
+# the uint8 table, before the table ended at the last canonical state
 ORBIT_ID_DIGESTS = {
     3: {
         Family.CYCLIC: "4b087a28e4067e5d54c09a0685b657c2cbea21523ca196d1d11af7910217be9f",
@@ -134,15 +136,25 @@ ORBIT_ID_DIGESTS = {
         Family.HEISENBERG: "260232c5fd3654099834ae4a3e8b32da2fcd9efec84f66e6f9971b1f0508b825",
         Family.GP: "ec67d1d6e39728bf8ea2578eee76c561ba722de8684f9ee32e8f09ae441d13da",
     },
+    11: {
+        Family.CYCLIC: "971de840b31ef876e175e5b37d714316f4a9cda009f4735ddea154ed68d24edb",
+        Family.P2XP: "5550f0db77b45707ad750cb9cb3cfaa7cc4934c4a9b6e8e6bc47ddc009b8a809",
+        Family.ELEM_ABELIAN: "1a0eaa04a3f00b6c1ee7c7adc535e1e54f656e0d0fc0d676a4d505f9214c1c13",
+        Family.HEISENBERG: "058d4283134cd6c2744df2fd4d8535af8ea4750e274ab7b437b04cf793fbc5e0",
+        Family.GP: "0c3a2aeb11b587d2d44804e38c9f41ae66f4b73b1316dab3d283f6dfa5f469a4",
+    },
 }
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_orbit_ids_are_pinned(fam, p, indices_for):
+    # hashed in blocks of states, so the 11**7 (Z/11)^3 ids are never held at once
     index = indices_for(p)[fam]
-    ids = index.ids(np.arange(index.model.total_order))
-    assert hashlib.sha256(ids.astype(np.int32).tobytes()).hexdigest() == ORBIT_ID_DIGESTS[p][fam]
+    total, digest = index.model.total_order, hashlib.sha256()
+    for start in range(0, total, 1 << 20):
+        digest.update(index.ids(np.arange(start, min(start + (1 << 20), total))).astype(np.int32).tobytes())
+    assert digest.hexdigest() == ORBIT_ID_DIGESTS[p][fam]
 
 
 def test_ids_are_int32(indices_for):
