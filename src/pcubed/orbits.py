@@ -18,6 +18,11 @@ representative contract the Morita graph relies on.
   chunk reads them as visited.  Frontiers are int32.
 - A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
   below the unvisited mark 255; the 256th orbit widens it to int32 once.
+  It covers only the states below the end of the last canonical range (all
+  of them without a scalar quotient, below), since the BFS and ``ids`` look
+  up canonical states alone: (c + 1) p^(n - 1) of the p^n, c the largest
+  least member of a coset c S, 3 * 13^5 of 13^6 for the n = 3 congruence
+  closure at p = 13.  A split action's labels have the same length.
 - Images by table: with two coordinates or more, a state s splits as
   a * P + b at the digit boundary P nearest sqrt(total), so its coefficient
   vector is the digitwise sum of those of a * P and b, and each generator's
@@ -28,6 +33,9 @@ representative contract the Morita graph relies on.
   two adds, with no floating point and no BLAS.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
   work, for the int32 frontiers, and that bound keeps every image in int64.
+  The fold tables are int32: each entry is a mixed-radix code of digits mod
+  m_i, and the two halves' entries add up to the encoded image, so every
+  entry and sum is below the state count and exact in int32.
   One coordinate: u s < m^2 < 2^62 for a multiplier u and a state s below m.
   Dot products: a row reduced mod m_i times digits below m_j is at most
   (m_i - 1) sum_j (m_j - 1) <= (m_i - 1)(states - 1) < 2^62, as prod(1 + x_j)
@@ -177,8 +185,8 @@ class _Images(NamedTuple):
     hi: np.ndarray  # (generators, ceil(total / place)) int64
     lo: np.ndarray  # (generators, place) int64
     shift: int
-    fold_hi: np.ndarray  # flat (|S|, lead_hi.size)
-    fold_lo: np.ndarray  # flat (|S|, lead_lo.size)
+    fold_hi: np.ndarray  # flat (|S|, lead_hi.size) int32
+    fold_lo: np.ndarray  # flat (|S|, lead_lo.size) int32
     lead_hi: np.ndarray | None  # None without a scalar quotient
     lead_lo: np.ndarray | None
 
@@ -204,7 +212,7 @@ def _fold_table(radix, moduli, weights, powers) -> np.ndarray:
     """Mixed-radix code of the digits mod ``moduli`` of every number at
     ``radix``, times each of ``powers``: one row per power, flattened."""
     digits = radix_digits(np.arange(math.prod(radix)), radix) % moduli
-    rows = np.zeros((len(powers), len(digits)), dtype=np.int64)
+    rows = np.zeros((len(powers), len(digits)), dtype=np.int32)  # codes below total < 2^31
     for column, m, w in zip(digits.T, moduli.tolist(), weights.tolist()):
         # (f^j d mod m) w for every power f^j and digit d, looked up per digit
         rows += np.take(np.outer(powers, np.arange(m)) % m * w, column, axis=1)
@@ -460,9 +468,8 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
     split = _splits_off(moduli, mats)
     n = k - 1 if split else k  # the coordinates the BFS runs on
     q = int(moduli[-1]) if split else 1
-    table = np.full(total // q, np.iinfo(np.uint8).max, dtype=np.uint8)
     quotient = _scalar_quotient(moduli[:n], mats[:, :n, :n])
-    powers, ranges, chi_scalar, block = [1], [(0, table.size)], 1, mats[:, :n, :n]
+    powers, ranges, chi_scalar, block = [1], [(0, total // q)], 1, mats[:, :n, :n]
     if quotient is not None:
         index, powers = quotient
         # the scalar leaves the edges (its last entry is chi_s on a split); the
@@ -470,6 +477,8 @@ def enumerate_orbit_ids(moduli, matrices, max_states: int = DEFAULT_MAX_STATES):
         chi_scalar, mats = mats[index, -1, -1], np.delete(mats, index, axis=0)
         ranges = _canonical_ranges(int(moduli[0]), n, powers)
         block = np.concatenate([mats[:, :n, :n], np.eye(n, dtype=np.int64)[None]])
+    # the BFS and ``ids`` look up canonical states only, all below the last range's stop
+    table = np.full(ranges[-1][1], np.iinfo(np.uint8).max, dtype=np.uint8)
     if n == 1:  # u s mod m for each multiplier u, with no tables
         units, m = mats[:, 0, :1], int(moduli[0])
         images = lambda states: (units * states % m, None)
