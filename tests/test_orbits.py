@@ -573,20 +573,18 @@ def test_canonical_ranges_hold_the_least_of_each_scalar_class(p, n):
 
 
 def _squares_quotient_cases():
-    # S = <g^2>, the squares: the congruence closure's 6 coordinates and the
-    # (Z/p)^3 model's 6-coordinate block, its character beta split off
-    yield pytest.param(lambda: count_congruence_classes(3, 13), 13, 13**6, id="congruence-n3-p13")
+    # S = <g^2>, the squares, on p^6 states: the congruence closure's forms
+    # and the (Z/p)^3 model's block, its character beta split off
+    yield pytest.param(lambda: count_congruence_classes(3, 13), 13, id="congruence-n3-p13")
     for p in (3, 5, 7, 11):
-        model = h4_model(Family.ELEM_ABELIAN, p)
-        yield pytest.param(lambda p=p: enumerate_orbits(h4_model(Family.ELEM_ABELIAN, p)), p,
-                           model.total_order // p, id=f"elem_abelian-p{p}")
+        yield pytest.param(lambda p=p: enumerate_orbits(h4_model(Family.ELEM_ABELIAN, p)), p, id=f"elem_abelian-p{p}")
 
 
-@pytest.mark.parametrize("call, p, states", _squares_quotient_cases())
-def test_the_table_ends_at_the_last_canonical_state(monkeypatch, call, p, states):
+@pytest.mark.parametrize("call, p", _squares_quotient_cases())
+def test_the_table_ends_at_the_last_canonical_state(monkeypatch, call, p):
     # every lookup is of a canonical state, so the id table and the split
     # labels stop at the last canonical range; at p = 3, g^2 = 1 and there is
-    # no quotient, so they cover all the BFS's states
+    # no quotient, so they cover all p^6 states
     held = []
     bfs = orbits._bfs
 
@@ -598,7 +596,7 @@ def test_the_table_ends_at_the_last_canonical_state(monkeypatch, call, p, states
     call()
     [(table, labels, images)] = held
     squares = [pow(primitive_root(p), 2 * j, p) for j in range((p - 1) // 2)]
-    expected = states if p == 3 else orbits._canonical_ranges(p, 6, squares)[-1][1]
+    expected = p**6 if p == 3 else orbits._canonical_ranges(p, 6, squares)[-1][1]
     assert table == expected
     assert labels in (None, expected)
     assert images.fold_hi.dtype == images.fold_lo.dtype == np.int32
