@@ -360,6 +360,17 @@ def _rank2_fourth_pages(x1, x2, y1, y2) -> dict[Family, dict]:
     }
 
 
+def _walk(name, page, r, d, want, p, checks):
+    """E_(r+1) on each cell (a, b) of ``want``, in ``page`` order: d_r: E_r^(a,b) ->
+    E_r^(a+r,b-r+1) leaves the cell when b - r + 1 >= 0 (else it is None), and the
+    images of d_r on cell (a - r, b + r - 1) of ``page`` arrive in it."""
+    for (a, b), domain in page.items():
+        if (a, b) in want:
+            incoming = [d(el) for el in page.get((a - r, b + r - 1), [])]
+            leaving = d if b - r + 1 >= 0 else None
+            _cell_check(f"{name}.cell{(a, b)}", domain, leaving, want[(a, b)], incoming, p, checks)
+
+
 def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives iff beta(kappa) = 0"):
     """Fourth page of a central extension by Z/p of a rank-2 base: d3(y3 * P) = beta(kappa * P),
     with kappa read from the realized member's k-invariant label."""
@@ -368,15 +379,18 @@ def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives
     kappa = gr.k_invariants(*base)[realized.k_invariant]
     want = _rank2_fourth_pages(*base)[realized.family]
     d3 = lambda el: beta(kappa * el)
-    row2 = {(0, 2): [x1.ring.element({(): 1})], (1, 2): [x1, x2], (2, 2): [y1, y2, x1 * x2]}
-    for cell, domain in row2.items():
-        _cell_check(f"{name}.cell{cell}", domain, d3, want[cell], [], p, checks)
+    page = {
+        (0, 2): [x1.ring.element({(): 1})],
+        (1, 2): [x1, x2],
+        (2, 2): [y1, y2, x1 * x2],
+        (3, 0): [beta(x1 * x2)],
+        (4, 0): [y1 * y1, y1 * y2, y2 * y2],
+    }
+    row = lambda b: {cell: gens for cell, gens in want.items() if cell[1] == b}
+    _walk(name, page, 3, d3, row(2), p, checks)
     # fiber square: d3(y3^2 * P) = 2 y3 beta(kappa P), nonzero iff beta(kappa) is
     checks.append(CheckResult(f"{name}.cell(0, 4)", beta(kappa).is_zero() == bool(want[(0, 4)]), detail04))
-    _cell_check(f"{name}.cell(3, 0)", [beta(x1 * x2)], None, want[(3, 0)], [beta(kappa)], p, checks)
-    _cell_check(
-        f"{name}.cell(4, 0)", [y1 * y1, y1 * y2, y2 * y2], None, want[(4, 0)], [d3(x1), d3(x2)], p, checks
-    )
+    _walk(name, page, 3, d3, row(0), p, checks)
 
 
 def _verify_rank2_base_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
@@ -414,13 +428,8 @@ def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResu
     kappa = gr.k_invariants(x1, x2, y1, y2)
     d2_of = {r.family: gr.derivation(R, {"x2": kappa[r.k_invariant]}) for r in case.realized}
     # split member: kappa = 0, so d2 = 0 and every cell survives
-    for cell, domain in page2.items():
-        _cell_check(
-            f"pages.{case.case_id}.{Family.ELEM_ABELIAN.value}.cell{cell}",
-            domain, d2_of[Family.ELEM_ABELIAN], domain, [], p, checks,
-        )
+    _walk(f"pages.{case.case_id}.{Family.ELEM_ABELIAN.value}", page2, 2, d2_of[Family.ELEM_ABELIAN], page2, p, checks)
     # product member: d2(x2) = kappa, then d3(x1 y2) = y1^2
-    d2 = d2_of[Family.P2XP]
     fam = Family.P2XP.value
     page3_expected = {
         (0, 2): [y2, y3],
@@ -431,27 +440,11 @@ def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResu
         (1, 3): [],
         (0, 4): [y2 * y2, y2 * y3, y3 * y3],
     }
-    incoming3 = {
-        (2, 2): [d2(el) for el in page2[(0, 3)]],
-        (3, 2): [d2(el) for el in page2[(1, 3)]],
-    }
-    for cell, want in page3_expected.items():
-        _cell_check(
-            f"pages.{case.case_id}.{fam}.page3.cell{cell}",
-            page2[cell], d2, want, incoming3.get(cell, []), p, checks,
-        )
+    _walk(f"pages.{case.case_id}.{fam}.page3", page2, 2, d2_of[Family.P2XP], page3_expected, p, checks)
     # the only nonzero third differential: x1 y2 -> y1^2, x1 y3 -> 0
-    def d3(el):
-        return [y1 * y1, R.zero()][page3_expected[(1, 2)].index(el)]
-
-    _cell_check(
-        f"pages.{case.case_id}.{fam}.page4.cell(1, 2)",
-        page3_expected[(1, 2)], d3, [x1 * y3], [], p, checks,
-    )
-    _cell_check(
-        f"pages.{case.case_id}.{fam}.page4.cell(4, 0)",
-        [y1 * y1], None, [], [y1 * y1], p, checks,
-    )
+    page3 = {(1, 2): page3_expected[(1, 2)], (4, 0): [y1 * y1]}
+    d3 = lambda el: [y1 * y1, R.zero()][page3[(1, 2)].index(el)]
+    _walk(f"pages.{case.case_id}.{fam}.page4", page3, 3, d3, {(1, 2): [x1 * y3], (4, 0): []}, p, checks)
     # order bookkeeping: with the stated d3 the degree-4 orders multiply to
     # |H^4| = p^4; a vanishing d3 would leave p^5
     degree4 = p ** (len(page3_expected[(0, 4)]) + len(page3_expected[(2, 2)]))
@@ -754,13 +747,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     # orbits and exhaust the classification; g is also the least nonsquare unit
     # mod p^2, because a unit mod p^2 is a square iff it is a square mod p
     g = least_nonsquare(p)
-    listed = [
-        (1, 0, 1), (1, 0, g), (g, 0, 1), (g, 0, g),
-        (0, 0, 1), (0, 0, g), (p, 0, 0), (g * p, 0, 0),
-        (1, 0, 0), (g, 0, 0),
-        (p, 0, 1), (p, 0, g), (g * p, 0, 1), (g * p, 0, g),
-        (0, 1, 0), (0, 0, 0),
-    ]
+    listed = [(a, 0, c) for a in (0, 1, g, p, g * p) for c in (0, 1, g)] + [(0, 1, 0)]
     ids = set(orbit_ids(Family.P2XP, np.array(listed).T))
     checks.append(
         CheckResult(

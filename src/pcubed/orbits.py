@@ -24,13 +24,14 @@ representative contract the Morita graph relies on.
   least member of a coset c S, 3 * 13^5 of 13^6 for the n = 3 congruence
   closure at p = 13.  A split action's labels have the same length.
 - Images by table: with two coordinates or more, a state s splits as
-  a * P + b at the digit boundary P nearest sqrt(total), so its coefficient
-  vector is the digitwise sum of those of a * P and b, and each generator's
-  image is the sum of two int64 table entries.  The
-  entries pack the image digits at radix 2 m_i - 1, so the sum has no carry
-  between digits, and two small fold tables map its two halves back to the
-  encoded image; a chunk costs one ``divmod``, four ``np.take`` calls and
-  two adds, with no floating point and no BLAS.
+  a * P + b at the fold cut, the digit boundary P that halves the packed
+  digits below most evenly, so its coefficient vector is the digitwise sum
+  of those of a * P and b, and each generator's image is the sum of two
+  int64 table entries.  The entries pack the image digits at radix
+  2 m_i - 1, so the sum has no carry between digits, and two small fold
+  tables map its two halves, split at the same cut, back to the encoded
+  image; a chunk costs one ``divmod``, four ``np.take`` calls and two adds,
+  with no floating point and no BLAS.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
   work, for the int32 frontiers, and that bound keeps every image in int64.
   The fold tables are int32: each entry is a mixed-radix code of digits mod
@@ -158,13 +159,6 @@ def _discrete_logs(q: int) -> np.ndarray:
     return log
 
 
-def _split_place(moduli) -> int:
-    """The digit boundary P nearest sqrt(total), at which every state splits
-    as s = a * P + b with vec(s) = vec(a * P) + vec(b), digit by digit."""
-    total = math.prod(int(m) for m in moduli)
-    return min(radix_weights(moduli), key=lambda P: (max(-(-total // P), P), P))
-
-
 class _Images(NamedTuple):
     """Image tables of generator matrices acting mod ``moduli`` on encoded states.
 
@@ -241,9 +235,9 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
     """
     weights = np.array(radix_weights(moduli), dtype=np.int64)
     total = int(weights[0] * moduli[0])
-    place = _split_place(moduli)
     radix = [2 * int(m) - 1 for m in moduli]
     cut = min(range(1, len(moduli)), key=lambda j: max(math.prod(radix[:j]), math.prod(radix[j:])))
+    place = math.prod(int(m) for m in moduli[cut:])
     shift = (math.prod(radix[cut:]) - 1).bit_length()
     pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
     lead_hi = lead_lo = None

@@ -301,16 +301,6 @@ def test_rejects_ill_defined_matrix():
     assert not _well_defined(bad, model.moduli)
 
 
-@pytest.mark.parametrize("fam", [Family.HEISENBERG, Family.GP])
-def test_pushed_automorphisms_generate_same_matrix_group(fam):
-    p = 3
-    model = h4_model(fam, p)
-    G = build_group(fam, p)
-    pushed = {push_automorphism(s, model) for s in enumerate_automorphisms(G)}
-    generated = matrix_group_closure(action_generators(fam, p), model.moduli)
-    assert pushed == generated
-
-
 def test_push_p2xp_and_cyclic_automorphisms():
     p = 3
     for fam in (Family.P2XP, Family.CYCLIC):

@@ -131,7 +131,20 @@ def test_split_rank1_member_k_invariant_drives_its_pages(monkeypatch):
     monkeypatch.setattr(lhs_morita, "CASES", CASES[:3] + (relabeled,) + CASES[4:])
     failed = {c.name for c in verify_pages(3) if not c.ok}
     prefix = f"pages.{case.case_id}.elem_abelian."
-    assert failed == {prefix + "cell(0, 3)", prefix + "cell(1, 3)"}
+    assert failed == {prefix + f"cell{cell}" for cell in ((0, 3), (1, 3), (2, 2), (3, 2))}
+
+
+def test_product_rank1_member_k_invariant_drives_its_page3(monkeypatch):
+    # with kappa = 0 the Z/p^2 x Z/p member's d2 vanishes: (0, 3) and (1, 3) survive,
+    # and their images no longer arrive in (2, 2) and (3, 2)
+    case = CASES[3]
+    relabeled = replace(case, realized=tuple(
+        replace(r, k_invariant="0") if r.family is Family.P2XP else r for r in case.realized
+    ))
+    monkeypatch.setattr(lhs_morita, "CASES", CASES[:3] + (relabeled,) + CASES[4:])
+    failed = {c.name for c in verify_pages(3) if not c.ok}
+    prefix = f"pages.{case.case_id}.p2xp.page3."
+    assert failed == {prefix + f"cell{cell}" for cell in ((0, 3), (1, 3), (2, 2), (3, 2))}
 
 
 def _case_rows(case, p):
@@ -219,13 +232,6 @@ def test_triple_component_contents(p, graph_for):
         E.cls((0, 0, 0, 0, 0, 1, 1))
     ).rep == by_fam[Family.ELEM_ABELIAN]
     assert graph.indices[Family.HEISENBERG].orbit_of(H.cls((0, 0, 0, 1))).rep == by_fam[Family.HEISENBERG]
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_consistency_checks(p, graph_for):
-    checks = consistency_checks(graph_for(p))
-    failures = [c for c in checks if not c.ok]
-    assert not failures, "\n".join(c.line() for c in failures)
 
 
 def test_edges_in_omega_failure_names_its_case_and_family(graph_for, monkeypatch):
