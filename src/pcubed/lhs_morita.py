@@ -361,9 +361,9 @@ def _rank2_fourth_pages(x1, x2, y1, y2) -> dict[Family, dict]:
 
 
 def _walk(name, page, r, d, want, p, checks):
-    """E_(r+1) on each cell (a, b) of ``want``, in ``page`` order: d_r: E_r^(a,b) ->
-    E_r^(a+r,b-r+1) leaves the cell when b - r + 1 >= 0 (else it is None), and the
-    images of d_r on cell (a - r, b + r - 1) of ``page`` arrive in it."""
+    """Check E_(r+1) against the survivors ``want`` lists, on each of its cells (a, b) in
+    ``page`` order: d_r: E_r^(a,b) -> E_r^(a+r,b-r+1) leaves the cell when b - r + 1 >= 0
+    (and is 0 otherwise), and the images of d_r on cell (a - r, b + r - 1) arrive in it."""
     for (a, b), domain in page.items():
         if (a, b) in want:
             incoming = [d(el) for el in page.get((a - r, b + r - 1), [])]
