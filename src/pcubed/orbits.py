@@ -3,7 +3,7 @@
 States are mixed-radix encodings of model coefficient vectors (big-endian in
 the fixed basis order, so numeric order on states is lexicographic order on
 coefficient vectors).  Orbits come from a breadth-first closure under the
-generator matrices, vectorized over frontier chunks of ``_CHUNK`` states;
+generator matrices, vectorized over chunks of ``_CHUNK`` states;
 scanning seeds in increasing state order makes every seed the
 lexicographically minimal member of its orbit, which is the canonical
 representative contract the Morita graph relies on.
@@ -12,10 +12,14 @@ representative contract the Morita graph relies on.
   (the table dtype's maximum) found block by block with ``np.flatnonzero``,
   so the scan costs one vector compare per block, not one Python step per
   state.
-- Dedupe by sort: each chunk's unvisited images are sorted and kept where
-  they differ from their left neighbour, so exactly one copy of every new
-  state survives; the survivors are then set to the orbit id, so a later
-  chunk reads them as visited.  Frontiers are int32.
+- Dedupe by sort: each chunk's unvisited images are sorted in place and
+  kept where they differ from their left neighbour, so exactly one copy of
+  every new state survives; the survivors are then set to the orbit id, so a
+  later chunk reads them as visited.
+- A worklist, not levels: an orbit's visited states that are not yet
+  expanded wait in a first-in first-out queue of int32 arrays; the BFS pops
+  one, expands it ``_CHUNK`` states at a time, and appends each chunk's new
+  states as one array, so no level is ever gathered into one frontier.
 - A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
   below the unvisited mark 255; the 256th orbit widens it to int32 once.
   It covers only the states below the end of the last canonical range (all
@@ -27,13 +31,21 @@ representative contract the Morita graph relies on.
   a * P + b at the fold cut, the digit boundary P that halves the packed
   digits below most evenly, so its coefficient vector is the digitwise sum
   of those of a * P and b, and each generator's image is the sum of two
-  int64 table entries.  The entries pack the image digits at radix
-  2 m_i - 1, so the sum has no carry between digits, and two small fold
-  tables map its two halves, split at the same cut, back to the encoded
-  image; a chunk costs one ``divmod``, four ``np.take`` calls and two adds,
-  with no floating point and no BLAS.
+  table entries.  The entries pack the image digits at radix 2 m_i - 1, so
+  the sum has no carry between digits, and two small fold tables map its two
+  halves, split at the same cut, back to the encoded image; a chunk costs
+  one ``divmod``, four ``np.take`` calls and two adds, with no floating point
+  and no BLAS, and its low half is masked in the packed array itself.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
-  work, for the int32 frontiers, and that bound keeps every image in int64.
+  work, for the int32 worklist, and that bound keeps every image in int64.
+  The image tables are int32 when 2 prod(2 m_i - 1), a bound on every packed
+  sum, is below 2^31 (the (Z/13)^6 block and the n = 3 congruence forms at
+  p = 13, not the (Z/17)^6 block), and int64 otherwise.  Steps j of the
+  scalar quotient are int8 (int16 past 128 scalars), and under NEP 50 a
+  narrow array times a Python int keeps its dtype and wraps, so each step is
+  widened to int32 before it is multiplied: by a fold table's width, by the
+  labels' order and by log chi_s, every product below a table's size or
+  (p - 1) (q - 1) < 2^31.
   The fold tables are int32: each entry is a mixed-radix code of digits mod
   m_i, and the two halves' entries add up to the encoded image, so every
   entry and sum is below the state count and exact in int32.
@@ -96,6 +108,7 @@ representative contract the Morita graph relies on.
 """
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -107,7 +120,7 @@ from .h4_models import CohClass, H4Model, action_generators, scalar_action
 from .modular import is_automorphism, is_prime, primitive_root, radix_digits, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
-_CHUNK = 1 << 13  # the generators x chunk int64 image temporaries stay within L2
+_CHUNK = 1 << 13  # the generators x chunk int32 image temporaries stay within L2
 
 
 @dataclass(frozen=True)
@@ -176,27 +189,31 @@ class _Images(NamedTuple):
     """
 
     place: int
-    hi: np.ndarray  # (generators, ceil(total / place)) int64
-    lo: np.ndarray  # (generators, place) int64
+    hi: np.ndarray  # (generators, ceil(total / place)) int32, int64 when packed sums reach 2^31
+    lo: np.ndarray  # (generators, place), the same dtype
     shift: int
     fold_hi: np.ndarray  # flat (|S|, lead_hi.size) int32
     fold_lo: np.ndarray  # flat (|S|, lead_lo.size) int32
-    lead_hi: np.ndarray | None  # None without a scalar quotient
+    lead_hi: np.ndarray | None  # int8 (int16 past 128 scalars); None without a scalar quotient
     lead_lo: np.ndarray | None
 
     def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Encoded images, one row per generator, of the integer ``states``, and
-        the steps j that canonicalised them (None without a scalar quotient)."""
+        """Encoded int32 images, one row per generator, of the integer
+        ``states``, and the steps j that canonicalised them (None without a
+        scalar quotient)."""
         a, b = np.divmod(states, self.place)
         packed = np.take(self.hi, a, axis=1)
         packed += np.take(self.lo, b, axis=1)
-        high, low = packed >> self.shift, packed & ((1 << self.shift) - 1)
+        high = packed >> self.shift
+        low = np.bitwise_and(packed, (1 << self.shift) - 1, out=packed)
         steps = None
         if self.lead_hi is not None:
             steps = np.take(self.lead_hi, high)
-            steps = np.where(steps >= 0, steps, np.take(self.lead_lo, low))
-            high += steps * self.lead_hi.size
-            low += steps * self.lead_lo.size
+            np.copyto(steps, np.take(self.lead_lo, low), where=steps < 0)
+            # row j of a fold table starts at j times its width, below its size < 2^31
+            offset = np.multiply(steps, self.lead_hi.size, dtype=np.int32)
+            high += offset
+            low += np.multiply(steps, self.lead_lo.size, out=offset, dtype=np.int32)
         images = np.take(self.fold_hi, high)
         images += np.take(self.fold_lo, low)
         return images, steps
@@ -205,29 +222,35 @@ class _Images(NamedTuple):
 def _fold_table(radix, moduli, weights, powers) -> np.ndarray:
     """Mixed-radix code of the digits mod ``moduli`` of every number at
     ``radix``, times each of ``powers``: one row per power, flattened."""
-    digits = radix_digits(np.arange(math.prod(radix)), radix) % moduli
-    rows = np.zeros((len(powers), len(digits)), dtype=np.int32)  # codes below total < 2^31
-    for column, m, w in zip(digits.T, moduli.tolist(), weights.tolist()):
-        # (f^j d mod m) w for every power f^j and digit d, looked up per digit
-        rows += np.take(np.outer(powers, np.arange(m)) % m * w, column, axis=1)
+    codes = np.arange(math.prod(radix), dtype=np.int32)
+    rows = np.zeros((len(powers), codes.size), dtype=np.int32)  # codes below total < 2^31
+    for r, place, m, w in zip(radix, radix_weights(radix), moduli.tolist(), weights.tolist()):
+        # (f^j d mod m) w for every power f^j and digit d < r, looked up per digit
+        products = (np.outer(powers, np.arange(r)) % m * w).astype(np.int32)
+        rows += np.take(products, codes // place % r, axis=1)
     return rows.ravel()
 
 
 def _lead_table(radix, p: int, powers, zero: int) -> np.ndarray:
     """The index j of the power f^j that makes the leading nonzero digit mod
     ``p`` of every number at ``radix`` the least of its coset, ``zero`` where
-    there is none."""
-    digits = radix_digits(np.arange(math.prod(radix)), radix) % p
-    lead = digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
+    there is none, in the least signed dtype that holds -|S|."""
+    codes = np.arange(math.prod(radix), dtype=np.int32)
+    lead = np.zeros(codes.size, dtype=np.int32)
+    for r, place in zip(radix[::-1], radix_weights(radix)[::-1]):  # least significant first
+        digit = codes // place % r % p
+        np.copyto(lead, digit, where=digit != 0)
     step = (np.arange(p)[:, None] * np.asarray(powers) % p).argmin(axis=1)
     step[0] = zero
-    return step[lead]
+    return step.astype(np.min_scalar_type(-len(powers)))[lead]
 
 
 def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
     """The ``_Images`` of row-reduced ``mats`` on two coordinates or more,
     built with exact int64 products, canonical under the scalars ``powers``
     (the powers f^j of f, all moduli the prime p) when there is more than one.
+    The image tables are int32 when every packed sum, below 2 prod(2 m_i - 1),
+    fits, and int64 otherwise.
 
     The image tables hold about sqrt(total) entries per generator, and the
     fold tables, one per half of a balanced cut of the digits, about
@@ -240,6 +263,7 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
     place = math.prod(int(m) for m in moduli[cut:])
     shift = (math.prod(radix[cut:]) - 1).bit_length()
     pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
+    dtype = np.int32 if 2 * math.prod(radix) < 2**31 else np.int64
     lead_hi = lead_lo = None
     if len(powers) > 1:
         p = int(moduli[0])
@@ -247,7 +271,7 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
         lead_lo = _lead_table(radix[cut:], p, powers, 0)
 
     def packed_images(codes):
-        return pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])
+        return (pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])).astype(dtype)
 
     return _Images(
         place=place,
@@ -263,6 +287,10 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
 
 def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, character=None):
     """Seed scan over ``ranges`` and chunked BFS over the uint8 ``orbit_id``.
+
+    Each orbit's visited states wait in a first-in first-out worklist of int32
+    arrays, expanded ``_CHUNK`` states at a time, and each chunk's new states
+    join it as one array: the states held are those not yet expanded.
 
     The scan reads only the [start, stop) ``ranges`` of states, where the
     canonical states lie; ``images_of`` returns canonical images, and an
@@ -282,7 +310,7 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
         # divisible[order + t] whether t is 0 mod d: defects are looked up, not reduced
         steps = np.arange(scalars) * log_scalar
         shift = ((np.arange(order) + (log_chi[:, None] + steps)[..., None]) % order).astype(labels.dtype).ravel()
-        firsts = np.arange(len(log_chi))[:, None] * scalars * order  # each generator's first shift entry
+        firsts = np.arange(len(log_chi), dtype=np.int32)[:, None] * (scalars * order)  # each generator's first shift entry
         multiples = np.arange(2 * order)
 
     seeds: list[int] = []
@@ -302,44 +330,43 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
                 orbit_id = np.where(orbit_id == unvisited, np.int32(wide), orbit_id)
                 unvisited = wide
             orbit_id[ptr] = oid
-            frontier = np.array([ptr], dtype=np.int32)
+            pending = deque([np.array([ptr], dtype=np.int32)])  # visited, not yet expanded, first in first out
             size = 1
             d = 1
             if character is not None:
                 # every scalar power fixes the zero state; any other comes back after |S| of them
                 d = math.gcd(order, log_scalar if ptr == 0 else scalars * log_scalar)
                 divisible = multiples % d == 0
-            while frontier.size:
-                new_parts = []
-                for lo in range(0, frontier.size, _CHUNK):
-                    states = frontier[lo : lo + _CHUNK]
+            while pending:
+                expanding = pending.popleft()
+                for lo in range(0, expanding.size, _CHUNK):
+                    states = expanding[lo : lo + _CHUNK]
                     images, steps = images_of(states)
                     images = images.ravel()
                     fresh = np.take(orbit_id, images) == unvisited
-                    cand = np.compress(fresh, images)
-                    new = cand.astype(np.int32)
-                    new.sort()
-                    first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
-                    np.not_equal(new[1:], new[:-1], out=first[1:])
-                    new = new[first]
-                    orbit_id[new] = oid
-                    new_parts.append(new)
+                    new = np.compress(fresh, images).astype(np.int32, copy=False)
                     if d > 1:
                         # any edge into a new state gives it a valid label; once
                         # the gcd is 1 the labels are no longer needed
                         at = np.take(labels, states) + firsts
                         if steps is not None:
-                            at += steps * order
+                            at += np.multiply(steps, order, dtype=np.int32)
                         proposed = np.take(shift, at).ravel()
-                        labels[cand] = np.compress(fresh, proposed)
+                        labels[new] = np.compress(fresh, proposed)
                         # each defect, shifted by order, is in 1..2 order - 1
                         defects = proposed + order
                         defects -= np.take(labels, images)
                         if not np.take(divisible, defects).all():
                             d = math.gcd(d, int(np.gcd.reduce(defects)))
                             divisible = multiples % d == 0
-                frontier = np.concatenate(new_parts)
-                size += frontier.size
+                    new.sort()  # in place, once the labels have read it in image order
+                    first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
+                    np.not_equal(new[1:], new[:-1], out=first[1:])
+                    new = new[first]
+                    if new.size:
+                        orbit_id[new] = oid
+                        size += new.size
+                        pending.append(new)
             seeds.append(ptr)
             sizes.append(size * scalars if ptr else size)
             gcds.append(d)
@@ -382,7 +409,7 @@ def _split_character(block, labels, block_seeds, block_sizes, gcds, log, canonic
         x, b = np.divmod(states, q)
         x, steps = canonical(x)
         orbit = block[x]
-        offset = offsets[rows[orbit], (log[b] + steps * log_scalar - labels[x]) % order]
+        offset = offsets[rows[orbit], (log[b] + np.multiply(steps, log_scalar, dtype=np.int32) - labels[x]) % order]
         return bases[orbit] + np.where(b == 0, 0, offset)
 
     return ids, seeds, sizes

@@ -333,6 +333,15 @@ def test_image_tables_are_bounded(moduli, mats):
     sizes = [images.hi[0].size, images.lo[0].size]
     assert max(sizes) <= math.isqrt(total * top), sizes
     assert max(images.fold_hi.size, images.fold_lo.size) <= fold_bound, (images.fold_hi.size, images.fold_lo.size)
+    # a packed sum is below 2 prod(2 m_i - 1): int32 image tables exactly when that fits
+    narrow = 2 * math.prod(2 * int(m) - 1 for m in moduli) < 2**31
+    assert images.hi.dtype == images.lo.dtype == (np.int32 if narrow else np.int64)
+    if moduli.tolist() == [17] * 6:  # 2 * 33**6 is 2.58G
+        assert images.hi.dtype == np.int64
+    quotient = orbits._scalar_quotient(moduli, mats % moduli[:, None])
+    if quotient is not None:  # the congruence actions carry g I_n
+        canonical = orbits._image_tables(moduli, mats % moduli[:, None], quotient[1])
+        assert canonical.lead_hi.dtype.itemsize <= 2 and canonical.lead_lo.dtype.itemsize <= 2
 
 
 @pytest.mark.parametrize("p", [3, 13, 457])
@@ -657,7 +666,8 @@ def test_more_than_255_orbits_match_union_find(moduli, g, chunk):
 def test_one_coordinate_orbits_take_log_depth(monkeypatch):
     # the cyclic model at p = 11 has orbits of up to 605 states under one
     # multiplier; with its repeated squares as generators each orbit is at
-    # most bit_length(11**3) levels deep, and each level is one image call
+    # most bit_length(11**3) levels deep; the BFS makes one image call per
+    # worklist entry, and each level of so small an orbit is one entry
     calls = []
     bfs = orbits._bfs
 
@@ -702,6 +712,31 @@ def test_split_labels_hold_their_shifted_defects(q):
     mats = [np.diag([2, pow(g, (q - 1) // 2, q)]), np.diag([1, pow(g, q - 5, q)])]
     assert orbits._splits_off(np.array([3, q]), np.stack(mats))
     _check_against_union_find([3, q], mats, orbits._CHUNK)
+
+
+def test_wide_scalar_steps_match_union_find():
+    # a split (Z/19)^2 block quotiented by S = <2 I>, 18 scalars as 2 is a
+    # primitive root mod 19, with chi_s = g**11 mod 23: a step j up to 17 times
+    # log chi_s = 11 or q - 1 = 22 passes 127, so each narrow step must be
+    # widened before it is multiplied
+    g = primitive_root(23)
+    shear, swap, scalar = np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)[[1, 0, 2]], np.diag([2, 2, pow(g, 11, 23)])
+    shear[0, 1] = 1
+    moduli, mats = [19, 19, 23], [shear, swap, scalar]
+    assert orbits._splits_off(np.array(moduli), np.stack(mats))
+    _, powers = orbits._scalar_quotient(np.array(moduli[:2]), np.stack(mats)[:, :2, :2])
+    assert len(powers) == 18
+    _check_against_union_find(moduli, mats, orbits._CHUNK)
+
+
+def test_lead_tables_widen_past_128_scalars():
+    # S = F_257^*, 256 scalars: the steps run to 255 and need int16
+    powers = [pow(3, j, 257) for j in range(256)]
+    lead = orbits._lead_table([2 * 257 - 1], 257, powers, -1)
+    assert lead.dtype == np.int16
+    digits = np.arange(2 * 257 - 1) % 257
+    expected = [-1 if d == 0 else min(range(256), key=lambda j: d * powers[j] % 257) for d in digits.tolist()]
+    assert lead.tolist() == expected
 
 
 def _logs_one_step_at_a_time(q):
