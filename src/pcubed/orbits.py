@@ -219,15 +219,21 @@ class _Images(NamedTuple):
         return images, steps
 
 
+def _digit_columns(radix):
+    """The big-endian digits at ``radix`` of every number below its
+    product, one int32 column per place."""
+    codes = np.arange(math.prod(radix), dtype=np.int32)
+    for r, place in zip(radix, radix_weights(radix)):
+        yield codes // place % r
+
+
 def _fold_table(radix, moduli, weights, powers) -> np.ndarray:
     """Mixed-radix code of the digits mod ``moduli`` of every number at
     ``radix``, times each of ``powers``: one row per power, flattened."""
-    codes = np.arange(math.prod(radix), dtype=np.int32)
-    rows = np.zeros((len(powers), codes.size), dtype=np.int32)  # codes below total < 2^31
-    for r, place, m, w in zip(radix, radix_weights(radix), moduli.tolist(), weights.tolist()):
+    rows = np.zeros((len(powers), math.prod(radix)), dtype=np.int32)  # codes below total < 2^31
+    for column, r, m, w in zip(_digit_columns(radix), radix, moduli.tolist(), weights.tolist()):
         # (f^j d mod m) w for every power f^j and digit d < r, looked up per digit
-        products = (np.outer(powers, np.arange(r)) % m * w).astype(np.int32)
-        rows += np.take(products, codes // place % r, axis=1)
+        rows += np.take((np.outer(powers, np.arange(r)) % m * w).astype(np.int32), column, axis=1)
     return rows.ravel()
 
 
@@ -235,11 +241,9 @@ def _lead_table(radix, p: int, powers, zero: int) -> np.ndarray:
     """The index j of the power f^j that makes the leading nonzero digit mod
     ``p`` of every number at ``radix`` the least of its coset, ``zero`` where
     there is none, in the least signed dtype that holds -|S|."""
-    codes = np.arange(math.prod(radix), dtype=np.int32)
-    lead = np.zeros(codes.size, dtype=np.int32)
-    for r, place in zip(radix[::-1], radix_weights(radix)[::-1]):  # least significant first
-        digit = codes // place % r % p
-        np.copyto(lead, digit, where=digit != 0)
+    lead = np.zeros(math.prod(radix), dtype=np.int32)
+    for column in _digit_columns(radix):
+        np.copyto(lead, column % p, where=lead == 0)  # kept once a digit is nonzero
     step = (np.arange(p)[:, None] * np.asarray(powers) % p).argmin(axis=1)
     step[0] = zero
     return step.astype(np.min_scalar_type(-len(powers)))[lead]
@@ -330,7 +334,7 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
                 orbit_id = np.where(orbit_id == unvisited, np.int32(wide), orbit_id)
                 unvisited = wide
             orbit_id[ptr] = oid
-            pending = deque([np.array([ptr], dtype=np.int32)])  # visited, not yet expanded, first in first out
+            pending = deque([np.array([ptr], dtype=np.int32)])  # visited, not yet expanded
             size = 1
             d = 1
             if character is not None:
