@@ -37,7 +37,8 @@ representative contract the Morita graph relies on.
   one ``divmod``, four ``np.take`` calls and two adds, with no floating point
   and no BLAS, and its low half is masked in the packed array itself.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
-  work, for the int32 worklist, and that bound keeps every image in int64.
+  work, for the int32 worklist, and that bound keeps every packed sum in
+  int64.
   The image tables are int32 when 2 prod(2 m_i - 1), a bound on every packed
   sum, is below 2^31 (the (Z/13)^6 block and the n = 3 congruence forms at
   p = 13, not the (Z/17)^6 block), and int64 otherwise.  Steps j of the
