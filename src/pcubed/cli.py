@@ -45,14 +45,21 @@ from .quadforms import congruence_invariant, count_congruence_classes, represent
 from .report import CheckResult, render
 
 
+def _decimal(text: str) -> int:
+    """A command-line integer: ASCII digits only, so no sign, space, underscore or empty string."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_primes(text: str) -> list[int]:
     """The -p list of every subcommand: comma-separated odd primes."""
+    if not text:
+        raise ValueError("empty prime list")
     try:
-        primes = [int(tok) for tok in text.split(",") if tok]
+        primes = [_decimal(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"bad prime list {text!r}") from None
-    if not primes:
-        raise ValueError("empty prime list")
     bad = [p for p in primes if p == 2 or not is_prime(p)]
     if bad:
         raise ValueError(f"-p takes odd primes only, got {', '.join(map(str, bad))}")
@@ -66,7 +73,7 @@ def _parse_corrupt(spec: str, p: int) -> tuple[Family, int, int]:
     """The --corrupt 'family:row:col' spec, with row and col inside the model."""
     try:
         name, row, col = spec.split(":")
-        fam, row, col = Family.parse(name), int(row), int(col)
+        fam, row, col = Family.parse(name), _decimal(row), _decimal(col)
     except ValueError:
         raise ValueError(f"--corrupt takes family:row:col, got {spec!r}") from None
     k = len(h4_model(fam, p).basis)

@@ -2,16 +2,16 @@
 
 Elements are normal-form exponent tuples mapped to dense indices, with the
 full product table precomputed, so every downstream loop pays O(1) per
-product.  Automorphisms and normal abelian subgroups are found by brute
-force over generator images of the right element orders.  The search is
-batched per image of the first searched generator: every choice of the other
-images is one row of a numpy batch, and each row is extended by normal form
-to an image array img, which is a homomorphism iff
-img(g x) = img(g) img(x) for every normal-form generator g and every x: the
-generators generate G, so the rows of the generators in the multiplication
-table are enough.  A homomorphism is an isomorphism iff img is a permutation.
-The defining relations are read only by ``GroupTable.validate``, which checks
-the presentation.
+product.  One closure search yields the normal abelian subgroups, the least
+generators of each, and so its type.  Automorphisms are found by brute force
+over generator images of the right element orders, batched per image of the
+first searched generator: every choice of the other images is one row of a
+numpy batch, and each row is extended by normal form to an image array img,
+which is a homomorphism iff img(g x) = img(g) img(x) for every normal-form
+generator g and every x: the generators generate G, so the rows of the
+generators in the multiplication table are enough.  A homomorphism is an
+isomorphism iff img is a permutation.  The defining relations are read only
+by ``GroupTable.validate``, which checks the presentation.
 """
 
 from dataclasses import dataclass, field
@@ -320,58 +320,28 @@ class SubgroupClass:
     generator_words: tuple[str, ...]
 
 
-def _abelian_type(G: GroupTable, S: frozenset) -> tuple[int, ...]:
-    # S is a proper nontrivial subgroup of a group of order p^3: order p or p^2
-    size = len(S)
-    p = G.p
-    exponent = max(G.element_order(s) for s in S)
-    if size == p:
-        return (p,)
-    return (p**2,) if exponent == p**2 else (p, p)
-
-
-def _minimal_generators(G: GroupTable, S: frozenset) -> tuple[int, ...]:
-    members = sorted(S)
-    for g in members:
-        if len(G.closure([g])) == len(S):
-            return (g,)
-    for g in members:
-        for h in members:
-            if h <= g:
-                continue
-            if len(G.closure([g, h])) == len(S):
-                return (g, h)
-    return tuple(members)  # not reached for order <= p^2
-
-
-def normal_abelian_subgroups(G: GroupTable) -> list[frozenset]:
-    """All proper nontrivial normal abelian subgroups, sorted for determinism."""
+def normal_abelian_subgroups(G: GroupTable) -> dict[frozenset, tuple[int, ...]]:
+    """Every proper nontrivial normal subgroup, sorted by (order, members), with its
+    least generators: one iff it is cyclic.  Its order is p or p^2, so it is abelian."""
     n = G.order
-    # <g, h> depends only on <g> and <h>: one pair per pair of cyclic
-    # subgroups, each given by its least generator
-    cyclic: dict[frozenset, int] = {}
+    # <g, h> depends only on <g> and <h>, so close the cyclic subgroups' least generators
+    # pairwise in increasing order: the first generators to reach a subgroup are its least
+    gens: dict[frozenset, tuple[int, ...]] = {}
     for g in range(n):
-        if g != G.identity:
-            cyclic.setdefault(G.closure([g]), g)
-    subgroups = set(cyclic)
-    small = [g for C, g in cyclic.items() if len(C) <= G.p**2]
+        S = G.closure([g])
+        if 1 < len(S) < n:
+            gens.setdefault(S, (g,))
+    small = [g for S, (g,) in gens.items() if len(S) <= G.p**2]
     for g, h in combinations(small, 2):
         S = G.closure([g, h])
         if len(S) < n:
-            subgroups.add(S)
-    out = []
-    for S in subgroups:
-        if not 1 < len(S) < n:
-            continue
+            gens.setdefault(S, (g, h))
+    out = {}
+    for S in sorted(gens, key=lambda S: (len(S), sorted(S))):
         mem = np.fromiter(S, dtype=np.int64)
-        products = G.mul[np.ix_(mem, mem)]
-        if not np.array_equal(products, products.T):
-            continue
-        conjugates = G.mul[G.mul[:, mem], G.inv[:, None]]  # g s g^-1 for every g in G, s in S
-        if not np.isin(conjugates, mem).all():
-            continue
-        out.append(S)
-    return sorted(out, key=lambda S: (len(S), sorted(S)))
+        if np.isin(G.mul[G.mul[:, mem], G.inv[:, None]], mem).all():  # g s g^-1 in S for all g, s
+            out[S] = gens[S]
+    return out
 
 
 def normal_abelian_subgroup_classes(
@@ -383,19 +353,16 @@ def normal_abelian_subgroup_classes(
         automorphisms = enumerate_automorphisms(G)
     unassigned = set(subgroups)
     classes = []
-    for S in subgroups:
+    for S, gens in subgroups.items():  # in sorted order, so S is the least member of its class
         if S not in unassigned:
             continue
         orbit = set(map(frozenset, automorphisms[:, np.fromiter(S, dtype=np.int64)].tolist()))
         unassigned -= orbit
-        members = tuple(sorted(orbit, key=sorted))
-        rep = min(members, key=sorted)
-        gens = _minimal_generators(G, rep)
         classes.append(
             SubgroupClass(
-                isomorphism_type=_abelian_type(G, rep),
-                representative=rep,
-                members=members,
+                isomorphism_type=(len(S),) if len(gens) == 1 else (G.p, G.p),
+                representative=S,
+                members=tuple(sorted(orbit, key=sorted)),
                 generator_words=tuple(G.word(g) for g in gens),
             )
         )

@@ -1,9 +1,10 @@
 """Brute-force oracles that only the tests compare the library against:
-group isomorphism, the closure of a matrix group, and congruence of
-quadratic forms by search over GL(n, p) and by closure under its generators.
+group isomorphism, a subgroup's least generators, the closure of a matrix
+group, and congruence of quadratic forms by search over GL(n, p) and by
+closure under its generators.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -21,6 +22,19 @@ def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
     if len(center(G)) != len(center(H)):
         return False
     return next(_isomorphisms(G, H), None) is not None
+
+
+def least_generators(G: GroupTable, S: frozenset) -> tuple[int, ...]:
+    """The least member of S that generates it, else the least pair that
+    does, by closing every member and every pair of members in turn."""
+    members = sorted(S)
+    for g in members:
+        if G.closure([g]) == S:
+            return (g,)
+    for g, h in combinations(members, 2):
+        if G.closure([g, h]) == S:
+            return (g, h)
+    raise AssertionError(f"a subgroup of order {len(S)} needs more than two generators")
 
 
 def matrix_group_closure(gens, moduli) -> set:

@@ -232,8 +232,21 @@ def test_a_repeated_prime_is_a_one_line_usage_error(capsys, command, primes, rep
     assert captured.err == f"pcubed: -p takes each prime once, got {repeated} more than once\n"
 
 
+@pytest.mark.parametrize("primes", ["1_1", "3,,5", "3,", "+3", ",", "x", ""])
+def test_a_malformed_prime_list_is_a_one_line_usage_error(capsys, primes):
+    # every token is ASCII digits: int() would read 1_1 as 11 and +3 as 3, and empty tokens were dropped
+    assert main(["classify", "-p", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("pcubed: empty prime list\n" if not primes else f"pcubed: bad prime list {primes!r}\n")
+
+
 @pytest.mark.parametrize(
-    "spec", ["heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2", ""]
+    "spec",
+    [
+        "heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2", "",
+        "heisenberg:0_1:2", "heisenberg:+1:2", "heisenberg: 1:2",
+    ],
 )
 def test_verify_bad_corrupt_spec_is_a_one_line_usage_error(capsys, spec):
     assert main(["verify", "-p", "3", "--corrupt", spec]) == 2

@@ -16,7 +16,7 @@ from pcubed.groups import (
     normal_abelian_subgroups,
 )
 
-from oracles import are_isomorphic
+from oracles import are_isomorphic, least_generators
 
 AUT_ORDERS_P3 = {
     Family.CYCLIC: 18,
@@ -188,6 +188,20 @@ def test_normal_abelian_subgroups_are_pinned(fam, p):
     subgroups = normal_abelian_subgroups(build_group(fam, p))
     digest = hashlib.sha256(repr([sorted(S) for S in subgroups]).encode()).hexdigest()
     assert digest == NORMAL_ABELIAN_DIGESTS[p][fam]
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("p", [3, 5])
+def test_each_normal_subgroup_keeps_its_least_generators(fam, p):
+    # the search records the first generators that reach a subgroup; they must be
+    # the least ones, one exactly when the subgroup is cyclic, and the subgroup abelian
+    G = build_group(fam, p)
+    for S, gens in normal_abelian_subgroups(G).items():
+        assert gens == least_generators(G, S)
+        assert (len(gens) == 1) == (max(G.element_order(s) for s in S) == len(S))
+        mem = np.fromiter(S, dtype=np.int64)
+        products = G.mul[np.ix_(mem, mem)]
+        assert np.array_equal(products, products.T)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "pcubed"
 
 # public functions in src that only the tests call, each with its reason
 TEST_SIDE = {
-    "push_automorphism": "test-side until criterion 8 runs in verify (ROADMAP item 5)",
+    "push_automorphism": "test-side until criterion 8 runs in verify (ROADMAP item 9)",
 }
 
 
