@@ -45,10 +45,14 @@ from .quadforms import congruence_invariant, count_congruence_classes, represent
 from .report import CheckResult, render
 
 
+class _NotDecimal(ValueError, argparse.ArgumentTypeError):
+    """A ValueError that argparse reports by its message, not by the type function's name."""
+
+
 def _decimal(text: str) -> int:
     """A command-line integer: ASCII digits only, so no sign, space, underscore or empty string."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise _NotDecimal(f"not a decimal integer: {text!r}")
     return int(text)
 
 
@@ -295,13 +299,13 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("quadforms", help="congruence classes of quadratic forms")
     common(sp)
-    sp.add_argument("-n", type=int, default=3, choices=(1, 2, 3))
+    sp.add_argument("-n", type=_decimal, default=3, choices=(1, 2, 3))
     sp.add_argument("--which-h", action="store_true", help="print the h selection")
     sp.set_defaults(fn=cmd_quadforms)
 
     for name in ("classify", "morita", "verify"):  # the subcommands that enumerate orbits
         sub.choices[name].add_argument(
-            "--max-states", type=int, default=DEFAULT_MAX_STATES, help="orbit state-space bound"
+            "--max-states", type=_decimal, default=DEFAULT_MAX_STATES, help="orbit state-space bound"
         )
 
     try:

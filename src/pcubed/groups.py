@@ -130,8 +130,8 @@ class GroupTable:
     p: int
     order: int
     exps: np.ndarray          # (order, k) normal-form exponents
-    mul: np.ndarray           # (order, order) int32
-    inv: np.ndarray           # (order,)
+    mul: np.ndarray           # (order, order) int16, as is every element index
+    inv: np.ndarray           # (order,) int16
     identity: int
     gen_names: dict[str, int]
     gen_labels: tuple[str, ...] = field(repr=False)
@@ -218,10 +218,10 @@ def build_group(family: Family, p: int) -> GroupTable:
     exps = radix_digits(np.arange(order), radices)
     weights = np.array(radix_weights(radices), dtype=np.int64)
 
-    mul = (_mul_exps(family, p, exps[:, None, :], exps[None, :, :]) @ weights).astype(np.int32)
+    mul = (_mul_exps(family, p, exps[:, None, :], exps[None, :, :]) @ weights).astype(np.int16)
 
     identity = 0
-    inv = np.argmax(mul == identity, axis=1).astype(np.int64)
+    inv = np.argmax(mul == identity, axis=1).astype(np.int16)
 
     labels = _gen_labels(family)
     # generator pos has exponent vector e_pos, which encodes to weights[pos]
@@ -268,7 +268,7 @@ def center(G: GroupTable) -> frozenset:
 
 
 def _isomorphisms(G: GroupTable, H: GroupTable):
-    """The isomorphisms G -> H as int32 arrays of element images, one row each,
+    """The isomorphisms G -> H as int16 arrays of element images, one row each,
     in lexicographic order of the searched generator images (each running over
     the elements of H of its order).
 
@@ -288,10 +288,10 @@ def _isomorphisms(G: GroupTable, H: GroupTable):
         if heisenberg:
             a, b = images["A"], images["B"]
             images["C"] = H.mul[H.mul[a, b], H.inv[H.mul[b, a]]]
-        img = np.full((grids[0].size, G.order), H.identity, dtype=np.int64)
+        img = np.full((grids[0].size, G.order), H.identity, dtype=H.mul.dtype)
         for pos, label in enumerate(G.gen_labels):
             # tab[:, e] = image^e, so g1^e1...gk^ek -> im1^e1...imk^ek row by row
-            tab = np.empty((img.shape[0], int(G.exps[:, pos].max()) + 1), dtype=np.int64)
+            tab = np.empty((img.shape[0], int(G.exps[:, pos].max()) + 1), dtype=H.mul.dtype)
             tab[:, 0] = H.identity
             for e in range(1, tab.shape[1]):
                 tab[:, e] = H.mul[tab[:, e - 1], images[label]]
@@ -299,13 +299,13 @@ def _isomorphisms(G: GroupTable, H: GroupTable):
         hom = np.all(H.mul[img[:, gens][:, :, None], img[:, None, :]] == img[:, G.mul[gens]], axis=(1, 2))
         ordered = np.sort(img, axis=1)
         bijective = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-        found = img[hom & bijective]
+        found = img[hom & bijective]  # a copy, so the batch is not kept alive
         if len(found):
-            yield found.astype(np.int32, copy=False)
+            yield found
 
 
 def enumerate_automorphisms(G: GroupTable) -> np.ndarray:
-    """Every automorphism as one int32 row of element images, in the
+    """Every automorphism as one int16 row of element images, in the
     deterministic order of the generator-image search."""
     return np.concatenate(list(_isomorphisms(G, G)))
 
@@ -347,7 +347,11 @@ def normal_abelian_subgroups(G: GroupTable) -> dict[frozenset, tuple[int, ...]]:
 def normal_abelian_subgroup_classes(
     G: GroupTable, automorphisms: np.ndarray | None = None
 ) -> list[SubgroupClass]:
-    """Partition the normal abelian subgroups into Aut(G)-equivalence classes."""
+    """Partition the normal abelian subgroups into Aut(G)-equivalence classes.
+
+    An automorphism sigma sends S to the normal subgroup of S's order generated by
+    the images of S's generators, which is the one such subgroup holding them all:
+    so S's orbit is read off the generator columns, with no image set built."""
     subgroups = normal_abelian_subgroups(G)
     if automorphisms is None:
         automorphisms = enumerate_automorphisms(G)
@@ -356,7 +360,8 @@ def normal_abelian_subgroup_classes(
     for S, gens in subgroups.items():  # in sorted order, so S is the least member of its class
         if S not in unassigned:
             continue
-        orbit = set(map(frozenset, automorphisms[:, np.fromiter(S, dtype=np.int64)].tolist()))
+        images = automorphisms[:, list(gens)]
+        orbit = {T for T in unassigned if len(T) == len(S) and np.isin(images, list(T)).all(axis=1).any()}
         unassigned -= orbit
         classes.append(
             SubgroupClass(

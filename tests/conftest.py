@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +57,30 @@ def class_count_for():
 def congruence_ids_for():
     """Cached brute-force congruence partitions of all n x n forms, one per (n, p)."""
     return _congruence_ids
+
+
+def _peak_rss_growth(setup: str, call: str) -> int:
+    """Bytes by which a fresh child's peak RSS grows across the statement call, run
+    after setup.  The child reads its own high-water mark, VmHWM: its ru_maxrss would
+    start from this process's peak, which exec keeps, and so read 0 here."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    code = (
+        f"{setup}\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "base = peak()\n"
+        f"{call}\n"
+        "print(peak() - base)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024  # VmHWM is in kB
+
+
+@pytest.fixture(scope="session")
+def peak_rss_growth():
+    """Peak RSS growth, in bytes, of a fresh child across one statement."""
+    return _peak_rss_growth

@@ -1,7 +1,7 @@
 """Brute-force oracles that only the tests compare the library against:
-group isomorphism, a subgroup's least generators, the closure of a matrix
-group, and congruence of quadratic forms by search over GL(n, p) and by
-closure under its generators.
+group isomorphism, a subgroup's least generators, a subgroup's orbit as the
+set of its images, the closure of a matrix group, and congruence of quadratic
+forms by search over GL(n, p) and by closure under its generators.
 """
 
 from itertools import combinations, product
@@ -35,6 +35,11 @@ def least_generators(G: GroupTable, S: frozenset) -> tuple[int, ...]:
         if G.closure([g, h]) == S:
             return (g, h)
     raise AssertionError(f"a subgroup of order {len(S)} needs more than two generators")
+
+
+def subgroup_orbit(automorphisms: np.ndarray, S: frozenset) -> set:
+    """The image of S under every automorphism row, each as a frozenset."""
+    return set(map(frozenset, automorphisms[:, np.fromiter(S, dtype=np.int64)].tolist()))
 
 
 def matrix_group_closure(gens, moduli) -> set:

@@ -242,6 +242,25 @@ def test_a_malformed_prime_list_is_a_one_line_usage_error(capsys, primes):
 
 
 @pytest.mark.parametrize(
+    "command, option, value",
+    [("classify", "--max-states", v) for v in ("1_0", "+10", " 10", "")] + [("quadforms", "-n", v) for v in (" +3", "1_0")],
+)
+def test_an_integer_option_takes_ascii_digits_only(capsys, command, option, value):
+    # as -p and --corrupt: int() would read 1_0 as 10, +10 as 10 and " +3" as 3
+    assert main([command, "-p", "3", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: argument {option}: not a decimal integer: {value!r}\n"
+
+
+def test_quadforms_rank_outside_its_choices_is_a_one_line_usage_error(capsys):
+    assert main(["quadforms", "-n", "4", "-p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcubed: argument -n: invalid choice: 4 (choose from 1, 2, 3)\n"
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         "heisenberg:9:9", "heisenberg:1:4", "heisenberg:-1:0", "heisenberg:1", "heisenberg:a:2", "nope:1:2", "",

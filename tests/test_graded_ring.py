@@ -1,9 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,21 +273,13 @@ def test_identity_suite_builds_the_same_number_of_ring_maps_at_every_p(monkeypat
     assert len(set(counts.values())) == 1, counts
 
 
-def test_the_identity_suite_never_holds_a_whole_sweep():
-    # a fresh child, so ru_maxrss grows from the post-import baseline; at p = 17
-    # the Z/p^2 x Z/p sweep has 17**3 * 16**2 tuples, over 100 MiB as a list,
-    # of which the stride sample keeps 3993
-    code = (
-        "import resource\n"
-        "from pcubed.graded_ring import verify_identity_suite\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "assert all(check.ok for check in verify_identity_suite(17))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+def test_the_identity_suite_never_holds_a_whole_sweep(peak_rss_growth):
+    # at p = 17 the Z/p^2 x Z/p sweep has 17**3 * 16**2 tuples, over 100 MiB as a
+    # list, of which the stride sample keeps 3993
+    growth = peak_rss_growth(
+        "from pcubed.graded_ring import verify_identity_suite",
+        "assert all(check.ok for check in verify_identity_suite(17))",
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    growth = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
     assert growth < 24 * 2**20, f"{growth / 2**20:.1f} MiB"
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from pcubed.groups import (
     FAMILIES,
+    GROUP_TABLE_MAX_P,
     Family,
     build_group,
     _isomorphisms,
@@ -16,7 +17,9 @@ from pcubed.groups import (
     normal_abelian_subgroups,
 )
 
-from oracles import are_isomorphic, least_generators
+from pcubed.modular import is_prime
+
+from oracles import are_isomorphic, least_generators, subgroup_orbit
 
 AUT_ORDERS_P3 = {
     Family.CYCLIC: 18,
@@ -153,6 +156,38 @@ def test_subgroup_class_shapes_p5():
         classes = normal_abelian_subgroup_classes(build_group(fam, 5))
         got = sorted((c.isomorphism_type, len(c.members)) for c in classes)
         assert got == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "fam, p", [(fam, 3) for fam in FAMILIES] + [(fam, 5) for fam in FAMILIES if fam is not Family.ELEM_ABELIAN]
+)
+def test_subgroup_class_members_are_the_images_of_the_representative(fam, p):
+    # the classes read each orbit off the generator images; the reference maps every
+    # member of the representative and collects the image sets ((Z/5)^3 has 1,488,000 rows)
+    G = build_group(fam, p)
+    auts = enumerate_automorphisms(G)
+    classes = normal_abelian_subgroup_classes(G, automorphisms=auts)
+    for c in classes:
+        assert set(c.members) == subgroup_orbit(auts, c.representative)
+        assert len(set(c.members)) == len(c.members)
+    assert sum(len(c.members) for c in classes) == len(normal_abelian_subgroups(G))
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, GROUP_TABLE_MAX_P + 1) if is_prime(p)])
+def test_group_tables_and_automorphism_rows_hold_int16_indices(p):
+    # every element index is below p^3 <= 343; the rows are enumerated where Aut(G) is small
+    # at every p (at p = 7 the other three families have 12,348 to 33,784,128 automorphisms)
+    for fam in FAMILIES:
+        G = build_group(fam, p)
+        assert G.mul.dtype == G.inv.dtype == np.int16
+        if fam in (Family.CYCLIC, Family.GP) or p == 3:
+            assert enumerate_automorphisms(G).dtype == np.int16
+
+
+def test_the_p3_group_oracles_grow_peak_rss_under_3_5_mib(peak_rss_growth):
+    # int32 rows, and every automorphism's image set of a subgroup held at once, grew it 3.9 MiB
+    growth = peak_rss_growth("from pcubed import cli", "assert all(check.ok for check in cli._group_oracles(3))")
+    assert growth < 3.5 * 2**20, f"{growth / 2**20:.1f} MiB"
 
 
 # sha256 of repr([sorted(S) for S in normal_abelian_subgroups(G)]), written

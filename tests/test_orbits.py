@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -245,20 +241,11 @@ def test_a_large_prime_is_refused_before_its_generators(call):
             call()
 
 
-def test_the_congruence_closure_costs_under_four_bytes_per_state():
-    # a fresh child, so ru_maxrss grows from the post-import baseline; an int32
-    # id table alone would take 4 bytes for each of the 13**6 forms
-    code = (
-        "import resource\n"
-        "from pcubed.quadforms import count_congruence_classes\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "assert count_congruence_classes(3, 13) == 7\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+def test_the_congruence_closure_costs_under_four_bytes_per_state(peak_rss_growth):
+    # an int32 id table alone would take 4 bytes for each of the 13**6 forms
+    growth = peak_rss_growth(
+        "from pcubed.quadforms import count_congruence_classes", "assert count_congruence_classes(3, 13) == 7"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    growth = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
     assert growth < 4 * 13**6, f"{growth / 2**20:.1f} MiB"
 
 
