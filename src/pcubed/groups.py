@@ -130,7 +130,7 @@ class GroupTable:
     p: int
     order: int
     exps: np.ndarray          # (order, k) normal-form exponents
-    mul: np.ndarray           # (order, order) int16, as is every element index
+    mul: np.ndarray           # (order, order) int16, as are the automorphism rows
     inv: np.ndarray           # (order,) int16
     identity: int
     gen_names: dict[str, int]
