@@ -4,7 +4,10 @@ classify, morita and verify build their orbit indices in ``_orbit_indices``
 (under --max-states, with verify's --corrupt applied), and every pass or fail
 is a ``CheckResult``.  ``_count_checks`` judges each family's orbit count
 against the published one: verify prints those checks, and classify marks a
-failed one MISMATCH and, under --check, exits 1 on it.
+failed one MISMATCH and, under --check, exits 1 on it.  verify reads its
+congruence class counts off the same indices (``_congruence_counts``): the
+orbits on which a twist coordinate of the G_p, Heisenberg or (Z/p)^3 model is 0
+are the classes of quadratic forms of rank <= 1, 2 or 3.
 
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
 2 on every usage error, argparse's included, and on an -o path or stdout that
@@ -41,7 +44,7 @@ from .orbits import (
     orbit_rows,
     require_state_space,
 )
-from .quadforms import congruence_invariant, count_congruence_classes, representatives, select_h
+from .quadforms import congruence_invariant, representatives, select_h
 from .report import CheckResult, render
 
 
@@ -201,6 +204,24 @@ def _count_checks(p: int, indices) -> list[CheckResult]:
     ]
 
 
+# per form dimension n, the model and the basis class of its twist coordinate:
+# the action fixes the coordinate, and on the states where it is 0 it is the
+# congruence action of GL(n, p) on the quadratic coordinates (with the scalars
+# for (Z/p)^3), so the orbits there are the congruence classes of rank <= n
+_TWISTS = {1: (Family.GP, "gamma^2"), 2: (Family.HEISENBERG, "chi"), 3: (Family.ELEM_ABELIAN, "b(x1x2x3)")}
+
+
+def _congruence_counts(indices) -> dict[int, int]:
+    """The number of congruence classes of rank <= n forms, per n, read off the
+    orbit indices: the orbits whose representative has its twist coordinate 0,
+    which then holds on the whole orbit."""
+    counts = {}
+    for n, (fam, label) in _TWISTS.items():
+        col = indices[fam].model.basis.index(label)
+        counts[n] = sum(orbit.rep.coeffs[col] == 0 for orbit in indices[fam].orbits)
+    return counts
+
+
 def _orbit_checks(p: int, indices) -> list[CheckResult]:
     """What verify checks on the orbit indices: the per-family orbit counts, then
     the Morita class counts and the consistency checks of their graph."""
@@ -215,12 +236,16 @@ def cmd_verify(args) -> int:
         for fam in FAMILIES:
             checks += cross_check_actions(fam, p)
         checks += verify_pages(p)
-        checks += _orbit_checks(p, _orbit_indices(args, p))
+        indices = _orbit_indices(args, p)
+        checks += _orbit_checks(p, indices)
+        classes = _congruence_counts(indices)
+        del indices  # this prime's orbit indices, before the group oracles and the next prime's BFS
         for n in (1, 2, 3):
             reps_n = representatives(n, p)
             invs = {congruence_invariant(q) for q in reps_n}
-            # the representatives are 2n + 1 by construction; the orbit count of all forms is not
-            ok = len(reps_n) == len(invs) == count_congruence_classes(n, p) == 2 * n + 1
+            # the representatives are 2n + 1 by construction; the class count, read off
+            # the model orbits with twist coordinate 0, is not
+            ok = len(reps_n) == len(invs) == classes[n] == 2 * n + 1
             checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", ok, f"{len(reps_n)} representatives"))
         if p == 3:
             checks += _group_oracles(p)

@@ -23,11 +23,10 @@ monomial is kept while any entry of its coefficient is nonzero, and ``==`` and
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
 
 import numpy as np
 
-from .modular import units
+from .modular import radix_digits, units
 from .report import CheckResult
 
 MAX_TUPLES = 4000  # parametrized identities above this many tuples are stride-sampled
@@ -292,10 +291,39 @@ def k_invariants(x1, x2, y1, y2) -> dict[str, GradedElement]:
 # the identity suite
 
 
-def _gl2(p: int):
-    for a, b, c, d in product(range(p), repeat=4):
-        if (a * d - b * c) % p:
-            yield (a, b), (c, d)
+def _stride_positions(length: int) -> np.ndarray:
+    """Positions of the stride sample of a sweep of ``length`` tuples: every
+    stride-th from the first, all of them when there are at most MAX_TUPLES."""
+    return np.arange(0, length, 1 if length <= MAX_TUPLES else length // MAX_TUPLES + 1)
+
+
+def rho_sample(p: int) -> np.ndarray:
+    """The stride sample of the rho parameters (i, j, k, l), i a unit mod p^2,
+    j, k mod p and l a unit mod p, taken in lexicographic order, as a (B, 4)
+    int64 array: the tuple at position t has the mixed-radix digits of t."""
+    i_units, l_units = np.array(units(p * p)), np.array(units(p))
+    radix = (len(i_units), p, p, len(l_units))
+    i, j, k, l = np.moveaxis(radix_digits(_stride_positions(i_units.size * p * p * l_units.size), radix), -1, 0)
+    return np.stack([i_units[i], j, k, l_units[l]], axis=-1)
+
+
+def gl2_sample(p: int) -> np.ndarray:
+    """The stride sample of GL(2, p), its matrices ((a, b), (c, d)) taken in
+    lexicographic order of (a, b, c, d), as a (B, 2, 2) int64 array.
+
+    Each nonzero first row (a, b) has p^2 - p second rows, those off the line
+    through it: for a = 0 every (c, d) with c != 0, for a != 0 every (c, d)
+    but d = c b / a.  So the matrix at position t has first row the
+    (t // (p^2 - p) + 1)-th pair in order, and its second row is counted off
+    the rest."""
+    per_row = p * p - p
+    first, s = np.divmod(_stride_positions((p * p - 1) * per_row), per_row)
+    a, b = np.divmod(first + 1, p)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    c = np.where(a == 0, 1 + s // p, s // (p - 1))
+    j = s % (p - 1)  # the j-th d of row c, skipping the one on the line
+    d = np.where(a == 0, s % p, j + (j >= c * b * inverse[a] % p))
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
 def verify_identity_suite(p: int) -> list[CheckResult]:
@@ -306,7 +334,9 @@ def verify_identity_suite(p: int) -> list[CheckResult]:
     one call, and one batched ring map, covers a whole parameter sweep.
     Parametrized identities run over all parameter tuples when there are at
     most ``MAX_TUPLES`` of them, and over a deterministic stride sample
-    otherwise.  Returns one check per identity.
+    otherwise.  Each sweep is an int64 index array, ``rho_sample`` and
+    ``gl2_sample``, computed from the sample positions alone, so the whole
+    sweep is never built.  Returns one check per identity.
     """
     from .groups import Family
     from .h4_models import h4_model, pullbacks
@@ -316,27 +346,20 @@ def verify_identity_suite(p: int) -> list[CheckResult]:
     def add(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    def sample(items, length):
-        """Every stride-th of the ``length`` items, all of them when there are
-        at most MAX_TUPLES; the sweep is never held whole."""
-        stride = 1 if length <= MAX_TUPLES else length // MAX_TUPLES + 1
-        return list(islice(items, 0, None, stride))
-
     # -- product group Z/p^2 x Z/p: pullbacks on u^2, uv, v^2 ---------------
-    # (i, j, k, l) with i a unit mod p^2, j, k mod p and l a unit mod p
-    tuples = sample(product(units(p * p), range(p), range(p), units(p)), p * (p - 1) * p * p * (p - 1))
+    tuples = rho_sample(p)
     basis = h4_model(Family.P2XP, p).basis
     agree = pullbacks(Family.P2XP, p, tuples).agree
     for col in reversed(range(len(basis))):
         bad = np.flatnonzero(~agree[:, col])
-        detail = f"first failure at (i,j,k,l)={tuples[bad[0]]}" if bad.size else f"{len(tuples)} tuples"
+        detail = f"first failure at (i,j,k,l)={tuple(tuples[bad[0]].tolist())}" if bad.size else f"{len(tuples)} tuples"
         add(f"product_group.pullback.{basis[col]}", not bad.size, detail)
 
     # -- Heisenberg: GL(2,p) pullbacks on chi, z1^2, z2^2, z1z2 --------------
     H = rank2_extension_ring(p, "w", "z", "t")
     w1, w2, z1, z2, t = (H.gen(l) for l in ("w1", "w2", "z1", "z2", "t"))
     kappa = w1 * w2
-    mats = sample(_gl2(p), (p * p - 1) * (p * p - p))
+    mats = gl2_sample(p)
     pb = pullbacks(Family.HEISENBERG, p, mats)
     for label, ok in zip(h4_model(Family.HEISENBERG, p).basis, pb.agree.T):
         add(f"heisenberg.pullback.{label}", ok.all(), f"{len(mats)} matrices")

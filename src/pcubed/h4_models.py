@@ -381,7 +381,7 @@ def pullbacks(family: Family, p: int, params_seq) -> Pullback:
     matrix, reduced mod the moduli, column by column.  Batched: one ring map,
     whose coefficients are arrays over the records, carries the whole sequence."""
     ring, basis = _ring_and_basis(family, p)
-    params = np.array(params_seq, dtype=np.int64)
+    params = np.asarray(params_seq, dtype=np.int64)
     pullback = gr.ring_map(ring, _ring_images(family, params, p))
     symbolic = np.empty((len(params), len(basis), len(basis)), dtype=np.int64)
     for col, el in enumerate(basis):

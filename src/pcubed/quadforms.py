@@ -111,7 +111,10 @@ def count_congruence_classes(n: int, p: int) -> int:
 
     The congruence action of GL(n, p) is linearized on the n(n+1)/2 polynomial
     coefficients by the quadratic substitution z -> g z and closed with the
-    shared BFS engine, which quotients by the scalar g I_n.
+    shared BFS engine, which quotients by the scalar g I_n.  Its callers are
+    the ``quadforms`` benchmark sweep, demo 03 and the tests, where it is the
+    independent count that ``verify``'s, read off the H^4 model orbits with a
+    twist coordinate 0, is compared with.
     """
     require_odd_prime(p)
     require_state_space([p] * (n * (n + 1) // 2), DEFAULT_MAX_STATES)  # before the GL(n, p) generators

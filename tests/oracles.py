@@ -1,16 +1,42 @@
 """Brute-force oracles that only the tests compare the library against:
 group isomorphism, a subgroup's least generators, a subgroup's orbit as the
-set of its images, the closure of a matrix group, and congruence of quadratic
-forms by search over GL(n, p) and by closure under its generators.
+set of its images, the closure of a matrix group, congruence of quadratic
+forms by search over GL(n, p) and by closure under its generators, and the
+identity suite's stride samples taken from the whole sweep.
 """
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
+from pcubed.graded_ring import MAX_TUPLES
 from pcubed.groups import GroupTable, _isomorphisms, center
-from pcubed.modular import gl_generators
+from pcubed.modular import gl_generators, units
 from pcubed.quadforms import QuadForm
+
+
+def stride_sample(items, length: int) -> list:
+    """Every stride-th of the ``length`` items, all of them when there are at
+    most MAX_TUPLES, taken from the iterator one item at a time."""
+    stride = 1 if length <= MAX_TUPLES else length // MAX_TUPLES + 1
+    return list(islice(items, 0, None, stride))
+
+
+def gl2(p: int):
+    """The matrices of GL(2, p), ((a, b), (c, d)) in lexicographic order of (a, b, c, d)."""
+    for a, b, c, d in product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            yield (a, b), (c, d)
+
+
+def rho_sweep_sample(p: int) -> list:
+    """The stride sample of the rho parameters (i, j, k, l) from the whole product."""
+    return stride_sample(product(units(p * p), range(p), range(p), units(p)), p * (p - 1) * p * p * (p - 1))
+
+
+def gl2_sweep_sample(p: int) -> list:
+    """The stride sample of GL(2, p) from its matrices in order."""
+    return stride_sample(gl2(p), (p * p - 1) * (p * p - p))
 
 
 def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from pcubed.cli import _corrupt_generators, _orbit_checks
+from pcubed.cli import _TWISTS, _congruence_counts, _corrupt_generators, _orbit_checks
 from pcubed.graded_ring import verify_identity_suite
 from pcubed.groups import (
     FAMILIES,
@@ -139,9 +139,14 @@ def test_criterion_4_p2xp_orbit_size_multiset(indices_for):
 
 
 def test_criterion_5_quadratic_forms(class_count_for, congruence_ids_for):
-    for n in (1, 2, 3):
-        for p in (3, 5, 7, 11, 13):
-            assert class_count_for(n, p) == 2 * n + 1
+    for p in (3, 5, 7, 11, 13):
+        # verify reads the counts off the twist-zero orbits of the models; the
+        # closure of all forms under GL(n, p) must agree with them
+        twisted = {fam: enumerate_orbits(h4_model(fam, p)) for fam, _ in _TWISTS.values()}
+        from_models = _congruence_counts(twisted)
+        del twisted
+        for n in (1, 2, 3):
+            assert from_models[n] == class_count_for(n, p) == 2 * n + 1
     for p in (3, 5):
         ids = congruence_ids_for(2, p)
         forms = list(ids)

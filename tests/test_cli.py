@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import Family, cli, lhs_morita, orbits
+from pcubed import Family, cli, lhs_morita, orbits, quadforms
 from pcubed.cli import main
 
 # written by the CLI before the Aut(G) generators became one record each; they
@@ -136,13 +137,41 @@ def test_a_count_mismatch_fails_check_and_verify(capsys, monkeypatch):
 
 
 def test_a_congruence_class_count_mismatch_fails_verify(capsys, monkeypatch):
-    # the representatives are 2n + 1 by construction, so the check must also read the orbit count of all forms
-    counted = cli.count_congruence_classes
-    monkeypatch.setattr(cli, "count_congruence_classes", lambda n, p: counted(n, p) + (n == 2))
+    # the representatives are 2n + 1 by construction, so the check must also read the
+    # class count off the orbits: here the Heisenberg index has one chi = 0 orbit too many
+    counts = cli._congruence_counts
+
+    def one_more_chi_zero_orbit(indices):
+        index = indices[Family.HEISENBERG]
+        extra = orbits.Orbit(rep=index.model.cls((0, 1, 0, 0)), size=1)
+        return counts({**indices, Family.HEISENBERG: dataclasses.replace(index, orbits=index.orbits + [extra])})
+
+    monkeypatch.setattr(cli, "_congruence_counts", one_more_chi_zero_orbit)
     code, out = run(capsys, "verify", "-p", "3")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL  quadforms.classes.n2.p3  [5 representatives]"
+    ]
+
+
+def test_verify_runs_no_congruence_closure_of_its_own(capsys, monkeypatch):
+    # the class counts come from the model orbits verify has already enumerated
+    def refuse(n, p):
+        raise AssertionError("verify closed the quadratic forms a second time")
+
+    monkeypatch.setattr(quadforms, "count_congruence_classes", refuse)
+    monkeypatch.setattr(cli, "count_congruence_classes", refuse, raising=False)  # were cli to import it again
+    code, out = run(capsys, "verify", "-p", "3,5")
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_verify_counts_the_congruence_classes_at_p17(capsys):
+    # verify's class counts at a prime past the p <= 13 agreement that test_criterion_5_quadratic_forms checks
+    code, out = run(capsys, "verify", "-p", "17", "--max-states", "893871739")
+    assert code == 0
+    assert [line for line in out.splitlines() if "quadforms.classes" in line] == [
+        f"PASS  quadforms.classes.n{n}.p17  [{2 * n + 1} representatives]" for n in (1, 2, 3)
     ]
 
 

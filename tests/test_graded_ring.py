@@ -23,6 +23,8 @@ from pcubed.graded_ring import (
 )
 from pcubed.groups import Family
 
+from oracles import gl2_sweep_sample, rho_sweep_sample
+
 
 @pytest.fixture
 def ext3():
@@ -271,6 +273,16 @@ def test_identity_suite_builds_the_same_number_of_ring_maps_at_every_p(monkeypat
         verify_identity_suite(p)
         counts[p] = len(calls)
     assert len(set(counts.values())) == 1, counts
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_the_sweep_samples_are_the_stride_samples_of_the_whole_sweeps(p):
+    # the index arithmetic picks the same tuples, in the same order, as
+    # striding through the whole product
+    for sample, oracle in ((graded_ring.rho_sample, rho_sweep_sample), (graded_ring.gl2_sample, gl2_sweep_sample)):
+        arr = sample(p)
+        assert arr.dtype == np.int64
+        assert arr.tolist() == np.array(oracle(p)).tolist()
 
 
 def test_the_identity_suite_never_holds_a_whole_sweep(peak_rss_growth):
