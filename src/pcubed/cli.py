@@ -3,11 +3,11 @@
 classify, morita and verify build their orbit indices in ``_orbit_indices``
 (under --max-states, with verify's --corrupt applied), and every pass or fail
 is a ``CheckResult``.  ``_count_checks`` judges each family's orbit count
-against the published one: verify prints those checks, and classify marks a
-failed one MISMATCH and, under --check, exits 1 on it.  verify reads its
-congruence class counts off the same indices (``_congruence_counts``): the
-orbits on which a twist coordinate of the G_p, Heisenberg or (Z/p)^3 model is 0
-are the classes of quadratic forms of rank <= 1, 2 or 3.
+against the published one in ``published``: verify prints those checks, and
+classify marks a failed one MISMATCH and, under --check, exits 1 on it.
+``_congruence_counts`` reads verify's congruence class counts off the same
+indices: the orbits on which a twist coordinate of the G_p, Heisenberg or
+(Z/p)^3 model is 0 are the classes of quadratic forms of rank <= 1, 2 or 3.
 
 Exit codes: 0 on success, 1 when a --check assertion or verification fails,
 2 on every usage error, argparse's included, and on an -o path or stdout that
@@ -24,26 +24,13 @@ import os
 import sys
 from collections import Counter
 
+from . import published
 from .graded_ring import verify_identity_suite
 from .groups import FAMILIES, Family, build_group, center, enumerate_automorphisms, normal_abelian_subgroup_classes
 from .h4_models import action_generators, cross_check_actions, h4_model
-from .lhs_morita import (
-    consistency_checks,
-    emit_table,
-    expected_component_count,
-    morita_components,
-    morita_count_checks,
-    verify_pages,
-)
+from .lhs_morita import consistency_checks, emit_table, morita_components, morita_count_checks, verify_pages
 from .modular import is_prime
-from .orbits import (
-    DEFAULT_MAX_STATES,
-    OrbitIndex,
-    enumerate_orbits,
-    expected_orbit_count,
-    orbit_rows,
-    require_state_space,
-)
+from .orbits import DEFAULT_MAX_STATES, OrbitIndex, enumerate_orbits, orbit_rows, require_state_space
 from .quadforms import congruence_invariant, representatives, select_h
 from .report import CheckResult, render
 
@@ -114,12 +101,12 @@ def cmd_classify(args) -> int:
         checks += counts
         payload += [{"p": p, "family": fam.value, "orbits": orbit_rows(index)} for fam, index in indices.items()]
         for (fam, index), check in zip(indices.items(), counts):
-            mark = "" if check.ok else f"  MISMATCH (expected {expected_orbit_count(fam, p)})"
+            mark = "" if check.ok else f"  MISMATCH (expected {published.orbit_count(fam, p)})"
             out.append(f"p={p}  {fam.value:<13} {len(index.orbits):>4} orbits{mark}")
         if len(indices) == len(FAMILIES):
             # the total is wrong only when a family's count is, so it adds no check of its own
             total = sum(len(index.orbits) for index in indices.values())
-            mark = "" if total == sum(expected_orbit_count(fam, p) for fam in FAMILIES) else "  MISMATCH"
+            mark = "" if total == sum(published.orbit_count(fam, p) for fam in FAMILIES) else "  MISMATCH"
             out.append(f"p={p}  total         {total:>4} = 6*{p}+43{mark}")
         del indices, index  # this prime's orbit indices, before the next prime's BFS
     if args.format == "json":
@@ -144,8 +131,9 @@ def cmd_morita(args) -> int:
     for p in args.primes:
         graph = morita_components(p, indices=_orbit_indices(args, p))
         table = emit_table(graph, fmt=args.format)
+        expected = sum(published.morita_histogram(p).values())
         summary = (
-            f"p={p}: {len(graph.components)} Morita classes (expected {expected_component_count(p)}), "
+            f"p={p}: {len(graph.components)} Morita classes (expected {expected}), "
             f"size histogram {dict(sorted(graph.size_histogram().items()))}"
         )
         if args.format == "md":
@@ -198,7 +186,7 @@ def _orbit_indices(args, p: int) -> dict[Family, OrbitIndex]:
 def _count_checks(p: int, indices) -> list[CheckResult]:
     """Each family's orbit count against the published one."""
     return [
-        CheckResult(f"counts.{fam.value}.p{p}", len(index.orbits) == expected_orbit_count(fam, p),
+        CheckResult(f"counts.{fam.value}.p{p}", len(index.orbits) == published.orbit_count(fam, p),
                     f"{len(index.orbits)} orbits")
         for fam, index in indices.items()
     ]
@@ -243,10 +231,9 @@ def cmd_verify(args) -> int:
         for n in (1, 2, 3):
             reps_n = representatives(n, p)
             invs = {congruence_invariant(q) for q in reps_n}
-            # the representatives are 2n + 1 by construction; the class count, read off
-            # the model orbits with twist coordinate 0, is not
-            ok = len(reps_n) == len(invs) == classes[n] == 2 * n + 1
-            checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", ok, f"{len(reps_n)} representatives"))
+            # the representatives number 2n + 1 by construction; the class count read off the orbits need not
+            agree = len(reps_n) == len(invs) == classes[n] == published.congruence_class_count(n)
+            checks.append(CheckResult(f"quadforms.classes.n{n}.p{p}", agree, f"{len(reps_n)} representatives"))
         if p == 3:
             checks += _group_oracles(p)
         blocks.append(render(f"verification at p = {p}", checks))
@@ -257,28 +244,20 @@ def cmd_verify(args) -> int:
 
 def _group_oracles(p: int) -> list[CheckResult]:
     """Brute-force group checks at p = 3, where Aut(G) is enumerated in full."""
-    expected_aut = {
-        Family.CYCLIC: p**2 * (p - 1),
-        Family.P2XP: p**3 * (p - 1) ** 2,
-        Family.ELEM_ABELIAN: (p**3 - 1) * (p**3 - p) * (p**3 - p**2),
-        Family.HEISENBERG: p**2 * (p**2 - 1) * (p**2 - p),
-        Family.GP: p**3 * (p - 1),
-    }
     auts = {fam: enumerate_automorphisms(build_group(fam, p)) for fam in FAMILIES}
     checks = [
-        CheckResult(f"groups.aut_order.{fam.value}.p{p}", len(auts[fam]) == expected_aut[fam],
-                    f"|Aut| = {len(auts[fam])}")
-        for fam in FAMILIES
+        CheckResult(f"groups.aut_order.{fam.value}.p{p}", len(aut) == published.aut_order(fam, p),
+                    f"|Aut| = {len(aut)}")
+        for fam, aut in auts.items()
     ]
     H = build_group(Family.HEISENBERG, p)
     zc = center(H)
     checks.append(CheckResult("groups.center.heisenberg.p3", zc == H.closure([H.gen_names["C"]]), f"|Z| = {len(zc)}"))
-    expected_classes = {Family.CYCLIC: 2, Family.P2XP: 4, Family.ELEM_ABELIAN: 2, Family.HEISENBERG: 2, Family.GP: 3}
     for fam in FAMILIES:
         classes = normal_abelian_subgroup_classes(build_group(fam, p), automorphisms=auts[fam])
         words = "; ".join(",".join(c.generator_words) for c in classes)
-        checks.append(CheckResult(f"groups.subgroup_classes.{fam.value}.p{p}", len(classes) == expected_classes[fam],
-                                  f"{len(classes)} classes: {words}"))
+        ok = len(classes) == published.subgroup_class_count(fam)
+        checks.append(CheckResult(f"groups.subgroup_classes.{fam.value}.p{p}", ok, f"{len(classes)} classes: {words}"))
     return checks
 
 

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graded_ring as gr
+from . import published
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, H4Model, h4_model
 from .modular import least_nonsquare, radix_digits, rank_and_det_mod, units
-from .orbits import OrbitIndex, enumerate_orbits, expected_orbit_count
+from .orbits import OrbitIndex, enumerate_orbits
 from .quadforms import select_h
 from .report import CheckResult
 
@@ -618,21 +619,12 @@ def morita_components(p: int, indices: dict[Family, OrbitIndex] | None = None) -
     return MoritaGraph(p, indices, components)
 
 
-def expected_morita_histogram(p: int) -> dict[int, int]:
-    """Published number of Morita classes holding 1, 2 and 3 orbits."""
-    return {1: 4 * p + 22, 2: p + 9, 3: 1}
-
-
-def expected_component_count(p: int) -> int:
-    return sum(expected_morita_histogram(p).values())
-
-
 def morita_count_checks(graph: MoritaGraph) -> list[CheckResult]:
     """The number of Morita classes and their size histogram against the published ones."""
     p, n, hist = graph.p, len(graph.components), graph.size_histogram()
     return [
-        CheckResult(f"counts.morita.p{p}", n == expected_component_count(p), f"{n} components"),
-        CheckResult(f"counts.morita_histogram.p{p}", hist == expected_morita_histogram(p), f"{hist}"),
+        CheckResult(f"counts.morita.p{p}", n == sum(published.morita_histogram(p).values()), f"{n} components"),
+        CheckResult(f"counts.morita_histogram.p{p}", hist == published.morita_histogram(p), f"{hist}"),
     ]
 
 
@@ -752,7 +744,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "consistency.p2xp_sixteen_representatives",
-            len(ids) == len(indices[Family.P2XP].orbits) == expected_orbit_count(Family.P2XP, p),
+            len(ids) == len(indices[Family.P2XP].orbits) == published.orbit_count(Family.P2XP, p),
             f"{len(ids)} distinct orbits among the listed representatives",
         )
     )
@@ -773,7 +765,7 @@ def consistency_checks(graph: MoritaGraph) -> list[CheckResult]:
         CheckResult(
             "consistency.elem_abelian_listed_representatives",
             len(listed_e) == len(ids_e) == len(indices[Family.ELEM_ABELIAN].orbits)
-            == expected_orbit_count(Family.ELEM_ABELIAN, p),
+            == published.orbit_count(Family.ELEM_ABELIAN, p),
             f"{len(ids_e)} distinct orbits among {len(listed_e)} listed classes",
         )
     )

@@ -553,17 +553,6 @@ def enumerate_orbits(
     return OrbitIndex(model, ids, orbits)
 
 
-def expected_orbit_count(family: Family, p: int) -> int:
-    """Published per-family orbit counts used by the --check mode."""
-    return {
-        Family.CYCLIC: 7,
-        Family.P2XP: 16,
-        Family.ELEM_ABELIAN: p + 11,
-        Family.HEISENBERG: 2 * p + 9,
-        Family.GP: 3 * p,
-    }[family]
-
-
 def orbit_rows(index: OrbitIndex) -> list[dict]:
     """One serializable row per orbit: representative coefficients, label, size."""
     model = index.model

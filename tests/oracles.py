@@ -2,7 +2,8 @@
 group isomorphism, a subgroup's least generators, a subgroup's orbit as the
 set of its images, the closure of a matrix group, congruence of quadratic
 forms by search over GL(n, p) and by closure under its generators, and the
-identity suite's stride samples taken from the whole sweep.
+identity suite's stride samples taken from the whole sweep; and the published
+orbit counts, written out here apart from ``pcubed.published``.
 """
 
 from itertools import combinations, islice, product
@@ -10,9 +11,18 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from pcubed.graded_ring import MAX_TUPLES
-from pcubed.groups import GroupTable, _isomorphisms, center
+from pcubed.groups import Family, GroupTable, _isomorphisms, center
 from pcubed.modular import gl_generators, units
 from pcubed.quadforms import QuadForm
+
+# the per-family orbit counts the paper states, 6p + 43 in all
+ORBIT_COUNTS = {
+    Family.CYCLIC: lambda p: 7,
+    Family.P2XP: lambda p: 16,
+    Family.ELEM_ABELIAN: lambda p: p + 11,
+    Family.HEISENBERG: lambda p: 2 * p + 9,
+    Family.GP: lambda p: 3 * p,
+}
 
 
 def stride_sample(items, length: int) -> list:

@@ -39,15 +39,7 @@ from pcubed.quadforms import (
     select_h,
 )
 
-from oracles import are_isomorphic, matrix_group_closure
-
-EXPECTED_COUNTS = {
-    Family.CYCLIC: lambda p: 7,
-    Family.P2XP: lambda p: 16,
-    Family.ELEM_ABELIAN: lambda p: p + 11,
-    Family.HEISENBERG: lambda p: 2 * p + 9,
-    Family.GP: lambda p: 3 * p,
-}
+from oracles import ORBIT_COUNTS, are_isomorphic, matrix_group_closure
 
 
 def test_criterion_1_orbit_counts(indices_for):
@@ -56,7 +48,7 @@ def test_criterion_1_orbit_counts(indices_for):
         indices = indices_for(p)
         counts = {fam: len(indices[fam].orbits) for fam in FAMILIES}
         for fam, n in counts.items():
-            assert n == EXPECTED_COUNTS[fam](p), (fam, p, n)
+            assert n == ORBIT_COUNTS[fam](p), (fam, p, n)
         assert sum(counts.values()) == 6 * p + 43
     print(f"PASS criterion 1: per-family orbit counts and 6p+43 totals for p in (3,5,7,11) "
           f"[{time.time() - t0:.1f}s]")
@@ -260,7 +252,7 @@ def test_criterion_9_negative_controls(indices_for):
         assert sig != base_sig, f"corrupting {fam.value}[{row}][{col}] went undetected"
         counts, n_comp, rows = sig
         assert (
-            counts[fam] != EXPECTED_COUNTS[fam](p)
+            counts[fam] != ORBIT_COUNTS[fam](p)
             or n_comp != 5 * p + 32
             or rows != base_sig[2]
         )

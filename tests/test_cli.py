@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import Family, cli, lhs_morita, orbits, quadforms
+from pcubed import Family, cli, orbits, published, quadforms
 from pcubed.cli import main
 
 # written by the CLI before the Aut(G) generators became one record each; they
@@ -116,11 +116,21 @@ def test_verify_detects_elementary_abelian_corruption(capsys, spec):
     assert "FAIL" in out
 
 
+def test_verify_fails_when_a_prime_before_the_last_fails(capsys):
+    # gp:1:0 fails checks at p = 3 only, so the exit code must not be the last prime's
+    fails = {}
+    for order in ("3,5", "5,3"):
+        code, out = run(capsys, "verify", "-p", order, "--corrupt", "gp:1:0")
+        assert code == 1, order
+        fails[order] = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails["3,5"] == fails["5,3"] != []
+
+
 def test_a_count_mismatch_fails_check_and_verify(capsys, monkeypatch):
     # one family's published orbit count and the Morita histogram, each off by one
-    expected_orbits, expected_histogram = cli.expected_orbit_count, lhs_morita.expected_morita_histogram
-    monkeypatch.setattr(cli, "expected_orbit_count", lambda fam, p: expected_orbits(fam, p) + (fam is Family.GP))
-    monkeypatch.setattr(lhs_morita, "expected_morita_histogram", lambda p: {**expected_histogram(p), 3: 2})
+    orbit_count, morita_histogram = published.orbit_count, published.morita_histogram
+    monkeypatch.setattr(published, "orbit_count", lambda fam, p: orbit_count(fam, p) + (fam is Family.GP))
+    monkeypatch.setattr(published, "morita_histogram", lambda p: {**morita_histogram(p), 3: 2})
     code, out = run(capsys, "classify", "-p", "3,5", "--check")
     assert code == 1
     marked = [line for line in out.splitlines() if "MISMATCH" in line]

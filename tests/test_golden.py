@@ -15,9 +15,11 @@ GOLDEN = {
     "classify-p3-5.json": ["classify", "-p", "3,5", "--format", "json"],
     "classify-p3-5-7.csv": ["classify", "-p", "3,5,7", "--format", "csv"],
     "classify-p11-13.csv": ["classify", "-p", "11,13", "--format", "csv"],
+    "classify-p3-5-7-11.md": ["classify", "-p", "3,5,7,11"],
     "verify-p5.md": ["verify", "-p", "5"],
     "verify-p7.md": ["verify", "-p", "7"],
     "morita-p3.md": ["morita", "-p", "3"],
+    "morita-p3-5-7-11.md": ["morita", "-p", "3,5,7,11", "--check"],
     "morita-p3.csv": ["morita", "-p", "3", "--format", "csv"],
     "quadforms-n3-p3-5-7-11-13.md": ["quadforms", "-n", "3", "-p", "3,5,7,11,13"],
     "quadforms-n2-p3-5-7-which-h.md": ["quadforms", "-n", "2", "-p", "3,5,7", "--which-h"],

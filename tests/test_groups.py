@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from pcubed import published
 from pcubed.groups import (
     FAMILIES,
     GROUP_TABLE_MAX_P,
@@ -27,6 +28,23 @@ AUT_ORDERS_P3 = {
     Family.ELEM_ABELIAN: 11232,
     Family.HEISENBERG: 432,
     Family.GP: 54,
+}
+
+# p^2 |GL(2,p)| for the exponent-p extraspecial group, p^3 (p-1)^2 and p^3 (p-1)
+# for the groups with an order-p^2 element; digests as for p = 3
+AUT_ROWS_P5 = {
+    Family.CYCLIC: (100, "0c9a5a75f0f7589903799cd1db4311b69f0dc7c70d3809d2a24892bfbf36c383"),
+    Family.P2XP: (2000, "da7ecb568ea65e3887eef528cb540d2806e06e0ad4afdf4e49fb3306df26846f"),
+    Family.HEISENBERG: (12000, "6d029e27ed4e1ba6185c135fa12a2b12bce6b4313ddb40542d4ab9a5282df79d"),
+    Family.GP: (500, "0e825676232ebc9a9868969309e59a10a001e38ee3249e067db98130571aa585"),
+}
+
+# (isomorphism type, number of members) of each Aut(G)-class of normal abelian subgroups at p = 5
+SUBGROUP_SHAPES_P5 = {
+    Family.CYCLIC: [((5,), 1), ((25,), 1)],
+    Family.P2XP: [((5,), 5), ((5,), 1), ((5, 5), 1), ((25,), 5)],
+    Family.HEISENBERG: [((5,), 1), ((5, 5), 6)],
+    Family.GP: [((5,), 1), ((5, 5), 1), ((25,), 5)],
 }
 
 
@@ -131,31 +149,27 @@ def test_cyclic_automorphisms_are_units():
 
 
 def test_automorphism_counts_p5():
-    # p^2 |GL(2,p)| for the exponent-p extraspecial group, p^3 (p-1)^2 and
-    # p^3 (p-1) for the groups with an order-p^2 element; digests as for p = 3
-    expected = {
-        Family.CYCLIC: (100, "0c9a5a75f0f7589903799cd1db4311b69f0dc7c70d3809d2a24892bfbf36c383"),
-        Family.P2XP: (2000, "da7ecb568ea65e3887eef528cb540d2806e06e0ad4afdf4e49fb3306df26846f"),
-        Family.HEISENBERG: (12000, "6d029e27ed4e1ba6185c135fa12a2b12bce6b4313ddb40542d4ab9a5282df79d"),
-        Family.GP: (500, "0e825676232ebc9a9868969309e59a10a001e38ee3249e067db98130571aa585"),
-    }
-    for fam, (count, digest) in expected.items():
+    for fam, (count, digest) in AUT_ROWS_P5.items():
         auts = enumerate_automorphisms(build_group(fam, 5))
         assert len(auts) == count
         assert _rows_digest(auts) == digest
 
 
 def test_subgroup_class_shapes_p5():
-    shapes = {
-        Family.CYCLIC: [((5,), 1), ((25,), 1)],
-        Family.P2XP: [((5,), 5), ((5,), 1), ((5, 5), 1), ((25,), 5)],
-        Family.HEISENBERG: [((5,), 1), ((5, 5), 6)],
-        Family.GP: [((5,), 1), ((5, 5), 1), ((25,), 5)],
-    }
-    for fam, want in shapes.items():
+    for fam, want in SUBGROUP_SHAPES_P5.items():
         classes = normal_abelian_subgroup_classes(build_group(fam, 5))
         got = sorted((c.isomorphism_type, len(c.members)) for c in classes)
         assert got == sorted(want)
+
+
+def test_published_aut_orders_and_subgroup_class_counts_match_the_pins():
+    # arithmetic only: the published formulas against the enumerated counts pinned above
+    for fam in FAMILIES:
+        assert published.aut_order(fam, 3) == AUT_ORDERS_P3[fam]
+    for fam, (count, _) in AUT_ROWS_P5.items():
+        assert published.aut_order(fam, 5) == count
+    for fam, shapes in SUBGROUP_SHAPES_P5.items():
+        assert published.subgroup_class_count(fam) == len(shapes)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import lhs_morita
+from pcubed import lhs_morita, published
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import h4_model
 from pcubed.lhs_morita import (
@@ -18,7 +18,6 @@ from pcubed.lhs_morita import (
     all_edges,
     consistency_checks,
     emit_table,
-    expected_component_count,
     morita_components,
     omega,
     verify_pages,
@@ -210,7 +209,7 @@ def test_edge_rows_are_pinned(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_component_counts(p, graph_for):
     graph = graph_for(p)
-    assert len(graph.components) == expected_component_count(p) == 5 * p + 32
+    assert len(graph.components) == sum(published.morita_histogram(p).values()) == 5 * p + 32
     hist = graph.size_histogram()
     assert hist.get(2, 0) == p + 9
     assert hist.get(3, 0) == 1

@@ -8,30 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import orbits, quadforms
+from pcubed import orbits, published, quadforms
 from pcubed.groups import FAMILIES, Family
 from pcubed.h4_models import action_generators, h4_model, scalar_action
 from pcubed.modular import is_prime, primitive_root, radix_weights
-from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, expected_orbit_count, orbit_rows
+from pcubed.orbits import enumerate_orbit_ids, enumerate_orbits, orbit_rows
 from pcubed.quadforms import congruence_action, count_congruence_classes
 
-from oracles import least_members
-
-COUNTS = {
-    Family.CYCLIC: lambda p: 7,
-    Family.P2XP: lambda p: 16,
-    Family.ELEM_ABELIAN: lambda p: p + 11,
-    Family.HEISENBERG: lambda p: 2 * p + 9,
-    Family.GP: lambda p: 3 * p,
-}
+from oracles import ORBIT_COUNTS, least_members
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_orbit_counts(fam, p, indices_for):
     index = indices_for(p)[fam]
-    assert len(index.orbits) == COUNTS[fam](p)
-    assert expected_orbit_count(fam, p) == COUNTS[fam](p)
+    assert len(index.orbits) == ORBIT_COUNTS[fam](p)
+    assert published.orbit_count(fam, p) == ORBIT_COUNTS[fam](p)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -83,3 +83,14 @@ def test_no_module_imports_another_modules_private_names():
                 if private:
                     offending.append(f"{path.name}:{node.lineno} imports {', '.join(private)} from {node.module}")
     assert offending == [], "import a public name, or move the code into the module that owns it"
+
+
+def test_the_published_counts_are_read_through_their_module():
+    # a name imported from pcubed.published would keep its value under a monkeypatch of the module
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("published")
+    ]
+    assert offending == [], "import the module, `from . import published`, and read published.<name>"
