@@ -17,9 +17,12 @@ representative contract the Morita graph relies on.
   every new state survives; the survivors are then set to the orbit id, so a
   later chunk reads them as visited.
 - A worklist, not levels: an orbit's visited states that are not yet
-  expanded wait in a first-in first-out queue of int32 arrays; the BFS pops
-  one, expands it ``_CHUNK`` states at a time, and appends each chunk's new
-  states as one array, so no level is ever gathered into one frontier.
+  expanded wait in a first-in first-out queue of int32 arrays; each image
+  call takes the first ``_CHUNK`` states off its front, joining small
+  entries and splitting a larger one, whose rest stays at the front, and
+  each chunk's new states join the queue as one array, so a call falls
+  short only when the queue holds fewer states, and no level is ever
+  gathered into one frontier.
 - A uint8 table: ``orbit_id`` costs one byte per state while the ids fit
   below the unvisited mark 255; the 256th orbit widens it to int32 once.
   It covers only the states below the end of the last canonical range (all
@@ -44,12 +47,12 @@ representative contract the Morita graph relies on.
   p = 13, not the (Z/17)^6 block), and int64 otherwise.  Steps j of the
   scalar quotient are int8 (int16 past 128 scalars), and under NEP 50 a
   narrow array times a Python int keeps its dtype and wraps, so each step is
-  widened to int32 before it is multiplied: by a fold table's width, by the
-  labels' order and by log chi_s, every product below a table's size or
-  (p - 1) (q - 1) < 2^31.
-  The fold tables are int32: each entry is a mixed-radix code of digits mod
-  m_i, and the two halves' entries add up to the encoded image, so every
-  entry and sum is below the state count and exact in int32.
+  widened to int32 before it is multiplied: by the labels' order and by
+  log chi_s, every product below (p - 1) (q - 1) < 2^31.  It is added to an
+  int32 fold code, into a scale table's index, below the table's size.
+  The fold and scale tables are int32: each entry is a mixed-radix code of
+  digits mod m_i, and the two halves' entries add up to the encoded image,
+  so every entry and sum is below the state count and exact in int32.
   One coordinate: u s < m^2 < 2^62 for a multiplier u and a state s below m.
   Dot products: a row reduced mod m_i times digits below m_j is at most
   (m_i - 1) sum_j (m_j - 1) <= (m_i - 1)(states - 1) < 2^62, as prod(1 + x_j)
@@ -77,15 +80,15 @@ representative contract the Morita graph relies on.
   table; ``np.gcd.reduce`` runs only on a chunk with a defect that is not.
 - Scalar quotient: when the BFS runs on two coordinates or more, all mod one
   odd prime p, and a generator acts on them as f I, f not 0 or 1, that
-  generator is no edge, provided the |S|-row fold tables below hold no more
-  entries than there are states (or than a chunk): with two or three
-  coordinates and a large p they would outgrow the state table.  S = <f>
-  commutes with every generator, so orbits are unions of S-classes, and
-  each image y is replaced by canon(y) = f^j y, the j making y's leading
-  nonzero digit c the least of its coset c S; canon(y) is the least state
-  of S y, as every s y has its leading digit in the same place.  The lookup
-  is two lead tables, one per packed fold half, and fold tables of |S|
-  rows, row j for the digits times f^j.  Each orbit's least state is
+  generator is no edge.  S = <f> commutes with every generator, so orbits
+  are unions of S-classes, and each image y is replaced by canon(y) = f^j y,
+  the j making y's leading nonzero digit c the least of its coset c S;
+  canon(y) is the least state of S y, as every s y has its leading digit in
+  the same place.  Two lead tables, one per packed fold half, give j; each
+  fold table maps its half to the code of its h digits within the half
+  times |S|, and a scale table of p^h |S| entries holds at that code plus j
+  the half's encoded digits times f^j, so no table grows with
+  |S| (2p - 1)^h.  Each orbit's least state is
   canonical, so the seed scan reads only the canonical ranges 0 and
   [c p^e, (c + 1) p^e), c the least of its coset, and finds the same seeds
   in the same order; an orbit's size is |S| times its canonical states (1
@@ -121,7 +124,7 @@ from .h4_models import CohClass, H4Model, action_generators, scalar_action
 from .modular import is_automorphism, is_prime, primitive_root, radix_digits, radix_weights
 
 DEFAULT_MAX_STATES = 10**8
-_CHUNK = 1 << 13  # the generators x chunk int32 image temporaries stay within L2
+_CHUNK = 1 << 12  # states per image call, filled from the worklist; its temporaries stay within L2
 
 
 @dataclass(frozen=True)
@@ -182,21 +185,24 @@ class _Images(NamedTuple):
     2 m_i - 2 and no carry between digits.  The digits before the fold split
     sit above bit ``shift``, the rest below it, and ``fold_hi`` and
     ``fold_lo`` map each group back to the mixed-radix code of its digits mod
-    m_i.  With a scalar quotient by S = <f>, the fold tables hold |S| rows,
-    row j for the digits times f^j, and ``lead_hi`` and ``lead_lo`` give each
-    group the step j that makes its leading nonzero digit the least of its
-    S-coset (-1 and 0 where every digit is 0 mod p), so each image comes out
-    canonical.
+    m_i.  With a scalar quotient by S = <f>, ``lead_hi`` and ``lead_lo`` give
+    each group the step j that makes its leading nonzero digit the least of
+    its S-coset (-1 and 0 where every digit is 0 mod p), the fold tables give
+    the code of its h digits within its half times |S|, and ``scale_hi`` and
+    ``scale_lo`` at that code plus j the encoded digits times f^j, so each
+    image comes out canonical.
     """
 
     place: int
     hi: np.ndarray  # (generators, ceil(total / place)) int32, int64 when packed sums reach 2^31
     lo: np.ndarray  # (generators, place), the same dtype
     shift: int
-    fold_hi: np.ndarray  # flat (|S|, lead_hi.size) int32
-    fold_lo: np.ndarray  # flat (|S|, lead_lo.size) int32
-    lead_hi: np.ndarray | None  # int8 (int16 past 128 scalars); None without a scalar quotient
+    fold_hi: np.ndarray  # int32, one entry per packed high half
+    fold_lo: np.ndarray  # int32, one entry per packed low half
+    lead_hi: np.ndarray | None  # int8 (int16 past 128 scalars), as fold_hi; None without a scalar quotient
     lead_lo: np.ndarray | None
+    scale_hi: np.ndarray | None  # flat (p^h, |S|) int32; None without a scalar quotient
+    scale_lo: np.ndarray | None
 
     def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Encoded int32 images, one row per generator, of the integer
@@ -207,16 +213,18 @@ class _Images(NamedTuple):
         packed += np.take(self.lo, b, axis=1)
         high = packed >> self.shift
         low = np.bitwise_and(packed, (1 << self.shift) - 1, out=packed)
-        steps = None
-        if self.lead_hi is not None:
-            steps = np.take(self.lead_hi, high)
-            np.copyto(steps, np.take(self.lead_lo, low), where=steps < 0)
-            # row j of a fold table starts at j times its width, below its size < 2^31
-            offset = np.multiply(steps, self.lead_hi.size, dtype=np.int32)
-            high += offset
-            low += np.multiply(steps, self.lead_lo.size, out=offset, dtype=np.int32)
-        images = np.take(self.fold_hi, high)
-        images += np.take(self.fold_lo, low)
+        if self.lead_hi is None:
+            images = np.take(self.fold_hi, high)
+            images += np.take(self.fold_lo, low)
+            return images, None
+        steps = np.take(self.lead_hi, high)
+        np.copyto(steps, np.take(self.lead_lo, low), where=steps < 0)
+        high = np.take(self.fold_hi, high)
+        high += steps
+        low = np.take(self.fold_lo, low)
+        low += steps
+        images = np.take(self.scale_hi, high)
+        images += np.take(self.scale_lo, low)
         return images, steps
 
 
@@ -230,12 +238,15 @@ def _digit_columns(radix):
 
 def _fold_table(radix, moduli, weights, powers) -> np.ndarray:
     """Mixed-radix code of the digits mod ``moduli`` of every number at
-    ``radix``, times each of ``powers``: one row per power, flattened."""
-    rows = np.zeros((len(powers), math.prod(radix)), dtype=np.int32)  # codes below total < 2^31
-    for column, r, m, w in zip(_digit_columns(radix), radix, moduli.tolist(), weights.tolist()):
-        # (f^j d mod m) w for every power f^j and digit d < r, looked up per digit
-        rows += np.take((np.outer(powers, np.arange(r)) % m * w).astype(np.int32), column, axis=1)
-    return rows.ravel()
+    ``radix``, times each of ``powers``: one column per power, flattened, so
+    number c times the j-th power is at c len(powers) + j."""
+    codes = np.zeros((1, len(powers)), dtype=np.int32)  # below total < 2^31
+    for r, m, w in zip(radix, moduli.tolist(), weights.tolist()):
+        # (f^j d mod m) w for every digit d < r and power f^j, added to every
+        # code of the digits before it, so only the last step is full size
+        digit = (np.outer(np.arange(r), powers) % m * w).astype(np.int32)
+        codes = (codes[:, None, :] + digit[None, :, :]).reshape(-1, len(powers))
+    return codes.ravel()
 
 
 def _lead_table(radix, p: int, powers, zero: int) -> np.ndarray:
@@ -259,7 +270,11 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
 
     The image tables hold about sqrt(total) entries per generator, and the
     fold tables, one per half of a balanced cut of the digits, about
-    |S| sqrt(2**s * total), s the number of moduli of 2 or more.
+    sqrt(2**s * total), s the number of moduli of 2 or more.  Under a scalar
+    quotient, with k coordinates mod p, each half of h digits adds
+    (2p - 1)^h lead and p^h |S| scale entries, and the fold, lead and scale
+    tables together hold at most max(3 p^k, ``_CHUNK``) entries, whatever
+    |S| is.
     """
     weights = np.array(radix_weights(moduli), dtype=np.int64)
     total = int(weights[0] * moduli[0])
@@ -269,11 +284,16 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
     shift = (math.prod(radix[cut:]) - 1).bit_length()
     pack = np.array([w << shift for w in radix_weights(radix[:cut])] + list(radix_weights(radix[cut:])))
     dtype = np.int32 if 2 * math.prod(radix) < 2**31 else np.int64
-    lead_hi = lead_lo = None
+    high_weights, low_weights = weights[:cut], weights[cut:]
+    lead_hi = lead_lo = scale_hi = scale_lo = None
     if len(powers) > 1:
         p = int(moduli[0])
+        # each fold table gives its half's own code times |S|, where its scale row starts
+        high_weights, low_weights = high_weights // place * len(powers), low_weights * len(powers)
         lead_hi = _lead_table(radix[:cut], p, powers, -1)
         lead_lo = _lead_table(radix[cut:], p, powers, 0)
+        scale_hi = _fold_table(moduli[:cut], moduli[:cut], weights[:cut], powers)
+        scale_lo = _fold_table(moduli[cut:], moduli[cut:], weights[cut:], powers)
 
     def packed_images(codes):
         return (pack @ (mats @ radix_digits(codes, moduli).T % moduli[:, None])).astype(dtype)
@@ -283,19 +303,37 @@ def _image_tables(moduli: np.ndarray, mats: np.ndarray, powers=(1,)) -> _Images:
         hi=packed_images(np.arange(-(-total // place)) * place),
         lo=packed_images(np.arange(place)),
         shift=shift,
-        fold_hi=_fold_table(radix[:cut], moduli[:cut], weights[:cut], powers),
-        fold_lo=_fold_table(radix[cut:], moduli[cut:], weights[cut:], powers),
+        fold_hi=_fold_table(radix[:cut], moduli[:cut], high_weights, (1,)),
+        fold_lo=_fold_table(radix[cut:], moduli[cut:], low_weights, (1,)),
         lead_hi=lead_hi,
         lead_lo=lead_lo,
+        scale_hi=scale_hi,
+        scale_lo=scale_lo,
     )
+
+
+def _pop_chunk(pending: deque, count: int) -> np.ndarray:
+    """The first ``count`` states of the worklist ``pending``, all of them
+    when it holds fewer, taken off its front: small entries are joined, and
+    a larger one is split, its rest left at the front."""
+    parts = []
+    while pending and count:
+        head = pending.popleft()
+        if head.size > count:
+            pending.appendleft(head[count:])
+            head = head[:count]
+        parts.append(head)
+        count -= head.size
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, character=None):
     """Seed scan over ``ranges`` and chunked BFS over the uint8 ``orbit_id``.
 
     Each orbit's visited states wait in a first-in first-out worklist of int32
-    arrays, expanded ``_CHUNK`` states at a time, and each chunk's new states
-    join it as one array: the states held are those not yet expanded.
+    arrays; each image call takes the first ``_CHUNK`` of them, across as
+    many entries as that needs, and each chunk's new states join it as one
+    array: the states held are those not yet expanded.
 
     The scan reads only the [start, stop) ``ranges`` of states, where the
     canonical states lie; ``images_of`` returns canonical images, and an
@@ -343,35 +381,33 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
                 d = math.gcd(order, log_scalar if ptr == 0 else scalars * log_scalar)
                 divisible = multiples % d == 0
             while pending:
-                expanding = pending.popleft()
-                for lo in range(0, expanding.size, _CHUNK):
-                    states = expanding[lo : lo + _CHUNK]
-                    images, steps = images_of(states)
-                    images = images.ravel()
-                    fresh = np.take(orbit_id, images) == unvisited
-                    new = np.compress(fresh, images).astype(np.int32, copy=False)
-                    if d > 1:
-                        # any edge into a new state gives it a valid label; once
-                        # the gcd is 1 the labels are no longer needed
-                        at = np.take(labels, states) + firsts
-                        if steps is not None:
-                            at += np.multiply(steps, order, dtype=np.int32)
-                        proposed = np.take(shift, at).ravel()
-                        labels[new] = np.compress(fresh, proposed)
-                        # each defect, shifted by order, is in 1..2 order - 1
-                        defects = proposed + order
-                        defects -= np.take(labels, images)
-                        if not np.take(divisible, defects).all():
-                            d = math.gcd(d, int(np.gcd.reduce(defects)))
-                            divisible = multiples % d == 0
-                    new.sort()  # in place, once the labels have read it in image order
-                    first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
-                    np.not_equal(new[1:], new[:-1], out=first[1:])
-                    new = new[first]
-                    if new.size:
-                        orbit_id[new] = oid
-                        size += new.size
-                        pending.append(new)
+                states = _pop_chunk(pending, _CHUNK)
+                images, steps = images_of(states)
+                images = images.ravel()
+                fresh = np.take(orbit_id, images) == unvisited
+                new = np.compress(fresh, images).astype(np.int32, copy=False)
+                if d > 1:
+                    # any edge into a new state gives it a valid label; once
+                    # the gcd is 1 the labels are no longer needed
+                    at = np.take(labels, states) + firsts
+                    if steps is not None:
+                        at += np.multiply(steps, order, dtype=np.int32)
+                    proposed = np.take(shift, at).ravel()
+                    labels[new] = np.compress(fresh, proposed)
+                    # each defect, shifted by order, is in 1..2 order - 1
+                    defects = proposed + order
+                    defects -= np.take(labels, images)
+                    if not np.take(divisible, defects).all():
+                        d = math.gcd(d, int(np.gcd.reduce(defects)))
+                        divisible = multiples % d == 0
+                new.sort()  # in place, once the labels have read it in image order
+                first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
+                np.not_equal(new[1:], new[:-1], out=first[1:])
+                new = new[first]
+                if new.size:
+                    orbit_id[new] = oid
+                    size += new.size
+                    pending.append(new)
             seeds.append(ptr)
             sizes.append(size * scalars if ptr else size)
             gcds.append(d)
@@ -435,9 +471,7 @@ def _repeated_squares(units: list[int], m: int) -> np.ndarray:
 def _scalar_quotient(moduli, block):
     """The index of the first generator whose ``block`` is f I, f not 0 or 1,
     and the powers f^0, f^1, ... of S = <f>, when the block has two
-    coordinates or more, all mod one odd prime p, and the |S|-row fold
-    tables hold no more entries than there are states (or than a chunk, for
-    a small block); None otherwise."""
+    coordinates or more, all mod one odd prime p; None otherwise."""
     p, n = int(moduli[0]), len(moduli)
     if n < 2 or (moduli != p).any() or p == 2 or not is_prime(p):
         return None
@@ -448,9 +482,7 @@ def _scalar_quotient(moduli, block):
             powers = [1]
             while powers[-1] * f % p != 1:
                 powers.append(powers[-1] * f % p)
-            # the fold halves cover ceil(n / 2) and floor(n / 2) digits at radix 2p - 1
-            fold = (2 * p - 1) ** (n - n // 2) + (2 * p - 1) ** (n // 2)
-            return (index, powers) if len(powers) * fold <= max(p**n, _CHUNK) else None
+            return index, powers
     return None
 
 

@@ -3,7 +3,8 @@ group isomorphism, a subgroup's least generators, a subgroup's orbit as the
 set of its images, the closure of a matrix group, congruence of quadratic
 forms by search over GL(n, p) and by closure under its generators, and the
 identity suite's stride samples taken from the whole sweep; and the published
-orbit counts, written out here apart from ``pcubed.published``.
+orbit counts and the enumerated |Aut(G)|, written out here apart from
+``pcubed.published``.
 """
 
 from itertools import combinations, islice, product
@@ -22,6 +23,21 @@ ORBIT_COUNTS = {
     Family.ELEM_ABELIAN: lambda p: p + 11,
     Family.HEISENBERG: lambda p: 2 * p + 9,
     Family.GP: lambda p: 3 * p,
+}
+
+# |Aut(G)| as the automorphism search enumerates it, keyed by (family, p): p^2 |GL(2, p)|
+# for the exponent-p extraspecial group, p^3 (p - 1)^2 and p^3 (p - 1) for the groups
+# with an order-p^2 element
+AUT_ORDERS = {
+    (Family.CYCLIC, 3): 18,
+    (Family.P2XP, 3): 108,
+    (Family.ELEM_ABELIAN, 3): 11232,
+    (Family.HEISENBERG, 3): 432,
+    (Family.GP, 3): 54,
+    (Family.CYCLIC, 5): 100,
+    (Family.P2XP, 5): 2000,
+    (Family.HEISENBERG, 5): 12000,
+    (Family.GP, 5): 500,
 }
 
 

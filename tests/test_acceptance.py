@@ -39,7 +39,7 @@ from pcubed.quadforms import (
     select_h,
 )
 
-from oracles import ORBIT_COUNTS, are_isomorphic, matrix_group_closure
+from oracles import AUT_ORDERS, ORBIT_COUNTS, are_isomorphic, matrix_group_closure
 
 
 def test_criterion_1_orbit_counts(indices_for):
@@ -172,16 +172,9 @@ def test_criterion_6_identity_suite_and_pages():
 def test_criterion_7_group_oracles():
     t0 = time.time()
     p = 3
-    expected_aut = {
-        Family.CYCLIC: 18,
-        Family.P2XP: 108,
-        Family.ELEM_ABELIAN: 11232,
-        Family.HEISENBERG: 432,
-        Family.GP: 54,
-    }
     groups = {fam: build_group(fam, p) for fam in FAMILIES}
     for fam, G in groups.items():
-        assert len(enumerate_automorphisms(G)) == expected_aut[fam]
+        assert len(enumerate_automorphisms(G)) == AUT_ORDERS[(fam, p)]
     for f1, f2 in combinations(FAMILIES, 2):
         assert not are_isomorphic(groups[f1], groups[f2])
     H = groups[Family.HEISENBERG]

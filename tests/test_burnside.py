@@ -12,7 +12,7 @@ import pytest
 from pcubed.groups import Family
 from pcubed.h4_models import action_generators, h4_model
 
-from oracles import matrix_group_closure
+from oracles import AUT_ORDERS, matrix_group_closure
 
 
 def _fixed_point_counts(matrices, moduli):
@@ -32,19 +32,6 @@ def _fixed_point_counts(matrices, moduli):
         fixed = np.all(moved == coords[None, :, :], axis=1).sum(axis=1)
         counts.extend(int(v) for v in fixed)
     return counts
-
-
-AUT_ORDERS = {
-    (Family.CYCLIC, 3): 18,
-    (Family.P2XP, 3): 108,
-    (Family.ELEM_ABELIAN, 3): 11232,
-    (Family.HEISENBERG, 3): 432,
-    (Family.GP, 3): 54,
-    (Family.CYCLIC, 5): 100,
-    (Family.P2XP, 5): 2000,
-    (Family.HEISENBERG, 5): 12000,
-    (Family.GP, 5): 500,
-}
 
 
 @pytest.mark.parametrize("fam,p", sorted(AUT_ORDERS, key=str))

@@ -234,11 +234,35 @@ def test_a_large_prime_is_refused_before_its_generators(call):
 
 
 def test_the_congruence_closure_costs_under_four_bytes_per_state(peak_rss_growth):
-    # an int32 id table alone would take 4 bytes for each of the 13**6 forms
+    # an int32 id table alone would take 4 bytes for each of the 13**6 forms;
+    # full image calls at half the old chunk and one-row fold tables keep the
+    # growth under 4 MiB, under one byte per form (4.4 MiB without them)
     growth = peak_rss_growth(
         "from pcubed.quadforms import count_congruence_classes", "assert count_congruence_classes(3, 13) == 7"
     )
-    assert growth < 4 * 13**6, f"{growth / 2**20:.1f} MiB"
+    assert growth < 4 * 2**20, f"{growth / 2**20:.2f} MiB"
+
+
+def test_the_elem_abelian_p11_bfs_grows_peak_rss_under_3_5_mib(peak_rss_growth):
+    # the (Z/11)^3 block BFS sets the morita-p11 peak: about 3.3 MiB with full
+    # image calls and one-row fold tables, 3.9 MiB with neither
+    growth = peak_rss_growth(
+        "from pcubed.groups import Family\nfrom pcubed.h4_models import h4_model\n"
+        "from pcubed.orbits import enumerate_orbits\nmodel = h4_model(Family.ELEM_ABELIAN, 11)",
+        "assert len(enumerate_orbits(model).orbits) == 22",
+    )
+    assert growth < 3.5 * 2**20, f"{growth / 2**20:.2f} MiB"
+
+
+def test_image_calls_are_filled_from_the_worklist(monkeypatch):
+    # each call takes up to _CHUNK states across worklist entries: the n = 3
+    # closure at p = 13 makes 266, against 527 at this chunk with one call per
+    # entry, and 310 at twice the chunk
+    calls = []
+    call = orbits._Images.__call__
+    monkeypatch.setattr(orbits._Images, "__call__", lambda self, states: calls.append(states.size) or call(self, states))
+    assert count_congruence_classes(3, 13) == 7
+    assert len(calls) <= 300 and max(calls) <= orbits._CHUNK, (len(calls), max(calls))
 
 
 # --- the table kernel against the reference product ----------------------
@@ -581,18 +605,30 @@ def test_the_table_ends_at_the_last_canonical_state(monkeypatch, call, p):
 
 
 def test_the_quotient_tables_stay_within_the_states():
-    # with three coordinates the larger fold half has (2p - 1)^2 entries per
-    # scalar, about 2 p^3 entries in all for S the squares: past the state
-    # count, so large primes keep the plain BFS
-    for n, p, taken in [(2, 5, True), (2, 13, True), (2, 31, False), (2, 101, False),
-                        (3, 5, True), (3, 13, True), (3, 31, True), (3, 101, True)]:
+    # the fold tables have one row and the lead and scale tables index digits
+    # mod p, so every table is O(p^k) for k coordinates whatever |S| is: the
+    # quotient is taken at every prime, within the ``_image_tables`` bound
+    # on the fold, lead and scale tables together, for S the squares of the
+    # congruence actions and for S all of F_p^*, the largest
+    def held(moduli, mats, powers):
+        images = orbits._image_tables(moduli, mats, powers)
+        tables = [images.fold_hi, images.fold_lo, images.lead_hi, images.lead_lo, images.scale_hi, images.scale_lo]
+        bound = max(3 * int(moduli[0]) ** len(moduli), orbits._CHUNK)
+        assert sum(t.size for t in tables) <= bound, (moduli, len(powers))
+
+    for n, p in [(2, 5), (2, 13), (2, 31), (2, 101), (3, 5), (3, 13), (3, 31), (3, 101)]:
         moduli, mats = congruence_action(n, p)
         moduli, mats = np.array(moduli), np.stack(mats) % p
         quotient = orbits._scalar_quotient(moduli, mats)
-        assert (quotient is not None) == taken, (n, p)
-        if taken and p <= 13:
-            images = orbits._image_tables(moduli, mats, quotient[1])
-            assert images.fold_hi.size + images.fold_lo.size <= max(p ** len(moduli), orbits._CHUNK), (n, p)
+        assert quotient is not None, (n, p)
+        if p ** len(moduli) < 10**9:  # the image tables of (3, 101) hold 10^6 entries per generator
+            held(moduli, mats, quotient[1])
+    for k in range(2, 7):
+        for p in (3, 5, 7, 13, 31):
+            g = primitive_root(p)
+            _, powers = orbits._scalar_quotient(np.array([p] * k), g * np.eye(k, dtype=np.int64)[None])
+            assert len(powers) == p - 1
+            held(np.array([p] * k), g * np.eye(k, dtype=np.int64)[None], powers)
 
 
 def _quotient_cases():
@@ -645,8 +681,8 @@ def test_more_than_255_orbits_match_union_find(moduli, g, chunk):
 def test_one_coordinate_orbits_take_log_depth(monkeypatch):
     # the cyclic model at p = 11 has orbits of up to 605 states under one
     # multiplier; with its repeated squares as generators each orbit is at
-    # most bit_length(11**3) levels deep; the BFS makes one image call per
-    # worklist entry, and each level of so small an orbit is one entry
+    # most bit_length(11**3) levels deep; each image call takes every waiting
+    # state of so small an orbit, so it makes at most one call per level
     calls = []
     bfs = orbits._bfs
 
