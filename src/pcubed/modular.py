@@ -172,3 +172,17 @@ def gl_generators(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         shear[0][1] = 1
         mats += [[eye[(i + 1) % n] for i in range(n)], shear]
     return tuple(tuple(map(tuple, m)) for m in mats)
+
+
+def gl_generator_pair(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Two generators of GL(n, p) (W. C. Waterhouse, "Two generators for the
+    general linear groups over finite fields", Linear and Multilinear Algebra
+    24, 1989): A = diag(g, 1, ..., 1), the first of ``gl_generators``, then,
+    for n > 1, B with first row (-1, 0, ..., 0, 1) and -1 on the subdiagonal.
+    At n = 1 that first row degenerates, and A alone generates GL(1, p)."""
+    diag = gl_generators(n, p)[0]
+    if n == 1:
+        return (diag,)
+    b = [[-int(j == i - 1) for j in range(n)] for i in range(n)]
+    b[0][0], b[0][n - 1] = -1, 1
+    return diag, tuple(map(tuple, b))

@@ -9,13 +9,14 @@ lexicographically minimal member of its orbit, which is the canonical
 representative contract the Morita graph relies on.
 
 - Seed scan: the next seed is the first unvisited entry of ``orbit_id``
-  (the table dtype's maximum) found block by block with ``np.flatnonzero``,
-  so the scan costs one vector compare per block, not one Python step per
-  state.
+  (the table dtype's maximum) found block by block with ``argmax`` of the
+  block's compare, so the scan costs one vector compare per block, not one
+  Python step per state.
 - Dedupe by sort: each chunk's unvisited images are sorted in place and
   kept where they differ from their left neighbour, so exactly one copy of
-  every new state survives; the survivors are then set to the orbit id, so a
-  later chunk reads them as visited.
+  every new state survives (a chunk with at most one skips the sort); the
+  survivors are then set to the orbit id, so a later chunk reads them as
+  visited.
 - A worklist, not levels: an orbit's visited states that are not yet
   expanded wait in a first-in first-out queue of int32 arrays; each image
   call takes the first ``_CHUNK`` states off its front, joining small
@@ -37,8 +38,10 @@ representative contract the Morita graph relies on.
   table entries.  The entries pack the image digits at radix 2 m_i - 1, so
   the sum has no carry between digits, and two small fold tables map its two
   halves, split at the same cut, back to the encoded image; a chunk costs
-  one ``divmod``, four ``np.take`` calls and two adds, with no floating point
-  and no BLAS, and its low half is masked in the packed array itself.
+  one ``divmod``, four ``take`` calls and two adds, with no floating point
+  and no BLAS, and its low half is masked in the packed array itself.  The
+  engine calls the ``take`` and ``compress`` methods of its arrays, not the
+  ``np.take`` and ``np.compress`` wrappers, which add a Python call each.
 - Exactness: ``require_state_space`` refuses 2^31 states or more before any
   work, for the int32 worklist, and that bound keeps every packed sum in
   int64.
@@ -84,7 +87,8 @@ representative contract the Morita graph relies on.
   are unions of S-classes, and each image y is replaced by canon(y) = f^j y,
   the j making y's leading nonzero digit c the least of its coset c S;
   canon(y) is the least state of S y, as every s y has its leading digit in
-  the same place.  Two lead tables, one per packed fold half, give j; each
+  the same place.  Two lead tables, one per packed fold half, give j, the
+  low half's read only where the high half is 0 mod p; each
   fold table maps its half to the code of its h digits within the half
   times |S|, and a scale table of p^h |S| entries holds at that code plus j
   the half's encoded digits times f^j, so no table grows with
@@ -209,22 +213,23 @@ class _Images(NamedTuple):
         ``states``, and the steps j that canonicalised them (None without a
         scalar quotient)."""
         a, b = np.divmod(states, self.place)
-        packed = np.take(self.hi, a, axis=1)
-        packed += np.take(self.lo, b, axis=1)
+        packed = self.hi.take(a, axis=1)
+        packed += self.lo.take(b, axis=1)
         high = packed >> self.shift
         low = np.bitwise_and(packed, (1 << self.shift) - 1, out=packed)
         if self.lead_hi is None:
-            images = np.take(self.fold_hi, high)
-            images += np.take(self.fold_lo, low)
+            images = self.fold_hi.take(high)
+            images += self.fold_lo.take(low)
             return images, None
-        steps = np.take(self.lead_hi, high)
-        np.copyto(steps, np.take(self.lead_lo, low), where=steps < 0)
-        high = np.take(self.fold_hi, high)
+        steps = self.lead_hi.take(high)
+        zero = steps < 0  # the high half is 0 mod p: the low half leads
+        steps[zero] = self.lead_lo.take(low[zero])
+        high = self.fold_hi.take(high)
         high += steps
-        low = np.take(self.fold_lo, low)
+        low = self.fold_lo.take(low)
         low += steps
-        images = np.take(self.scale_hi, high)
-        images += np.take(self.scale_lo, low)
+        images = self.scale_hi.take(high)
+        images += self.scale_lo.take(low)
         return images, steps
 
 
@@ -362,11 +367,12 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
     for start, stop in ranges:
         ptr = start
         while ptr < stop:
-            free = np.flatnonzero(orbit_id[ptr : min(ptr + _CHUNK, stop)] == unvisited)
-            if not free.size:
+            free = orbit_id[ptr : min(ptr + _CHUNK, stop)] == unvisited
+            offset = int(free.argmax())  # the first True, or 0 when there is none
+            if not free[offset]:
                 ptr += _CHUNK
                 continue
-            ptr += int(free[0])
+            ptr += offset
             oid = len(seeds)
             if oid == unvisited:  # the 256th orbit: widen the table to int32, once
                 wide = np.iinfo(np.int32).max
@@ -384,26 +390,28 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
                 states = _pop_chunk(pending, _CHUNK)
                 images, steps = images_of(states)
                 images = images.ravel()
-                fresh = np.take(orbit_id, images) == unvisited
-                new = np.compress(fresh, images).astype(np.int32, copy=False)
+                fresh = orbit_id.take(images) == unvisited
+                new = images.compress(fresh).astype(np.int32, copy=False)
                 if d > 1:
                     # any edge into a new state gives it a valid label; once
                     # the gcd is 1 the labels are no longer needed
-                    at = np.take(labels, states) + firsts
+                    at = labels.take(states) + firsts
                     if steps is not None:
                         at += np.multiply(steps, order, dtype=np.int32)
-                    proposed = np.take(shift, at).ravel()
-                    labels[new] = np.compress(fresh, proposed)
+                    proposed = shift.take(at).ravel()
+                    labels[new] = proposed.compress(fresh)
                     # each defect, shifted by order, is in 1..2 order - 1
                     defects = proposed + order
-                    defects -= np.take(labels, images)
-                    if not np.take(divisible, defects).all():
+                    defects -= labels.take(images)
+                    if not divisible.take(defects).all():
                         d = math.gcd(d, int(np.gcd.reduce(defects)))
                         divisible = multiples % d == 0
-                new.sort()  # in place, once the labels have read it in image order
-                first = np.ones(new.size, dtype=bool)  # the first of each run of equal states
-                np.not_equal(new[1:], new[:-1], out=first[1:])
-                new = new[first]
+                if new.size > 1:
+                    new.sort()  # in place, once the labels have read it in image order
+                    first = np.empty(new.size, dtype=bool)  # the first of each run of equal states
+                    first[0] = True
+                    np.not_equal(new[1:], new[:-1], out=first[1:])
+                    new = new[first]
                 if new.size:
                     orbit_id[new] = oid
                     size += new.size

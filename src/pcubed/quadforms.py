@@ -7,7 +7,10 @@ computes that invariant with ``modular.rank_and_det_mod``, the 2n+1 diagonal
 representatives in dimension n, and the unit h for which h*z1^2 + z2^2 is
 *not* congruent to z1*z2.  The exact class count closes all symmetric forms
 under GL(n, p) acting through ``modular.quadratic_substitution_matrix``, the
-same action that gives the quadratic part of the H^4 models.
+same action that gives the quadratic part of the H^4 models.  It expands each
+form under Waterhouse's two generators of GL(n, p),
+``modular.gl_generator_pair``, where the H^4 models and the tests' closure
+oracle use the three of ``modular.gl_generators``.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .modular import (
-    gl_generators, inverse_mod, least_nonsquare, legendre, primitive_root, quadratic_substitution_matrix,
+    gl_generator_pair, inverse_mod, least_nonsquare, legendre, primitive_root, quadratic_substitution_matrix,
     rank_and_det_mod, require_odd_prime,
 )
 from .orbits import DEFAULT_MAX_STATES, enumerate_orbit_ids, require_state_space
@@ -124,13 +127,16 @@ def count_congruence_classes(n: int, p: int) -> int:
 
 def congruence_action(n: int, p: int) -> tuple[list[int], list[np.ndarray]]:
     """Moduli and generator matrices of GL(n, p) acting on the n(n+1)/2
-    coefficients of a quadratic form by the substitution z -> g z, then the
-    scalar g I_n for the primitive root g, which multiplies every form by g^2
-    and so lets the BFS quotient by the scalars g^(2j)."""
+    coefficients of a quadratic form by the substitution z -> g z: the pair
+    A = diag(g, 1, ..., 1) and B of ``modular.gl_generator_pair`` (W. C.
+    Waterhouse, Linear and Multilinear Algebra 24, 1989), A alone at n = 1,
+    so the BFS computes two images per form, then the scalar g I_n for the
+    primitive root g, which multiplies every form by g^2 and so lets the BFS
+    quotient by the scalars g^(2j)."""
     if n < 1:
         raise ValueError(f"dimension {n} must be at least 1")
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    subs = list(gl_generators(n, p)) + [primitive_root(p) * np.eye(n, dtype=np.int64)]
+    subs = list(gl_generator_pair(n, p)) + [primitive_root(p) * np.eye(n, dtype=np.int64)]
     return [p] * len(pairs), [quadratic_substitution_matrix(np.array(g), pairs, p) for g in subs]
 
 

@@ -256,8 +256,7 @@ def test_the_elem_abelian_p11_bfs_grows_peak_rss_under_3_5_mib(peak_rss_growth):
 
 def test_image_calls_are_filled_from_the_worklist(monkeypatch):
     # each call takes up to _CHUNK states across worklist entries: the n = 3
-    # closure at p = 13 makes 266, against 527 at this chunk with one call per
-    # entry, and 310 at twice the chunk
+    # closure at p = 13, under the generator pair, makes 284
     calls = []
     call = orbits._Images.__call__
     monkeypatch.setattr(orbits._Images, "__call__", lambda self, states: calls.append(states.size) or call(self, states))

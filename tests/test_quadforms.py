@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from pcubed import quadforms
+from pcubed.modular import gl_generator_pair
+from pcubed.orbits import enumerate_orbit_ids
 from pcubed.quadforms import (
     NONSQUARE,
     SQUARE,
@@ -17,7 +20,7 @@ from pcubed.quadforms import (
     select_h,
 )
 
-from oracles import congruent_by_search
+from oracles import congruent_by_search, matrix_group_closure
 
 
 def test_polarization_of_cross_term():
@@ -102,6 +105,28 @@ def test_class_count_at_p17():
     assert count_congruence_classes(3, 17) == 7
 
 
+@pytest.mark.parametrize("n,p,order", [(2, 3, 48), (2, 5, 480), (2, 7, 2016), (3, 3, 11232)])
+def test_the_generator_pair_generates_gl(n, p, order):
+    # |GL(n, p)| = prod (p^n - p^i)
+    assert order == math.prod(p**n - p**i for i in range(n))
+    assert len(matrix_group_closure(gl_generator_pair(n, p), [p] * n)) == order
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_closure_ids_equal_the_three_generator_oracle(congruence_ids_for, n, p):
+    # the library closes the forms under the generator pair, the oracle under
+    # modular.gl_generators; both number orbits by their least code, the
+    # library's read off the polynomial coefficients row by row, in which an
+    # off-diagonal matrix entry counts twice
+    ids, _, _ = enumerate_orbit_ids(*congruence_action(n, p))
+    oracle = congruence_ids_for(n, p)
+    rows, cols = np.triu_indices(n)
+    upper = np.array(list(oracle))[:, rows, cols]
+    codes = np.where(rows == cols, 1, 2) * upper % p @ p ** np.arange(len(rows) - 1, -1, -1)
+    assert ids(codes).tolist() == list(oracle.values())
+
+
 def test_invariants_agree_with_closure_oracle_all_pairs_n2(congruence_ids_for):
     for p in (3, 5):
         ids = congruence_ids_for(2, p)
@@ -161,14 +186,14 @@ def _no_generators(*args, **kwargs):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_count_refuses_a_dimension_below_one(n, monkeypatch):
-    monkeypatch.setattr(quadforms, "gl_generators", _no_generators)
+    monkeypatch.setattr(quadforms, "gl_generator_pair", _no_generators)
     with pytest.raises(ValueError, match=f"dimension {n} must be at least 1"):
         count_congruence_classes(n, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_congruence_action_refuses_a_dimension_below_one(n, monkeypatch):
-    monkeypatch.setattr(quadforms, "gl_generators", _no_generators)
+    monkeypatch.setattr(quadforms, "gl_generator_pair", _no_generators)
     with pytest.raises(ValueError, match=f"dimension {n} must be at least 1"):
         congruence_action(n, 3)
 

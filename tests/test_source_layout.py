@@ -11,7 +11,12 @@ another (the tests and demos may)."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pcubed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcubed"
@@ -94,3 +99,35 @@ def test_the_published_counts_are_read_through_their_module():
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("published")
     ]
     assert offending == [], "import the module, `from . import published`, and read published.<name>"
+
+
+def _defining_module(name: str) -> str:
+    # the one module whose top level defines or assigns ``name``
+    homes = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        or (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+    ]
+    assert len(homes) == 1, (name, homes)
+    return homes[0]
+
+
+def test_the_package_re_exports_load_only_when_asked():
+    # run in a child, since this process has imported every module already
+    homes = {name: _defining_module(name) for name in pcubed.__all__ if name != "__version__"}
+    code = (
+        "import importlib, sys\n"
+        "from pcubed import quadforms\n"
+        "assert 'pcubed.lhs_morita' not in sys.modules, sorted(sys.modules)\n"
+        "namespace = {}\n"
+        "exec('from pcubed import *', namespace)\n"
+        "import pcubed\n"
+        f"for name, home in {homes!r}.items():\n"
+        "    assert namespace[name] is getattr(importlib.import_module('pcubed.' + home), name), name\n"
+        "assert namespace['__version__'] == pcubed.__version__\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
