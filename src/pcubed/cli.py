@@ -147,14 +147,15 @@ def cmd_morita(args) -> int:
 
 
 def cmd_quadforms(args) -> int:
+    n = args.n or 3  # -n has no argparse default: the exclusive group lets `-n 3 --which-h` pass if 3 is it
     blocks = []
     for p in args.primes:
         if args.which_h:
             prefix = f"p={p}: " if len(args.primes) > 1 else ""
             blocks.append(f"{prefix}h = {select_h(p)}")
             continue
-        reps = representatives(args.n, p)
-        lines = [f"{len(reps)} congruence classes of rank <= {args.n} over F_{p}:"]
+        reps = representatives(n, p)
+        lines = [f"{len(reps)} congruence classes of rank <= {n} over F_{p}:"]
         for q in reps:
             inv = congruence_invariant(q)
             diag = [q.matrix[i][i] for i in range(q.n)]
@@ -303,8 +304,9 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("quadforms", help="congruence classes of quadratic forms")
     common(sp)
-    sp.add_argument("-n", type=_decimal, default=3, choices=(1, 2, 3))
-    sp.add_argument("--which-h", action="store_true", help="print the h selection")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("-n", type=_decimal, choices=(1, 2, 3), help="form dimension, default 3")
+    which.add_argument("--which-h", action="store_true", help="print the h selection")
     sp.set_defaults(fn=cmd_quadforms)
 
     for name in ("classify", "morita", "verify"):  # the subcommands that enumerate orbits

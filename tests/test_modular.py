@@ -148,3 +148,15 @@ def test_quadratic_substitution_matrix_of_a_stack_is_each_matrix_in_turn(n):
         want = _substitution_by_outer_products(sub, pairs, p)
         assert (got == want).all()
         assert (quadratic_substitution_matrix(sub.tolist(), pairs, p) == want).all()
+
+
+@pytest.mark.parametrize("build", ["gl_generators", "gl_generator_pair"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_the_gl_generators_refuse_a_dimension_below_one(monkeypatch, build, n):
+    # refused before the primitive root is sought; at n = 0 the identity had no row to index
+    def searched(p):
+        raise AssertionError("the primitive root was sought")
+
+    monkeypatch.setattr(modular, "primitive_root", searched)
+    with pytest.raises(ValueError, match=f"^dimension {n} must be at least 1$"):
+        getattr(modular, build)(n, 3)
