@@ -97,7 +97,7 @@ def cmd_classify(args) -> int:
     payload = []
     for p in args.primes:
         indices = _orbit_indices(args, p)
-        counts = _count_checks(p, indices)
+        counts = _count_checks(indices)
         checks += counts
         payload += [{"p": p, "family": fam.value, "orbits": orbit_rows(index)} for fam, index in indices.items()]
         for (fam, index), check in zip(indices.items(), counts):
@@ -129,7 +129,7 @@ def cmd_morita(args) -> int:
     checks = []
     chunks = []
     for p in args.primes:
-        graph = morita_components(p, indices=_orbit_indices(args, p))
+        graph = morita_components(_orbit_indices(args, p))
         table = emit_table(graph, fmt=args.format)
         expected = sum(published.morita_histogram(p).values())
         summary = (
@@ -184,11 +184,11 @@ def _orbit_indices(args, p: int) -> dict[Family, OrbitIndex]:
     return indices
 
 
-def _count_checks(p: int, indices) -> list[CheckResult]:
-    """Each family's orbit count against the published one."""
+def _count_checks(indices) -> list[CheckResult]:
+    """Each family's orbit count against the published one at its index's prime."""
     return [
-        CheckResult(f"counts.{fam.value}.p{p}", len(index.orbits) == published.orbit_count(fam, p),
-                    f"{len(index.orbits)} orbits")
+        CheckResult(f"counts.{fam.value}.p{index.model.p}",
+                    len(index.orbits) == published.orbit_count(fam, index.model.p), f"{len(index.orbits)} orbits")
         for fam, index in indices.items()
     ]
 
@@ -211,11 +211,11 @@ def _congruence_counts(indices) -> dict[int, int]:
     return counts
 
 
-def _orbit_checks(p: int, indices) -> list[CheckResult]:
+def _orbit_checks(indices) -> list[CheckResult]:
     """What verify checks on the orbit indices: the per-family orbit counts, then
     the Morita class counts and the consistency checks of their graph."""
-    graph = morita_components(p, indices=indices)
-    return _count_checks(p, indices) + morita_count_checks(graph) + consistency_checks(graph)
+    graph = morita_components(indices)
+    return _count_checks(indices) + morita_count_checks(graph) + consistency_checks(graph)
 
 
 def cmd_verify(args) -> int:
@@ -226,7 +226,7 @@ def cmd_verify(args) -> int:
             checks += cross_check_actions(fam, p)
         checks += verify_pages(p)
         indices = _orbit_indices(args, p)
-        checks += _orbit_checks(p, indices)
+        checks += _orbit_checks(indices)
         classes = _congruence_counts(indices)
         del indices  # this prime's orbit indices, before the group oracles and the next prime's BFS
         for n in (1, 2, 3):

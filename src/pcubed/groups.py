@@ -351,7 +351,11 @@ def normal_abelian_subgroup_classes(
 
     An automorphism sigma sends S to the normal subgroup of S's order generated by
     the images of S's generators, which is the one such subgroup holding them all:
-    so S's orbit is read off the generator columns, with no image set built."""
+    so S's orbit is read off the generator columns, with no image set built.
+
+    ``automorphisms``, when given, must be ``enumerate_automorphisms(G)``'s rows
+    for this G: they are trusted, not checked, and rows of another group give
+    wrong classes with no error."""
     subgroups = normal_abelian_subgroups(G)
     if automorphisms is None:
         automorphisms = enumerate_automorphisms(G)

@@ -10,7 +10,8 @@ prime-independent.  The page data is re-verified mechanically (symbolically
 where the cells are p-torsion spans, by order bookkeeping where the torsion
 is mixed).  Each case also holds the class-level equivalences derived from
 it, as edge records instantiated over their parameter ranges, whose endpoints,
-canonicalized through the orbit indices, join into the Morita classes.
+canonicalized through the five families' orbit indices, join into the Morita
+classes; ``morita_components`` takes only those indices and reads p off them.
 """
 
 import csv
@@ -27,7 +28,7 @@ from . import published
 from .groups import FAMILIES, Family
 from .h4_models import CohClass, H4Model, h4_model
 from .modular import least_nonsquare, radix_digits, rank_and_det_mod, units
-from .orbits import OrbitIndex, enumerate_orbits
+from .orbits import OrbitIndex
 from .quadforms import select_h
 from .report import CheckResult
 
@@ -286,37 +287,30 @@ def diagonal_order(cells: dict, p: int) -> int:
 # -- linear algebra over F_p on monomial coordinates -------------------------
 
 
-def _rank_of(elements, p: int) -> int:
-    """Rank mod p of the elements' coefficient rows over their monomials."""
+def _rank_of(elements) -> int:
+    """Rank mod p of the elements' coefficient rows over their monomials, p their ring's."""
+    if not elements:
+        return 0
     mons = sorted({m for el in elements for m in el.terms})
-    return rank_and_det_mod([[el.terms.get(m, 0) for m in mons] for el in elements], p)[0]
+    return rank_and_det_mod([[el.terms.get(m, 0) for m in mons] for el in elements], elements[0].ring.p)[0]
 
 
-def _cell_check(name, domain, diff, expected_survivors, incoming, p, checks):
+def _cell_check(name, domain, diff, expected_survivors, incoming) -> CheckResult:
     """ker(diff)/im(incoming) on a span must equal the listed surviving generators; diff None is 0."""
     images = [diff(el) for el in domain] if diff else []
-    rank_out = _rank_of(images, p)
-    rank_in = _rank_of(incoming, p)
+    rank_out = _rank_of(images)
+    rank_in = _rank_of(incoming)
     survivors = len(domain) - rank_out - rank_in
     ok = survivors == len(expected_survivors)
     if incoming:
         # the incoming image must land inside this cell's span
-        ok &= _rank_of(domain + incoming, p) == _rank_of(domain, p)
+        ok &= _rank_of(domain + incoming) == _rank_of(domain)
     # the listed survivors must actually survive: killed by diff, independent mod image
     if diff:
         ok &= all(diff(el).is_zero() for el in expected_survivors)
     if expected_survivors:
-        ok &= (
-            _rank_of(incoming + expected_survivors, p)
-            == rank_in + len(expected_survivors)
-        )
-    checks.append(
-        CheckResult(
-            name,
-            ok,
-            f"dim ker/im = {survivors}, listed = {len(expected_survivors)}",
-        )
-    )
+        ok &= _rank_of(incoming + expected_survivors) == rank_in + len(expected_survivors)
+    return CheckResult(name, ok, f"dim ker/im = {survivors}, listed = {len(expected_survivors)}")
 
 
 def _rank2_fourth_pages(x1, x2, y1, y2) -> dict[Family, dict]:
@@ -361,18 +355,21 @@ def _rank2_fourth_pages(x1, x2, y1, y2) -> dict[Family, dict]:
     }
 
 
-def _walk(name, page, r, d, want, p, checks):
+def _walk(name, page, r, d, want) -> list[CheckResult]:
     """Check E_(r+1) against the survivors ``want`` lists, on each of its cells (a, b) in
     ``page`` order: d_r: E_r^(a,b) -> E_r^(a+r,b-r+1) leaves the cell when b - r + 1 >= 0
     (and is 0 otherwise), and the images of d_r on cell (a - r, b + r - 1) arrive in it."""
-    for (a, b), domain in page.items():
-        if (a, b) in want:
-            incoming = [d(el) for el in page.get((a - r, b + r - 1), [])]
-            leaving = d if b - r + 1 >= 0 else None
-            _cell_check(f"{name}.cell{(a, b)}", domain, leaving, want[(a, b)], incoming, p, checks)
+    return [
+        _cell_check(
+            f"{name}.cell{(a, b)}", domain, d if b - r + 1 >= 0 else None, want[(a, b)],
+            [d(el) for el in page.get((a - r, b + r - 1), [])],
+        )
+        for (a, b), domain in page.items()
+        if (a, b) in want
+    ]
 
 
-def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives iff beta(kappa) = 0"):
+def _walk_rank2(name, base, realized, detail04="fiber square survives iff beta(kappa) = 0") -> list[CheckResult]:
     """Fourth page of a central extension by Z/p of a rank-2 base: d3(y3 * P) = beta(kappa * P),
     with kappa read from the realized member's k-invariant label."""
     x1, x2, y1, y2 = base
@@ -388,28 +385,28 @@ def _walk_rank2(name, base, realized, p, checks, detail04="fiber square survives
         (4, 0): [y1 * y1, y1 * y2, y2 * y2],
     }
     row = lambda b: {cell: gens for cell, gens in want.items() if cell[1] == b}
-    _walk(name, page, 3, d3, row(2), p, checks)
     # fiber square: d3(y3^2 * P) = 2 y3 beta(kappa P), nonzero iff beta(kappa) is
-    checks.append(CheckResult(f"{name}.cell(0, 4)", beta(kappa).is_zero() == bool(want[(0, 4)]), detail04))
-    _walk(name, page, 3, d3, row(0), p, checks)
+    square = CheckResult(f"{name}.cell(0, 4)", beta(kappa).is_zero() == bool(want[(0, 4)]), detail04)
+    return _walk(name, page, 3, d3, row(2)) + [square] + _walk(name, page, 3, d3, row(0))
 
 
-def _verify_rank2_base_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
+def _verify_rank2_base_pages(case: ExtensionCase, p: int) -> list[CheckResult]:
     """Symbolic page-4 verification for the extensions over a rank-2 base, then
     for the Heisenberg member again as the centre of H_p in w/z names."""
     R = gr.rank2_extension_ring(p, "x", "y", "y3")
     base = tuple(R.gen(l) for l in ("x1", "x2", "y1", "y2"))
+    checks = []
     for realized in case.realized:
-        _walk_rank2(f"pages.{case.case_id}.{realized.family.value}", base, realized, p, checks)
+        checks += _walk_rank2(f"pages.{case.case_id}.{realized.family.value}", base, realized)
     H = gr.rank2_extension_ring(p, "w", "z", "t")
     heisenberg = next(r for r in case.realized if r.family is Family.HEISENBERG)
-    _walk_rank2(
-        "pages.heisenberg_center", tuple(H.gen(l) for l in ("w1", "w2", "z1", "z2")), heisenberg, p, checks,
+    return checks + _walk_rank2(
+        "pages.heisenberg_center", tuple(H.gen(l) for l in ("w1", "w2", "z1", "z2")), heisenberg,
         "t^2 dies: d3(t^2) = 2 t beta(w1 w2) != 0",
     )
 
 
-def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
+def _verify_rank1_base_pages(case: ExtensionCase, p: int) -> list[CheckResult]:
     """Symbolic page verification for fiber (Z/p)^2 over base Z/p."""
     R = gr.exterior_bockstein_ring(3, p)
     x1, x2, x3 = (R.gen(f"x{i}") for i in (1, 2, 3))
@@ -429,7 +426,7 @@ def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResu
     kappa = gr.k_invariants(x1, x2, y1, y2)
     d2_of = {r.family: gr.derivation(R, {"x2": kappa[r.k_invariant]}) for r in case.realized}
     # split member: kappa = 0, so d2 = 0 and every cell survives
-    _walk(f"pages.{case.case_id}.{Family.ELEM_ABELIAN.value}", page2, 2, d2_of[Family.ELEM_ABELIAN], page2, p, checks)
+    checks = _walk(f"pages.{case.case_id}.{Family.ELEM_ABELIAN.value}", page2, 2, d2_of[Family.ELEM_ABELIAN], page2)
     # product member: d2(x2) = kappa, then d3(x1 y2) = y1^2
     fam = Family.P2XP.value
     page3_expected = {
@@ -441,57 +438,44 @@ def _verify_rank1_base_pages(case: ExtensionCase, p: int, checks: list[CheckResu
         (1, 3): [],
         (0, 4): [y2 * y2, y2 * y3, y3 * y3],
     }
-    _walk(f"pages.{case.case_id}.{fam}.page3", page2, 2, d2_of[Family.P2XP], page3_expected, p, checks)
+    checks += _walk(f"pages.{case.case_id}.{fam}.page3", page2, 2, d2_of[Family.P2XP], page3_expected)
     # the only nonzero third differential: x1 y2 -> y1^2, x1 y3 -> 0
     page3 = {(1, 2): page3_expected[(1, 2)], (4, 0): [y1 * y1]}
     d3 = lambda el: [y1 * y1, R.zero()][page3[(1, 2)].index(el)]
-    _walk(f"pages.{case.case_id}.{fam}.page4", page3, 3, d3, {(1, 2): [x1 * y3], (4, 0): []}, p, checks)
+    checks += _walk(f"pages.{case.case_id}.{fam}.page4", page3, 3, d3, {(1, 2): [x1 * y3], (4, 0): []})
     # order bookkeeping: with the stated d3 the degree-4 orders multiply to
     # |H^4| = p^4; a vanishing d3 would leave p^5
     degree4 = p ** (len(page3_expected[(0, 4)]) + len(page3_expected[(2, 2)]))
-    checks.append(
+    return checks + [
         CheckResult(
             f"pages.{case.case_id}.{fam}.order_bookkeeping",
             degree4 == h4_model(Family.P2XP, p).total_order
             and degree4 * p != h4_model(Family.P2XP, p).total_order,
             f"E_infinity degree-4 order {degree4}",
         )
-    )
+    ]
 
 
-def _verify_mixed_pages(case: ExtensionCase, p: int, checks: list[CheckResult]) -> None:
+def _verify_mixed_pages(case: ExtensionCase, p: int) -> list[CheckResult]:
+    checks = []
     for realized in case.realized:
         e_first, e_last = realized.pages
         name = f"pages.{case.case_id}.{realized.family.value}"
         model_order = h4_model(realized.family, p).total_order
         final = diagonal_order(e_last, p)
-        checks.append(
-            CheckResult(
-                f"{name}.final_order",
-                final == model_order,
-                f"E_inf degree-4 order {final} vs |H^4| {model_order}",
-            )
-        )
+        checks.append(CheckResult(f"{name}.final_order", final == model_order,
+                                  f"E_inf degree-4 order {final} vs |H^4| {model_order}"))
         killed = diagonal_order(e_first, p) // final
         # a rank-r d3 out of (1,2) removes p^r from the degree-3 and degree-4
         # diagonals simultaneously; split members must need no differential
         if realized.k_invariant == "0":
-            checks.append(
-                CheckResult(
-                    f"{name}.split_no_differentials",
-                    killed == 1 and e_first == e_last,
-                    "k-invariant 0: E_2 = E_inf",
-                )
-            )
+            checks.append(CheckResult(f"{name}.split_no_differentials", killed == 1 and e_first == e_last,
+                                      "k-invariant 0: E_2 = E_inf"))
         else:
             avail = p ** sum(e for _, e in e_first.get((1, 2), ()))
-            checks.append(
-                CheckResult(
-                    f"{name}.d3_rank",
-                    killed == avail and killed > 1,
-                    f"d3 must kill a factor of {killed}, cell (1,2) holds {avail}",
-                )
-            )
+            checks.append(CheckResult(f"{name}.d3_rank", killed == avail and killed > 1,
+                                      f"d3 must kill a factor of {killed}, cell (1,2) holds {avail}"))
+    return checks
 
 
 def verify_pages(p: int) -> list[CheckResult]:
@@ -505,11 +489,11 @@ def verify_pages(p: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for case in CASES:
         if case is CASES[3]:
-            _verify_rank1_base_pages(case, p, checks)
+            checks += _verify_rank1_base_pages(case, p)
         elif case is CASES[4]:
-            _verify_rank2_base_pages(case, p, checks)
+            checks += _verify_rank2_base_pages(case, p)
         else:
-            _verify_mixed_pages(case, p, checks)
+            checks += _verify_mixed_pages(case, p)
     # Omega orders must factor as |sub| * |quot| through the coordinate spans
     for case in CASES:
         for realized in case.realized:
@@ -577,15 +561,20 @@ class MoritaGraph:
         }
 
 
-def morita_components(p: int, indices: dict[Family, OrbitIndex] | None = None) -> MoritaGraph:
+def morita_components(indices: dict[Family, OrbitIndex]) -> MoritaGraph:
     """Canonicalize the endpoints of every edge of ``all_edges(p)`` and join
     them; the components are the Morita classes.
 
-    ``indices`` are the five families' orbit indices at p, built at the default
-    state bound when not given; the CLI passes its own, built under
-    ``--max-states``."""
-    if indices is None:
-        indices = {fam: enumerate_orbits(h4_model(fam, p)) for fam in FAMILIES}
+    ``indices`` are the five families' orbit indices, all at one prime p, which
+    is read off their models; a mapping that lacks a family or mixes primes is
+    refused with a ValueError."""
+    missing = [fam.value for fam in FAMILIES if fam not in indices]
+    if missing:
+        raise ValueError(f"no orbit index for {', '.join(missing)}")
+    primes = sorted({indices[fam].model.p for fam in FAMILIES})
+    if len(primes) > 1:
+        raise ValueError(f"orbit indices at more than one prime: {', '.join(map(str, primes))}")
+    p = primes[0]
     edges = all_edges(p)
     offset, nodes = {}, []
     for fam in FAMILIES:

@@ -48,11 +48,10 @@ representative contract the Morita graph relies on.
   The image tables are int32 when 2 prod(2 m_i - 1), a bound on every packed
   sum, is below 2^31 (the (Z/13)^6 block and the n = 3 congruence forms at
   p = 13, not the (Z/17)^6 block), and int64 otherwise.  Steps j of the
-  scalar quotient are int8 (int16 past 128 scalars), and under NEP 50 a
-  narrow array times a Python int keeps its dtype and wraps, so each step is
-  widened to int32 before it is multiplied: by the labels' order and by
-  log chi_s, every product below (p - 1) (q - 1) < 2^31.  It is added to an
-  int32 fold code, into a scale table's index, below the table's size.
+  scalar quotient are read from int8 (int16 past 128 scalars) tables and
+  widened to int32 once, so each product, by the labels' order or by
+  log chi_s, is below (p - 1) (q - 1) < 2^31; a step is added to an int32
+  fold code, into a scale table's index, below the table's size.
   The fold and scale tables are int32: each entry is a mixed-radix code of
   digits mod m_i, and the two halves' entries add up to the encoded image,
   so every entry and sum is below the state count and exact in int32.
@@ -210,8 +209,8 @@ class _Images(NamedTuple):
 
     def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Encoded int32 images, one row per generator, of the integer
-        ``states``, and the steps j that canonicalised them (None without a
-        scalar quotient)."""
+        ``states``, and the int32 steps j that canonicalised them (None
+        without a scalar quotient)."""
         a, b = np.divmod(states, self.place)
         packed = self.hi.take(a, axis=1)
         packed += self.lo.take(b, axis=1)
@@ -221,7 +220,7 @@ class _Images(NamedTuple):
             images = self.fold_hi.take(high)
             images += self.fold_lo.take(low)
             return images, None
-        steps = self.lead_hi.take(high)
+        steps = self.lead_hi.take(high).astype(np.int32)
         zero = steps < 0  # the high half is 0 mod p: the low half leads
         steps[zero] = self.lead_lo.take(low[zero])
         high = self.fold_hi.take(high)
@@ -397,7 +396,7 @@ def _bfs(images_of: Callable, orbit_id: np.ndarray, ranges, scalars: int, charac
                     # the gcd is 1 the labels are no longer needed
                     at = labels.take(states) + firsts
                     if steps is not None:
-                        at += np.multiply(steps, order, dtype=np.int32)
+                        at += steps * order
                     proposed = shift.take(at).ravel()
                     labels[new] = proposed.compress(fresh)
                     # each defect, shifted by order, is in 1..2 order - 1
@@ -458,7 +457,7 @@ def _split_character(block, labels, block_seeds, block_sizes, gcds, log, canonic
         x, b = np.divmod(states, q)
         x, steps = canonical(x)
         orbit = block[x]
-        offset = offsets[rows[orbit], (log[b] + np.multiply(steps, log_scalar, dtype=np.int32) - labels[x]) % order]
+        offset = offsets[rows[orbit], (log[b] + steps * log_scalar - labels[x]) % order]
         return bases[orbit] + np.where(b == 0, 0, offset)
 
     return ids, seeds, sizes

@@ -32,7 +32,7 @@ def _congruence_ids(n, p):
 
 @lru_cache(maxsize=None)
 def _graph(p):
-    return morita_components(p, indices=_indices(p))
+    return morita_components(_indices(p))
 
 
 @pytest.fixture(scope="session")

@@ -216,8 +216,8 @@ def test_criterion_8_pushed_automorphisms_match_generators():
           "matrix groups (Heisenberg, extraspecial p^2) at p=3")
 
 
-def _signals(p, indices):
-    graph = morita_components(p, indices=indices)
+def _signals(indices):
+    graph = morita_components(indices)
     counts = {fam: len(indices[fam].orbits) for fam in FAMILIES}
     rows = {
         frozenset((fam, rep.coeffs) for fam, rep in comp) for comp in graph.nontrivial()
@@ -228,7 +228,7 @@ def _signals(p, indices):
 def test_criterion_9_negative_controls(indices_for):
     p = 3
     baseline = dict(indices_for(p))
-    base_sig = _signals(p, baseline)
+    base_sig = _signals(baseline)
     corruptions = [
         (Family.CYCLIC, 0, 0),
         (Family.P2XP, 1, 1),
@@ -241,7 +241,7 @@ def test_criterion_9_negative_controls(indices_for):
     for fam, row, col in corruptions:
         corrupted = dict(baseline)
         corrupted[fam] = enumerate_orbits(h4_model(fam, p), _corrupt_generators(fam, p, row, col))
-        sig = _signals(p, corrupted)
+        sig = _signals(corrupted)
         assert sig != base_sig, f"corrupting {fam.value}[{row}][{col}] went undetected"
         counts, n_comp, rows = sig
         assert (
@@ -272,7 +272,7 @@ def test_every_single_entry_corruption_fails_an_orbit_check(p, indices_for):
             specs += 1
             indices = dict(baseline)
             indices[fam] = enumerate_orbits(h4_model(fam, p), _corrupt_generators(fam, p, row, col))
-            if all(c.ok for c in _orbit_checks(p, indices)):
+            if all(c.ok for c in _orbit_checks(indices)):
                 states = np.arange(h4_model(fam, p).total_order)
                 same = np.array_equal(indices[fam].ids(states), baseline[fam].ids(states))
                 (unchanged if same else survivors).add(f"{fam.value}:{row}:{col}")

@@ -264,7 +264,7 @@ def test_components_match_union_find(indices_for, chains):
     expected = {frozenset(nodes[i] for i in range(len(nodes)) if least[i] == root) for root in set(least)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lhs_morita, "all_edges", lambda q: rows)
-        graph = morita_components(p, indices=indices)
+        graph = morita_components(indices)
     assert {frozenset(comp) for comp in graph.components} == expected
 
 
@@ -273,8 +273,27 @@ def test_duplicate_edges_are_harmless(graph_for, monkeypatch):
     graph = graph_for(p)
     doubled = np.concatenate([all_edges(p), all_edges(p)])
     monkeypatch.setattr(lhs_morita, "all_edges", lambda q: doubled)
-    again = morita_components(p, indices=graph.indices)
+    again = morita_components(graph.indices)
     assert len(again.components) == len(graph.components)
+
+
+def _refusal(indices) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        morita_components(indices)
+    message = str(excinfo.value)
+    assert "\n" not in message
+    return message
+
+
+def test_indices_at_two_primes_are_refused(indices_for):
+    # p is read off the indices; one G_p index at 5 among four at 3 has no p to read
+    mixed = {**indices_for(3), Family.GP: indices_for(5)[Family.GP]}
+    assert _refusal(mixed) == "orbit indices at more than one prime: 3, 5"
+
+
+def test_indices_lacking_a_family_are_refused(indices_for):
+    partial = {fam: index for fam, index in indices_for(3).items() if fam is not Family.HEISENBERG}
+    assert _refusal(partial) == "no orbit index for heisenberg"
 
 
 def test_emit_markdown(graph_for):
@@ -321,5 +340,5 @@ def test_components_do_not_depend_on_edge_order(p, indices_for, graph_for, monke
         random.Random(seed).shuffle(order)
         shuffled = edges[order]
         monkeypatch.setattr(lhs_morita, "all_edges", lambda q: shuffled)
-        graph = morita_components(p, indices=indices_for(p))
+        graph = morita_components(indices_for(p))
         assert graph.components == expected, seed
